@@ -20,7 +20,6 @@ from .errors import (
 )
 from .model_spectra import (
     ManifoldPair,
-    ModeDescriptor,
     SpectrumSlice,
     difference_spectrum,
     enumerate_spectrum,

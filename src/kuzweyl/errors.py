@@ -37,9 +37,5 @@ class CacheCorruptionWarning(UserWarning):
     """A cache file could not be used and was rebuilt."""
 
 
-class ParsevalWarning(UserWarning):
-    """Coefficient row sums disagree with restricted norms beyond tolerance."""
-
-
 class TailBoundWarning(UserWarning):
     """Spectral tail beyond the cached cutoff may not be negligible."""

@@ -74,6 +74,15 @@ class FourierWindow:
         return {"kind": "window", "support": list(self.support)}
 
 
+def _bump(u):
+    """Smooth bump exp(1 - 1/(1 - u^2)) on |u| < 1, zero outside, peak 1."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    m = np.abs(u) < 1.0
+    out[m] = np.exp(1.0 - 1.0 / (1.0 - u[m] ** 2))
+    return out
+
+
 def _smooth_plateau(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -93,11 +102,7 @@ def shifted_bump_window(lo: float, hi: float) -> FourierWindow:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def fn(s):
-        u = (np.asarray(s, dtype=float) - mid) / half
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        out[m] = np.exp(1.0 - 1.0 / (1.0 - u[m] ** 2))
-        return out
+        return _bump((np.asarray(s, dtype=float) - mid) / half)
 
     return FourierWindow(psi_hat_fn=fn, support=(lo, hi))
 
@@ -105,22 +110,22 @@ def shifted_bump_window(lo: float, hi: float) -> FourierWindow:
 class TestFunction:
     """Nonnegative window psi with compactly supported psi_hat.
 
-    `a` is the support radius of psi_hat for the smooth kinds and the
-    half-width eps of the indicator for the sharp kind.  `scale` multiplies
-    psi and psi_hat jointly (used by the dominating-function construction).
+    `a` is the support radius of psi_hat for the smooth kinds (a > 0) and
+    the half-width eps of the indicator for the sharp kind (a >= 0; a = 0
+    counts exact coincidences).  `scale` multiplies psi and psi_hat jointly
+    (used by the dominating-function construction).
     """
 
     GRID_STEP_DIV = 512  # psi-grid step = a / 512 for the bump-square kind
 
     def __init__(self, kind: str, a: float, scale: float = 1.0):
-        if a <= 0:
-            raise ValidationError("support radius must be > 0")
         if kind not in ("fejer", "bumpsquare", "sharp"):
             raise ValidationError(f"unknown test-function kind {kind!r}")
+        if a < 0 or (a == 0 and kind != "sharp"):
+            raise ValidationError("support radius must be > 0 (>= 0 for sharp)")
         self.kind = kind
         self.a = float(a)
         self.scale = float(scale)
-        self.params = {"a": self.a, "scale": self.scale}
         self._g_grid: Optional[np.ndarray] = None
         self._g_xmax = 0.0
         self._g_cut: Optional[float] = None
@@ -134,10 +139,6 @@ class TestFunction:
         return f"TestFunction({self.kind}, a={self.a}, scale={self.scale})"
 
     @property
-    def support_radius(self) -> float:
-        return self.a
-
-    @property
     def psi_hat_support(self) -> tuple:
         return (-self.a, self.a)
 
@@ -149,11 +150,7 @@ class TestFunction:
 
     def _ghat(self, s):
         """Smooth bump on [-a/2, a/2], peak 1."""
-        u = 2.0 * np.asarray(s, dtype=float) / self.a
-        out = np.zeros_like(u)
-        m = np.abs(u) < 1.0
-        out[m] = np.exp(1.0 - 1.0 / (1.0 - u[m] ** 2))
-        return out
+        return _bump(2.0 * np.asarray(s, dtype=float) / self.a)
 
     def _ensure_g_grid(self, xmax: float) -> None:
         """g(x) = (1/2pi) int ghat exp(isx) ds on a uniform grid, step a/512.
@@ -350,8 +347,7 @@ def kuznecov_sum(table: CoefficientTable, c: float, psi: TestFunction,
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("need 0 <= c <= 1")
-    margin = psi.a if psi.kind == "sharp" else psi.a
-    grid = _check_grid(table, c, margin, lambda_grid)
+    grid = _check_grid(table, c, psi.a, lambda_grid)
     lam, mu, w = _entry_weights(table, c, psi)
     csum = np.cumsum(w)
     idx = np.searchsorted(lam, grid * (1 + 1e-15), side="right")
@@ -373,14 +369,8 @@ def sharp_sum(table: CoefficientTable, c: float, eps: float,
     """Sharp-sharp variant: indicator window |c lambda_j - mu_k| <= eps."""
     if eps < 0:
         raise ValidationError("eps must be >= 0")
-    if eps == 0.0:
-        # count exact coincidences: indicator at eps=0 still evaluates
-        psi = TestFunction("sharp", a=1e-300)
-        psi.a = 0.0  # zero half-width window
-        psi.params["a"] = 0.0
-    else:
-        psi = TestFunction("sharp", a=eps)
-    out = kuznecov_sum(table, c, psi, lambda_grid, variant="sharp-sharp")
+    out = kuznecov_sum(table, c, TestFunction("sharp", a=eps), lambda_grid,
+                       variant="sharp-sharp")
     out.test = {"kind": "sharp", "eps": eps}
     return out
 

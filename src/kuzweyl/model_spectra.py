@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
-from typing import Iterator
-
 import numpy as np
 
 from .errors import ResourceGuardError, ValidationError
@@ -27,7 +25,6 @@ from .errors import ResourceGuardError, ValidationError
 __all__ = [
     "MODE_BUDGET_DEFAULT",
     "ManifoldPair",
-    "ModeDescriptor",
     "SpectrumSlice",
     "torus_pair",
     "sphere_pair",
@@ -97,16 +94,6 @@ class ManifoldPair:
             out["torus_periods"] = list(self.torus_periods)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ManifoldPair":
-        kind = data["kind"]
-        if kind == "sphere":
-            return cls(kind=kind, n=int(data["n"]), d=int(data["d"]),
-                       normalization=data.get("normalization", "laplace"))
-        periods = data.get("torus_periods")
-        return cls(kind=kind, n=int(data["n"]), d=int(data["d"]),
-                   torus_periods=tuple(periods) if periods else None)
-
 
 def torus_pair(n: int, d: int, periods=None) -> ManifoldPair:
     return ManifoldPair(kind="torus", n=n, d=d, torus_periods=periods)
@@ -114,19 +101,6 @@ def torus_pair(n: int, d: int, periods=None) -> ManifoldPair:
 
 def sphere_pair(n: int, d: int, normalization: str = "laplace") -> ManifoldPair:
     return ManifoldPair(kind="sphere", n=n, d=d, normalization=normalization)
-
-
-@dataclass(frozen=True)
-class ModeDescriptor:
-    """Exact eigenmode label with its frequency.
-
-    Torus labels are integer lattice vectors; sphere M-labels are
-    (N, l, m, alpha, beta) adapted-basis tuples and sphere H-labels are
-    (l, alpha).
-    """
-
-    label: tuple
-    frequency: float
 
 
 def harmonic_dim(q: int, l: int) -> int:
@@ -184,18 +158,6 @@ class SpectrumSlice:
     def h_count(self) -> int:
         return len(self.h_freqs)
 
-    def mode(self, i: int) -> ModeDescriptor:
-        return ModeDescriptor(label=tuple(int(v) for v in self.m_labels[i]),
-                              frequency=float(self.m_freqs[i]))
-
-    def h_mode(self, i: int) -> ModeDescriptor:
-        return ModeDescriptor(label=tuple(int(v) for v in self.h_labels[i]),
-                              frequency=float(self.h_freqs[i]))
-
-    def iter_modes(self) -> Iterator[ModeDescriptor]:
-        for i in range(self.m_count):
-            yield self.mode(i)
-
     def to_json(self) -> str:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -214,23 +176,6 @@ class SpectrumSlice:
             },
         }
         return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectrumSlice":
-        doc = json.loads(text)
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValidationError("unsupported spectrum schema version")
-        return cls(
-            pair=ManifoldPair.from_dict(doc["pair"]),
-            cutoff=float(doc["cutoff"]),
-            h_cutoff=float(doc["h_cutoff"]),
-            m_labels=np.asarray(doc["m_modes"]["labels"], dtype=np.int32),
-            m_freqs=np.asarray(doc["m_modes"]["frequencies"], dtype=float),
-            m_eigenkeys=np.asarray(doc["m_modes"]["eigenkeys"], dtype=np.int64),
-            h_labels=np.asarray(doc["h_modes"]["labels"], dtype=np.int32),
-            h_freqs=np.asarray(doc["h_modes"]["frequencies"], dtype=float),
-            h_eigenkeys=np.asarray(doc["h_modes"]["eigenkeys"], dtype=np.int64),
-        )
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, ResourceGuardError, ValidationError
-from .kuznecov import FourierWindow, TestFunction
+from .kuznecov import FourierWindow, TestFunction, _bump, _smooth_plateau
 from .special_functions import (
     bessel_j_scaled,
     composite_gauss_legendre,
@@ -166,30 +166,14 @@ class ModelCutoff:
         object.__setattr__(self, "plateau", p)
         object.__setattr__(self, "width_tangent", wt)
 
-    def _bump(self, s, w):
-        u = np.abs(np.asarray(s, dtype=float)) / w
-        out = np.zeros_like(u)
-        m = u < 1.0
-        out[m] = np.exp(1.0 - 1.0 / (1.0 - u[m] ** 2))
-        return out
-
     def profile(self, s, w: float = None):
         """C-infinity 1-D factor supported in [-w, w], peak value 1."""
         w = self.width if w is None else w
-        if self.taper == "bump":
-            return self._bump(s, w)
         s = np.abs(np.asarray(s, dtype=float))
+        if self.taper == "bump":
+            return _bump(s / w)
         p = self.plateau * (w / self.width)
-        t = (w - s) / (w - p)
-        a = np.zeros_like(t)
-        pos = t > 0
-        a[pos] = np.exp(-1.0 / t[pos])
-        b = np.zeros_like(t)
-        neg = t < 1
-        b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-        with np.errstate(invalid="ignore"):
-            out = np.where(t >= 1, 1.0, np.where(t <= 0, 0.0, a / (a + b)))
-        return out
+        return _smooth_plateau((w - s) / (w - p))
 
     def tangent_profile(self, s):
         """The y'-coordinate factor (possibly narrower than the y_d one)."""

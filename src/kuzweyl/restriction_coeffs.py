@@ -8,14 +8,15 @@ default periods).
 Sphere: in the equator-adapted basis (see model_spectra), each ambient mode
 (N, l, m, alpha, beta) restricts to zero unless m = 0, in which case the
 restriction is a multiple of the single H-mode (l, alpha).  The squared
-coefficient has the closed form
+coefficient depends only on the block (N, l) and has, for every (n, d), the
+closed form
 
     |c(N, l)|^2 = P_k^{(A,B)}(1)^2 / (c0 * h_k * Vol(S^{n-d-1})),
 
 with k = (N-l)/2, A = (n-d-2)/2, B = l + (d-1)/2, h_k the Jacobi norm and
-c0 the measure constant of the split; for (n, d) = (2, 1) this reduces to
-the squared theta-normalized associated Legendre value at the equator,
-which is also used directly as the production path there.
+c0 the measure constant of the split.  For (n, d) = (2, 1) it equals the
+squared theta-normalized associated Legendre value at the equator, which
+the tests use as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,19 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CacheCorruptionWarning, ParsevalWarning, ValidationError
+from .errors import CacheCorruptionWarning, ValidationError
 from .model_spectra import (
     MODE_BUDGET_DEFAULT,
     ManifoldPair,
     SpectrumSlice,
     enumerate_spectrum,
 )
-from .special_functions import (
-    assoc_legendre,
-    assoc_legendre_normalized,
-    gauss_legendre,
-    sphere_volume,
-)
+from .special_functions import sphere_volume
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,7 +52,7 @@ __all__ = [
     "load_or_build",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -71,7 +67,6 @@ class CoefficientTable:
     pair: ManifoldPair
     lambda_max: float
     mu_max: float
-    quadrature_order: int
     schema_version: int
     slice: SpectrumSlice
     j_idx: np.ndarray
@@ -140,7 +135,7 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     j, k, v = _drop_tiny(j.astype(np.int64), k.astype(np.int64), v)
     order = np.argsort(j, kind="stable")
     return CoefficientTable(pair=pair, lambda_max=slice_.cutoff,
-                            mu_max=slice_.h_cutoff, quadrature_order=0,
+                            mu_max=slice_.h_cutoff,
                             schema_version=SCHEMA_VERSION, slice=slice_,
                             j_idx=j[order], k_idx=k[order], values=v[order])
 
@@ -170,83 +165,30 @@ def sphere_coefficient_value(n: int, d: int, N: int, l: int) -> float:
     return math.exp(2.0 * log_p1 - log_h - log_c0) / sphere_volume(n - d - 1)
 
 
-def _equator_legendre_sq(N: int, m: int) -> float:
-    """Squared theta-normalized associated Legendre value at the equator."""
-    val = assoc_legendre_normalized(N, m, 0.0)
-    return float(val) ** 2
-
-
-def _restricted_norm_quadrature(N: int, m: int, order: int) -> float:
-    """Independent quadrature route to P-bar_N^m(0)^2: unnormalized recurrence
-    value at 0 divided by the Gauss-Legendre norm of the unnormalized function."""
-    rule = gauss_legendre(order)
-    p = assoc_legendre(N, m, rule.nodes)
-    norm = float(np.sum(rule.weights * p * p))
-    p0 = assoc_legendre(N, m, 0.0)
-    return p0 * p0 / norm
-
-
-def sphere_coefficients(slice_: SpectrumSlice, quadrature_order: int = None,
-                        validate: bool = False) -> CoefficientTable:
+def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     """Sphere table in the equator-adapted basis.
 
-    With validate=True the (2,1) values are checked against the independent
-    dense-quadrature restricted norms; a Parseval defect beyond 1e-6 warns
-    (quadrature under-resolution).
+    The surviving modes (m = 0, l within the H cutoff) are grouped by their
+    (N, l) block and the closed form is evaluated once per block.
     """
     pair = slice_.pair
     if pair.kind != "sphere":
         raise ValidationError("sphere_coefficients needs a sphere pair")
-    n, d = pair.n, pair.d
     labels = slice_.m_labels
-    n_max = int(labels[:, 0].max()) if len(labels) else 0
-    if quadrature_order is None:
-        quadrature_order = 2 * n_max + 8
-    if quadrature_order < 2 * n_max + 1:
-        raise ValidationError("quadrature_order must be >= 2*N_max + 1")
-    # H-mode index lookup: (l, alpha) -> position (alpha runs fastest)
     h_lab = slice_.h_labels
     l_max_h = int(h_lab[:, 0].max()) if len(h_lab) else -1
-    offsets = np.full(l_max_h + 2, -1, dtype=np.int64)
-    first = np.searchsorted(h_lab[:, 0], np.arange(l_max_h + 1), side="left")
-    offsets[: l_max_h + 1] = first
-    surviving = labels[:, 2] == 0
-    j = np.nonzero(surviving)[0]
-    l_of = labels[j, 1].astype(np.int64)
-    within = l_of <= l_max_h
-    j = j[within]
-    l_of = l_of[within]
-    k = offsets[l_of] + labels[j, 3].astype(np.int64)
-    # closed-form values per (N, l)
-    vals = np.empty(len(j))
-    cache: dict = {}
-    if d == n - 1 and d == 1:
-        for i, ji in enumerate(j):
-            key = (int(labels[ji, 0]), int(labels[ji, 1]))
-            if key not in cache:
-                cache[key] = _equator_legendre_sq(*key)
-            vals[i] = cache[key]
-    else:
-        for i, ji in enumerate(j):
-            key = (int(labels[ji, 0]), int(labels[ji, 1]))
-            if key not in cache:
-                cache[key] = sphere_coefficient_value(n, d, *key)
-            vals[i] = cache[key]
-    if validate and d == 1 and n == 2:
-        worst = 0.0
-        for (N, m), v in cache.items():
-            ref = _restricted_norm_quadrature(N, m, quadrature_order)
-            worst = max(worst, abs(v - ref))
-        if worst > 1e-6:
-            warnings.warn(f"Parseval row defect {worst:.3g} exceeds 1e-6",
-                          ParsevalWarning)
-    j, k, vals = _drop_tiny(j.astype(np.int64), k, vals)
-    order = np.argsort(j, kind="stable")
+    j = np.nonzero((labels[:, 2] == 0) & (labels[:, 1] <= l_max_h))[0]
+    # H-modes run (l, alpha) with alpha fastest: degree l starts at first[l]
+    first = np.searchsorted(h_lab[:, 0], np.arange(l_max_h + 1))
+    k = first[labels[j, 1]] + labels[j, 3].astype(np.int64)
+    blocks, inverse = np.unique(labels[j, :2], axis=0, return_inverse=True)
+    block_vals = np.array([sphere_coefficient_value(pair.n, pair.d, N, l)
+                           for N, l in blocks.tolist()], dtype=float)
+    j, k, vals = _drop_tiny(j, k, block_vals[inverse.reshape(-1)])
     return CoefficientTable(pair=pair, lambda_max=slice_.cutoff,
                             mu_max=slice_.h_cutoff,
-                            quadrature_order=quadrature_order,
                             schema_version=SCHEMA_VERSION, slice=slice_,
-                            j_idx=j[order], k_idx=k[order], values=vals[order])
+                            j_idx=j, k_idx=k, values=vals)
 
 
 # --------------------------------------------------------------------------
@@ -254,22 +196,20 @@ def sphere_coefficients(slice_: SpectrumSlice, quadrature_order: int = None,
 # --------------------------------------------------------------------------
 
 def build_table(pair: ManifoldPair, lambda_max: float, *,
-                mu_max: float = None, quadrature_order: int = None,
-                budget: int = MODE_BUDGET_DEFAULT,
-                validate: bool = False) -> CoefficientTable:
+                mu_max: float = None,
+                budget: int = MODE_BUDGET_DEFAULT) -> CoefficientTable:
     mu = float(mu_max) if mu_max is not None else float(lambda_max)
     mu = max(mu, float(lambda_max))
     slice_ = enumerate_spectrum(pair, lambda_max, h_cutoff=mu, budget=budget)
     if pair.kind == "torus":
         return torus_coefficients(slice_)
-    return sphere_coefficients(slice_, quadrature_order=quadrature_order,
-                               validate=validate)
+    return sphere_coefficients(slice_)
 
 
-def _cache_key(pair: ManifoldPair, lambda_max: float, mu_max, quadrature_order) -> str:
+def _cache_key(pair: ManifoldPair, lambda_max: float, mu_max) -> str:
     key = json.dumps({"pair": pair.to_dict(), "lambda_max": lambda_max,
-                      "mu_max": mu_max, "order": quadrature_order,
-                      "schema": SCHEMA_VERSION}, sort_keys=True)
+                      "mu_max": mu_max, "schema": SCHEMA_VERSION},
+                     sort_keys=True)
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
@@ -279,7 +219,6 @@ def _save_table(table: CoefficientTable, path: str) -> None:
         "pair": table.pair.to_dict(),
         "lambda_max": table.lambda_max,
         "mu_max": table.mu_max,
-        "quadrature_order": table.quadrature_order,
         "build_hash": table.build_hash(),
     })
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
@@ -302,7 +241,7 @@ def _save_table(table: CoefficientTable, path: str) -> None:
 
 
 def _load_table(path: str, pair: ManifoldPair, lambda_max: float,
-                mu_max: float, quadrature_order) -> Optional[CoefficientTable]:
+                mu_max: float) -> Optional[CoefficientTable]:
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         if header.get("schema_version") != SCHEMA_VERSION:
@@ -318,7 +257,6 @@ def _load_table(path: str, pair: ManifoldPair, lambda_max: float,
             h_freqs=data["h_freqs"], h_eigenkeys=data["h_eigenkeys"])
         table = CoefficientTable(
             pair=pair, lambda_max=lambda_max, mu_max=mu_max,
-            quadrature_order=int(header["quadrature_order"]),
             schema_version=SCHEMA_VERSION, slice=slice_,
             j_idx=data["j_idx"], k_idx=data["k_idx"], values=data["values"])
         if table.build_hash() != header["build_hash"]:
@@ -327,27 +265,23 @@ def _load_table(path: str, pair: ManifoldPair, lambda_max: float,
 
 
 def load_or_build(pair: ManifoldPair, lambda_max: float, cache_dir: str, *,
-                  mu_max: float = None, quadrature_order: int = None,
-                  budget: int = MODE_BUDGET_DEFAULT,
-                  validate: bool = False) -> CoefficientTable:
+                  mu_max: float = None,
+                  budget: int = MODE_BUDGET_DEFAULT) -> CoefficientTable:
     """Cached table fetch: returns the cached build when the key matches,
     rebuilds (and replaces the file) on miss, version mismatch, or corruption."""
     os.makedirs(cache_dir, exist_ok=True)
     mu = float(mu_max) if mu_max is not None else float(lambda_max)
     mu = max(mu, float(lambda_max))
-    key = _cache_key(pair, float(lambda_max), mu, quadrature_order)
+    key = _cache_key(pair, float(lambda_max), mu)
     path = os.path.join(cache_dir, f"coeffs-{key}.npz")
     if os.path.exists(path):
         try:
-            cached = _load_table(path, pair, float(lambda_max), mu,
-                                 quadrature_order)
+            cached = _load_table(path, pair, float(lambda_max), mu)
             if cached is not None:
                 return cached
         except Exception as exc:
             warnings.warn(f"cache file {path} unusable ({exc}); rebuilding",
                           CacheCorruptionWarning)
-    table = build_table(pair, lambda_max, mu_max=mu,
-                        quadrature_order=quadrature_order, budget=budget,
-                        validate=validate)
+    table = build_table(pair, lambda_max, mu_max=mu, budget=budget)
     _save_table(table, path)
     return table

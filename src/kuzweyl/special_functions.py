@@ -330,8 +330,7 @@ class RegularizedPower:
         sched = tuple(self.schedule)
         if len(sched) < 4:
             raise ValidationError("damping schedule needs >= 4 steps")
-        if any(e <= 0 for e in sched) or any(
-                b >= a for a, b in zip(sched, sched[1:]) if False):
+        if any(e <= 0 for e in sched):
             raise ValidationError("damping schedule must be positive")
         if not all(b < a for a, b in zip(sched, sched[1:])):
             raise ValidationError("damping schedule must be strictly decreasing")

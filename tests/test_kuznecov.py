@@ -97,6 +97,9 @@ def test_make_test_function_validation():
         make_test_function("fejer", -1.0)
     with pytest.raises(ValidationError):
         make_test_function("gauss", 1.0)
+    assert make_test_function("sharp", 0.0).a == 0.0
+    with pytest.raises(ValidationError):
+        make_test_function("fejer", 0.0)
 
 
 def test_dominating_function_sandwich_pointwise():
@@ -165,7 +168,7 @@ def test_sharp_c_zero_counts_everything(torus21_table):
     assert st.values[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_sharp_eps_zero_degree_shift_coincidences():
+def test_sharp_eps_zero_degree_shift_coincidences(torus21_table):
     # with the degree normalization all differences on nonzero-coefficient
     # pairs are >= (n-d)/2 > 0, so eps = 0 counts exactly zero coincidences;
     # verified by exact rational comparison over the labels
@@ -176,6 +179,10 @@ def test_sharp_eps_zero_degree_shift_coincidences():
     assert np.all(twice_diff != 0)
     st = sharp_sum(table, 1.0, 0.0, np.array([11.0]))
     assert st.values[0] == 0.0
+    # on T^1 in T^2, |m| - |m_1| vanishes exactly when m_2 = 0: the 61
+    # modes with |m_1| <= 30, each of weight 1/(2 pi)
+    st = sharp_sum(torus21_table, 1.0, 0.0, np.array([30.0]))
+    assert st.values[0] == pytest.approx(61 / (2 * PI), abs=1e-9)
 
 
 def test_monotonicity(torus21_table, sphere21_table):

@@ -131,6 +131,20 @@ def test_sphere_21_highest_weight_norm_oracle():
         assert got == pytest.approx(expected, rel=1e-11)
 
 
+def test_sphere_21_closed_form_matches_equator_legendre():
+    # every (2,1) entry up to N = 199 equals the squared theta-normalized
+    # associated Legendre value at the equator, P-bar_N^l(0)^2
+    slc = enumerate_spectrum(sphere_pair(2, 1), 200.0, h_cutoff=205.0)
+    table = sphere_coefficients(slc)
+    blocks = slc.m_labels[table.j_idx, :2]
+    assert int(blocks[:, 0].max()) == 199
+    oracle = {}
+    for N, l in set(map(tuple, blocks.tolist())):
+        oracle[(N, l)] = float(assoc_legendre_normalized(N, l, 0.0)) ** 2
+    expected = np.array([oracle[(N, l)] for N, l in blocks.tolist()])
+    assert_allclose(table.values, expected, rtol=1e-12, atol=0)
+
+
 def test_sphere_constant_mode_volume_ratio():
     for (n, d) in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]:
         val = sphere_coefficient_value(n, d, 0, 0)
@@ -141,7 +155,7 @@ def test_sphere_constant_mode_volume_ratio():
 def test_sphere_21_parseval_against_quadrature():
     # row sums vs restricted L2 norms by independent dense quadrature, N <= 40
     slc = enumerate_spectrum(sphere_pair(2, 1), 41.0)
-    table = sphere_coefficients(slc, quadrature_order=2 * 40 + 8)
+    table = sphere_coefficients(slc)
     rows = table.parseval_row_sums()
     worst = 0.0
     for i in range(slc.m_count):
@@ -193,12 +207,6 @@ def test_sphere_azimuthal_reflection_symmetry():
         N, l = (int(x) for x in table.slice.m_labels[j][:2])
         seen.setdefault((N, l), set()).add(round(float(v), 15))
     assert all(len(vals) == 1 for vals in seen.values())
-
-
-def test_sphere_quadrature_order_validation():
-    slc = enumerate_spectrum(sphere_pair(2, 1), 10.0)
-    with pytest.raises(ValidationError):
-        sphere_coefficients(slc, quadrature_order=5)
 
 
 def test_kind_dispatch_errors():
