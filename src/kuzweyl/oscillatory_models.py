@@ -96,10 +96,37 @@ def _plane_wave_factor_quadrature(q: int, z: float, psi_hat=None,
     return sphere_volume(q - 2) * complex(val)
 
 
-def _plane_wave_factor_closed(q: int, z: float) -> float:
+# elements per transient block of the batched kernels (2 MB of float64)
+_CHUNK = 1 << 18
+
+
+def _plane_wave_factor_closed(q: int, z):
+    """int_{S^{q-1}} e^{i<x, w>} dS(w) at |x| = z, elementwise over z."""
+    z = np.abs(np.asarray(z, dtype=float))
     if q == 1:
-        return 2.0 * math.cos(z)
-    return (2.0 * pi) ** (q / 2.0) * float(bessel_j_scaled((q - 2) / 2.0, z))
+        return 2.0 * np.cos(z)
+    if q == 3:
+        return 4.0 * pi * np.sinc(z / pi)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    if q == 2:
+        # 2 pi J_0(z) = 4 int_0^{pi/2} cos(z cos t) dt; the M-node midpoint
+        # rule on this even, periodic integrand errs only by the aliased
+        # J_{4M}(z), J_{8M}(z), ..., below rounding with 4M >= 2z + 96
+        nodes = int(math.ceil(0.5 * flat.max(initial=0.0))) + 24
+        ct = np.cos(0.5 * pi * (np.arange(nodes) + 0.5) / nodes)
+        step = max(1, _CHUNK // nodes)
+        for i in range(0, len(flat), step):
+            out[i:i + step] = (np.cos(np.outer(flat[i:i + step], ct)).sum(axis=1)
+                               * (2.0 * pi / nodes))
+    else:
+        # bessel_j's Schlaefli rule holds about 18 (nu + max z) nodes a row
+        nu = (q - 2) / 2.0
+        step = max(1, _CHUNK // int(18.0 * (nu + flat.max(initial=0.0)) + 64))
+        for i in range(0, len(flat), step):
+            out[i:i + step] = ((2.0 * pi) ** (q / 2.0)
+                               * bessel_j_scaled(nu, flat[i:i + step]))
+    return out.reshape(z.shape)
 
 
 def double_bessel(n: int, d: int, lam: float, r: float,
@@ -218,7 +245,8 @@ def _fourier_on_support(fvals_nodes, nodes, weights, u):
 
 
 def _model_integral_once(n: int, d: int, lam: float, cutoff: ModelCutoff,
-                         psi_hat: Callable, a_supp: float, refine: float) -> complex:
+                         psi_hat: Callable, a_supp: float, refine: float):
+    """One quadrature pass; returns the value and its number of x-panels."""
     w = cutoff.width
     # s-nodes for G(u) = int c(s) psi_hat(s) e^{-ius} ds, u up to lam/2
     smax = min(w, a_supp)
@@ -233,34 +261,36 @@ def _model_integral_once(n: int, d: int, lam: float, cutoff: ModelCutoff,
     def G(u):
         return _fourier_on_support(g_samples, s_nodes, s_weights, u)
 
-    # the transverse block x'' has n - d coordinates; its radial reduction
-    # carries R^{n-d-1} against Vol(S^{n-d-1}) (two-point sum when n-d = 1)
+    bks = _graded_phase_breakpoints(lam, w, refine)
     if d == 1:
-        bks = _graded_phase_breakpoints(lam, w, refine)
+        # the transverse block x'' has n - 1 coordinates; its radial
+        # reduction carries R^{n-2} against Vol(S^{n-2}) (two-point sum
+        # when n = 2)
         R, wR = composite_gauss_legendre(bks, order=12)
         vals = G(0.5 * lam * R * R) * R ** (n - 2)
-        return sphere_volume(n - 2) * complex(np.sum(wR * vals))
+        return sphere_volume(n - 2) * complex(np.sum(wR * vals)), len(bks) - 1
     if d == 2:
-        # y_1 integral gives chat(lam x_1); x_1 graded around 0 at scale 1/lam
+        # polar coordinates on the ball of (x_1, x'') in R^m, m = n - 1: the
+        # phase depends on rho only, and the y_1 factor chat(lam x_1)
+        # averages over the sphere |x| = rho to K(lam rho) with
+        # K(t) = int c(y) P_m(t y) dy, P_m the plane-wave sphere factor
+        m = n - 1
         wt = cutoff.width_tangent
-        bks1 = _graded_phase_breakpoints(lam, w, refine)
-        x1, wx1 = composite_gauss_legendre(bks1, order=12)
-        c_nodes, c_weights = composite_gauss_legendre(
-            np.linspace(-wt, wt, int(12 * refine) + 5), order=12)
-        c_samples = cutoff.tangent_profile(c_nodes)
-        chat = _fourier_on_support(c_samples, c_nodes, c_weights, lam * x1)
-        total = 0j
-        for i in range(len(x1)):
-            rmax = math.sqrt(max(0.0, 1.0 - x1[i] * x1[i]))
-            if rmax <= 0:
-                continue
-            bksR = _graded_phase_breakpoints(lam, w, refine) * rmax
-            R, wR = composite_gauss_legendre(bksR, order=12)
-            u = 0.5 * lam * (x1[i] * x1[i] + R * R)
-            inner = np.sum(wR * G(u) * R ** (n - d - 1))
-            total += wx1[i] * chat[i] * inner
-        # x_1 runs over [-1, 1]; integrand is even in x_1 (chat, G even)
-        return sphere_volume(n - d - 1) * 2.0 * complex(total)
+        # K(lam rho) oscillates at frequency lam * wt in rho
+        bks = np.union1d(bks, np.linspace(
+            0.0, 1.0, int(math.ceil(refine * lam * wt / (2.0 * pi))) + 1))
+        rho, w_rho = composite_gauss_legendre(bks, order=12)
+        # c is even: K(t) = 2 int_0^wt c(y) P_m(t y) dy
+        y, w_y = composite_gauss_legendre(
+            np.linspace(0.0, wt, int(6 * refine) + 3), order=12)
+        cw = 2.0 * cutoff.tangent_profile(y) * w_y
+        K = np.empty(len(rho))
+        step = max(1, _CHUNK // len(y))
+        for i in range(0, len(rho), step):
+            K[i:i + step] = _plane_wave_factor_closed(
+                m, lam * np.outer(rho[i:i + step], y)) @ cw
+        vals = G(0.5 * lam * rho * rho) * K * rho ** (m - 1)
+        return complex(np.sum(w_rho * vals)), len(bks) - 1
     raise ValidationError("model integral implemented for d <= 2 "
                           "(desk-scale dimension cap)")
 
@@ -271,11 +301,21 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
     sum_{j<d} y_j x_j - (1/2) y_d (|x'|^2 + |x''|^2), cutoff on y, window
     psi_hat on y_d.
 
-    Evaluated by exact 1-D Fourier transforms of the (linear-phase)
-    y-integrals paired with panel quadrature in the x-variables, panel
-    count growing like sqrt(lambda) near the core; accuracy is estimated by
-    a refined re-run and reported, raising when the relative target is
-    missed.
+    The y-integrals have linear phase and are done first, as exact 1-D
+    Fourier transforms: y_d gives G(lam |x|^2 / 2) with
+    G(u) = int c(s) psi_hat(s) e^{-ius} ds, and for d = 2 y_1 gives
+    chat(lam x_1).  The x-integral then has a radial phase.  For d = 1 it
+    is a radial integral over R = |x''|.  For d = 2 it runs in polar
+    coordinates on the ball of (x_1, x'') in R^m, m = n - 1: chat(lam x_1)
+    averages over the sphere |x| = rho to
+    K(lam rho) = int c(y) P_m(lam rho y) dy, with the plane-wave sphere
+    factor P_m(z) = int_{S^{m-1}} e^{i z w_1} dS(w) in closed form, so the
+    value is int_0^1 rho^{m-1} G(lam rho^2 / 2) K(lam rho) d rho.  The
+    radial panels are graded at the 1/lam core, bound the quadratic phase
+    change per panel, and for d = 2 also resolve K's linear phase.
+    Accuracy is estimated by a refined re-run and reported, raising when
+    the relative target is missed; `panels` counts the refined pass's
+    radial panels.
     """
     if d < 1 or n <= d:
         raise ValidationError("need 1 <= d < n")
@@ -293,16 +333,15 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
         a_supp = max(abs(window.support[0]), abs(window.support[1]))
     else:
         raise ValidationError("window must be TestFunction or FourierWindow")
-    coarse = _model_integral_once(n, d, lam, cutoff, psi_hat, a_supp, 1.0)
-    fine = _model_integral_once(n, d, lam, cutoff, psi_hat, a_supp, 1.6)
+    coarse, _ = _model_integral_once(n, d, lam, cutoff, psi_hat, a_supp, 1.0)
+    fine, panels = _model_integral_once(n, d, lam, cutoff, psi_hat, a_supp, 1.6)
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)
     if achieved > rel_tol:
         raise AccuracyError(
             f"model integral accuracy {achieved:.2e} misses target {rel_tol:.2e}",
             achieved=achieved)
     return ModelIntegralResult(value=complex(fine), achieved=float(achieved),
-                               panels=len(_graded_phase_breakpoints(
-                                   lam, cutoff.width, 1.6)) - 1)
+                               panels=panels)
 
 
 # --------------------------------------------------------------------------
@@ -587,24 +626,18 @@ class _ChebBasis:
         b[0] *= 0.5
         return self.to_vals(b) * (2.0 / self.hi)
 
-    def eval(self, fvals, vq):
-        """Barycentric evaluation at arbitrary points of [0, hi]."""
-        xq = 2.0 * np.asarray(vq, dtype=float) / self.hi - 1.0
-        num = np.zeros(len(xq))
-        den = np.zeros(len(xq))
-        exact = np.full(len(xq), -1, dtype=np.int64)
-        for j, xj in enumerate(self.x):
-            diff = xq - xj
-            hit = np.abs(diff) < 1e-15
-            exact[hit] = j
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = self._bw[j] / diff
-            num += np.where(hit, 0.0, t * fvals[j])
-            den += np.where(hit, 0.0, t)
-        out = num / den
-        has = exact >= 0
-        out[has] = fvals[exact[has]]
-        return out
+    def interp_matrix(self, vq):
+        """Barycentric weights at points of [0, hi]: f(vq) = M @ fvals.
+        A point on a node gets the unit row of that node."""
+        xq = 2.0 * np.asarray(vq, dtype=float).reshape(-1, 1) / self.hi - 1.0
+        t = xq - self.x
+        hit = np.abs(t) < 1e-15
+        on_node = hit.any(axis=1)
+        with np.errstate(divide="ignore"):
+            np.divide(self._bw, t, out=t)
+        t[on_node] = hit[on_node]
+        t /= t.sum(axis=1, keepdims=True)
+        return t
 
 
 @dataclass
@@ -679,39 +712,44 @@ def hadamard_transport(metric, j_max: int, r_grid) -> HadamardCoefficients:
 
     theta_nodes = _sinc_ratio(u_nodes) ** (n - 1)
     sqrt_theta = np.sqrt(theta_nodes)
-    V = [theta_nodes ** -0.5]
-    laps = []
+    # level j transports by one matrix: W_{j+1}(u_i) = theta_i^{-1/2}
+    # sum_k w_k s_k^j g(s_k^2 u_i) = (T_j @ g)_i, g = Theta^{1/2} Delta W_j
     s_nodes, s_weights = composite_gauss_legendre(np.linspace(0, 1, 11),
                                                   order=14)
+    moments = s_weights * s_nodes ** np.arange(j_max)[:, None]
+    T = np.empty((j_max, basis.npts, basis.npts))
+    step = max(1, _CHUNK // (len(s_nodes) * basis.npts))
+    for i in range(0, basis.npts if j_max else 0, step):
+        uq = np.outer(u_nodes[i:i + step], s_nodes ** 2)
+        B = basis.interp_matrix(v_of_u(uq)).reshape(*uq.shape, basis.npts)
+        T[:, i:i + step] = np.swapaxes(moments @ B, 0, 1)
+    T *= theta_nodes[:, None] ** -0.5
+    V = [theta_nodes ** -0.5]
+    laps = []
     for j in range(j_max):
         lapV = lap(V[j], floors[min(j, len(floors) - 1)])
         laps.append(lapV)
-        g = sqrt_theta * lapV
-        Wnext = np.empty(basis.npts)
-        for i, ui in enumerate(u_nodes):
-            g_at = basis.eval(g, v_of_u((s_nodes ** 2) * ui))
-            Wnext[i] = (theta_nodes[i] ** -0.5
-                        * float(np.sum(s_weights * (s_nodes ** j) * g_at)))
-        V.append(basis.filter(Wnext, floors[min(j + 1, len(floors) - 1)]))
+        V.append(basis.filter(T[j] @ (sqrt_theta * lapV),
+                              floors[min(j + 1, len(floors) - 1)]))
 
     # evaluate on the requested grid; residuals check the differential
     # transport identity ((j+1)/r + Theta'/(2 Theta)) W_{j+1} + W_{j+1}'
     # = Delta W_j / r with an independent (spectral) derivative of W_{j+1}
     # and the analytic log-derivative Theta'/Theta = (n-1)(cot r - 1/r)
     uq = r_grid ** 2
-    vq = v_of_u(uq)
+    E = basis.interp_matrix(v_of_u(uq))
     theta_q = _sinc_ratio(uq) ** (n - 1)
     log_dtheta = (n - 1) * (_cot_ratio(uq) - 1.0) / r_grid
-    Wgrid = [basis.eval(V[j], vq) for j in range(j_max + 1)]
+    Wgrid = [E @ Vj for Vj in V]
     residuals = []
     res0 = (0.5 * log_dtheta * Wgrid[0]
-            + 2.0 * r_grid * basis.eval(ddu(V[0], floors[0]), vq))
+            + 2.0 * r_grid * (E @ ddu(V[0], floors[0])))
     residuals.append(float(np.max(np.abs(res0))))
     for j in range(j_max):
         dWn = ddu(V[j + 1], floors[min(j + 1, len(floors) - 1)])
         res = ((0.5 * log_dtheta + (j + 1) / r_grid) * Wgrid[j + 1]
-               + 2.0 * r_grid * basis.eval(dWn, vq)
-               - basis.eval(laps[j], vq) / r_grid)
+               + 2.0 * r_grid * (E @ dWn)
+               - (E @ laps[j]) / r_grid)
         residuals.append(float(np.max(np.abs(res))))
     return HadamardCoefficients(metric=metric, j_max=j_max, r_grid=r_grid,
                                 W=Wgrid, theta=theta_q,
@@ -750,18 +788,19 @@ def sphere_wave_kernel(n: int, t: complex, r):
 def sphere_zonal_sum(n: int, t: complex, r: float, n_terms: int) -> complex:
     """Mode-sum oracle: sum_N e^{iNt} Z_N(cos r) with Z_N the reproducing
     kernel of degree-N harmonics (explicit geometric series for n = 1)."""
-    from .special_functions import gegenbauer
-
     t = complex(t)
     if n == 1:
-        total = 1.0 / (2.0 * pi)
-        for N in range(1, n_terms):
-            total += np.exp(1j * N * t) * math.cos(N * r) / pi
-        return complex(total)
+        N = np.arange(1, n_terms)
+        return complex(1.0 / (2.0 * pi)
+                       + np.sum(np.exp(1j * N * t) * np.cos(N * r)) / pi)
+    # Gegenbauer C_N^a(cos r) for every N by one pass of the recurrence
     a = (n - 1) / 2.0
     x = math.cos(r)
-    total = 0j
-    for N in range(n_terms):
-        zonal = (2 * N + n - 1) / ((n - 1) * sphere_volume(n)) * gegenbauer(N, a, x)
-        total += np.exp(1j * N * t) * zonal
-    return complex(total)
+    gegen = np.empty(n_terms)
+    c0, c1 = 0.0, 1.0
+    for k in range(n_terms):
+        gegen[k] = c1
+        c0, c1 = c1, (2.0 * x * (k + a) * c1 - (k + 2.0 * a - 1.0) * c0) / (k + 1)
+    N = np.arange(n_terms)
+    zonal = (2 * N + n - 1) / ((n - 1) * sphere_volume(n)) * gegen
+    return complex(np.sum(np.exp(1j * N * t) * zonal))

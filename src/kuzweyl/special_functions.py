@@ -30,9 +30,6 @@ __all__ = [
     "gauss_legendre",
     "composite_gauss_legendre",
     "oscillatory_quadrature",
-    "assoc_legendre",
-    "assoc_legendre_normalized",
-    "gegenbauer",
     "bessel_j",
     "bessel_j_scaled",
     "sphere_volume",
@@ -108,83 +105,6 @@ def oscillatory_quadrature(a: float, b: float, phase_span: float,
     cycles = abs(phase_span) / (2.0 * pi)
     panels = max(min_panels, int(math.ceil(3.0 * cycles)) + 2)
     return composite_gauss_legendre(np.linspace(a, b, panels + 1), order=order)
-
-
-# --------------------------------------------------------------------------
-# Legendre and Gegenbauer recurrences
-# --------------------------------------------------------------------------
-
-def assoc_legendre(N: int, m: int, x):
-    """Associated Legendre P_N^m(x), no Condon-Shortley phase.
-
-    Forward recurrence in N from the diagonal seed P_m^m.  Unnormalized;
-    overflows for m beyond a few hundred, use assoc_legendre_normalized for
-    large degrees.
-    """
-    if not (0 <= m <= N):
-        raise ValidationError("need 0 <= m <= N")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
-        raise ValidationError("argument outside [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
-    # diagonal seed: P_m^m = (2m-1)!! (1-x^2)^{m/2}
-    pmm = np.ones_like(x)
-    if m > 0:
-        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-        for j in range(1, m + 1):
-            pmm = pmm * (2 * j - 1) * s
-    if N == m:
-        return pmm if pmm.ndim else float(pmm)
-    pm1 = (2 * m + 1) * x * pmm
-    if N == m + 1:
-        return pm1 if pm1.ndim else float(pm1)
-    for k in range(m + 2, N + 1):
-        pmm, pm1 = pm1, ((2 * k - 1) * x * pm1 - (k + m - 1) * pmm) / (k - m)
-    return pm1 if pm1.ndim else float(pm1)
-
-
-def assoc_legendre_normalized(N: int, m: int, x):
-    """P-bar_N^m(x) with int_{-1}^{1} P-bar^2 dx = 1, stable to large N.
-
-    Fully normalized recurrence (diagonal seed then upward in degree), the
-    standard stable scheme for geopotential-style evaluations.
-    """
-    if not (0 <= m <= N):
-        raise ValidationError("need 0 <= m <= N")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-14):
-        raise ValidationError("argument outside [-1, 1]")
-    x = np.clip(x, -1.0, 1.0)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    # seed: P-bar_0^0 = 1/sqrt(2); P-bar_m^m = sqrt((2m+1)/(2m)) s P-bar_{m-1}^{m-1}
-    p = np.full_like(x, 1.0 / math.sqrt(2.0))
-    for j in range(1, m + 1):
-        p = math.sqrt((2 * j + 1) / (2.0 * j)) * s * p
-    if N == m:
-        return p if p.ndim else float(p)
-    pm1 = math.sqrt(2 * m + 3.0) * x * p
-    if N == m + 1:
-        return pm1 if pm1.ndim else float(pm1)
-    for k in range(m + 2, N + 1):
-        a = math.sqrt((2 * k - 1.0) * (2 * k + 1.0) / ((k - m) * (k + m)))
-        b = math.sqrt((2 * k + 1.0) * (k - m - 1.0) * (k + m - 1.0)
-                      / ((2 * k - 3.0) * (k - m) * (k + m)))
-        p, pm1 = pm1, a * x * pm1 - b * p
-    return pm1 if pm1.ndim else float(pm1)
-
-
-def gegenbauer(N: int, alpha: float, x):
-    """Gegenbauer C_N^alpha(x) by the three-term recurrence."""
-    if N < 0:
-        raise ValidationError("degree must be >= 0")
-    x = np.asarray(x, dtype=float)
-    c0 = np.ones_like(x)
-    if N == 0:
-        return c0 if c0.ndim else float(c0)
-    c1 = 2.0 * alpha * x
-    for k in range(2, N + 1):
-        c0, c1 = c1, (2.0 * x * (k + alpha - 1.0) * c1 - (k + 2.0 * alpha - 2.0) * c0) / k
-    return c1 if c1.ndim else float(c1)
 
 
 # --------------------------------------------------------------------------

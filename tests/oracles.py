@@ -1,0 +1,201 @@
+"""Reference implementations the tests compare the package against.
+
+Legendre and Gegenbauer recurrences (oracles for the closed-form
+restriction coefficients and zonal kernels), the x_1-then-R quadrature of
+the d = 2 model integral, and the per-node barycentric Hadamard
+transport.  The last two are the loop forms the package's batched paths
+replaced; they are slow and kept here only as references.
+"""
+
+import math
+
+import numpy as np
+
+from kuzweyl.errors import ValidationError
+from kuzweyl.oscillatory_models import (
+    ModelCutoff,
+    _ChebBasis,
+    _cot_ratio,
+    _fourier_on_support,
+    _graded_phase_breakpoints,
+    _sinc_ratio,
+)
+from kuzweyl.special_functions import composite_gauss_legendre, sphere_volume
+
+PI = math.pi
+
+
+# --------------------------------------------------- Legendre and Gegenbauer
+
+def assoc_legendre(N: int, m: int, x):
+    """Associated Legendre P_N^m(x), no Condon-Shortley phase.
+
+    Forward recurrence in N from the diagonal seed P_m^m.  Unnormalized;
+    overflows for m beyond a few hundred, use assoc_legendre_normalized for
+    large degrees.
+    """
+    if not (0 <= m <= N):
+        raise ValidationError("need 0 <= m <= N")
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0 + 1e-14):
+        raise ValidationError("argument outside [-1, 1]")
+    x = np.clip(x, -1.0, 1.0)
+    # diagonal seed: P_m^m = (2m-1)!! (1-x^2)^{m/2}
+    pmm = np.ones_like(x)
+    if m > 0:
+        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+        for j in range(1, m + 1):
+            pmm = pmm * (2 * j - 1) * s
+    if N == m:
+        return pmm if pmm.ndim else float(pmm)
+    pm1 = (2 * m + 1) * x * pmm
+    if N == m + 1:
+        return pm1 if pm1.ndim else float(pm1)
+    for k in range(m + 2, N + 1):
+        pmm, pm1 = pm1, ((2 * k - 1) * x * pm1 - (k + m - 1) * pmm) / (k - m)
+    return pm1 if pm1.ndim else float(pm1)
+
+
+def assoc_legendre_normalized(N: int, m: int, x):
+    """P-bar_N^m(x) with int_{-1}^{1} P-bar^2 dx = 1, stable to large N.
+
+    Fully normalized recurrence (diagonal seed then upward in degree), the
+    standard stable scheme for geopotential-style evaluations.
+    """
+    if not (0 <= m <= N):
+        raise ValidationError("need 0 <= m <= N")
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0 + 1e-14):
+        raise ValidationError("argument outside [-1, 1]")
+    x = np.clip(x, -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    # seed: P-bar_0^0 = 1/sqrt(2); P-bar_m^m = sqrt((2m+1)/(2m)) s P-bar_{m-1}^{m-1}
+    p = np.full_like(x, 1.0 / math.sqrt(2.0))
+    for j in range(1, m + 1):
+        p = math.sqrt((2 * j + 1) / (2.0 * j)) * s * p
+    if N == m:
+        return p if p.ndim else float(p)
+    pm1 = math.sqrt(2 * m + 3.0) * x * p
+    if N == m + 1:
+        return pm1 if pm1.ndim else float(pm1)
+    for k in range(m + 2, N + 1):
+        a = math.sqrt((2 * k - 1.0) * (2 * k + 1.0) / ((k - m) * (k + m)))
+        b = math.sqrt((2 * k + 1.0) * (k - m - 1.0) * (k + m - 1.0)
+                      / ((2 * k - 3.0) * (k - m) * (k + m)))
+        p, pm1 = pm1, a * x * pm1 - b * p
+    return pm1 if pm1.ndim else float(pm1)
+
+
+def gegenbauer(N: int, alpha: float, x):
+    """Gegenbauer C_N^alpha(x) by the three-term recurrence."""
+    if N < 0:
+        raise ValidationError("degree must be >= 0")
+    x = np.asarray(x, dtype=float)
+    c0 = np.ones_like(x)
+    if N == 0:
+        return c0 if c0.ndim else float(c0)
+    c1 = 2.0 * alpha * x
+    for k in range(2, N + 1):
+        c0, c1 = c1, (2.0 * x * (k + alpha - 1.0) * c1 - (k + 2.0 * alpha - 2.0) * c0) / k
+    return c1 if c1.ndim else float(c1)
+
+
+# ------------------------------------------------ model integral, d = 2 loop
+
+def model_integral_d2_loop(n: int, lam: float, cutoff: ModelCutoff = None,
+                           psi_hat=None, a_supp: float = None,
+                           refine: float = 1.6) -> complex:
+    """The d = 2 model integral by iterated quadrature: x_1 graded around 0,
+    then for each x_1 node the transverse radius R over [0, sqrt(1 - x_1^2)].
+    The same s-nodes for G as the package's pass at this refine."""
+    cutoff = cutoff if cutoff is not None else ModelCutoff(d=2)
+    if psi_hat is None:
+        psi_hat = lambda s: np.ones_like(np.asarray(s, dtype=float))
+        a_supp = cutoff.width
+    w = cutoff.width
+    smax = min(w, a_supp)
+    half_panels = max(int(16 * refine),
+                      int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * PI))) + 1)
+    s_bks = np.concatenate([np.linspace(-smax, 0.0, half_panels + 1),
+                            np.linspace(0.0, smax, half_panels + 1)[1:]])
+    s_nodes, s_weights = composite_gauss_legendre(s_bks, order=12)
+    g_samples = cutoff.profile(s_nodes) * psi_hat(s_nodes)
+    wt = cutoff.width_tangent
+    x1, wx1 = composite_gauss_legendre(
+        _graded_phase_breakpoints(lam, w, refine), order=12)
+    c_nodes, c_weights = composite_gauss_legendre(
+        np.linspace(-wt, wt, int(12 * refine) + 5), order=12)
+    chat = _fourier_on_support(cutoff.tangent_profile(c_nodes), c_nodes,
+                               c_weights, lam * x1)
+    total = 0j
+    for i in range(len(x1)):
+        rmax = math.sqrt(max(0.0, 1.0 - x1[i] * x1[i]))
+        if rmax <= 0:
+            continue
+        R, wR = composite_gauss_legendre(
+            _graded_phase_breakpoints(lam, w, refine) * rmax, order=12)
+        u = 0.5 * lam * (x1[i] * x1[i] + R * R)
+        G = _fourier_on_support(g_samples, s_nodes, s_weights, u)
+        total += wx1[i] * chat[i] * np.sum(wR * G * R ** (n - 3))
+    # x_1 runs over [-1, 1]; the integrand is even in x_1
+    return sphere_volume(n - 3) * 2.0 * complex(total)
+
+
+# ------------------------------------------- Hadamard transport, node loops
+
+def _barycentric_eval(basis: _ChebBasis, fvals, vq):
+    """Barycentric evaluation at points of [0, hi], one node at a time."""
+    xq = 2.0 * np.asarray(vq, dtype=float) / basis.hi - 1.0
+    num = np.zeros(len(xq))
+    den = np.zeros(len(xq))
+    exact = np.full(len(xq), -1, dtype=np.int64)
+    for j, xj in enumerate(basis.x):
+        diff = xq - xj
+        hit = np.abs(diff) < 1e-15
+        exact[hit] = j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = basis._bw[j] / diff
+        num += np.where(hit, 0.0, t * fvals[j])
+        den += np.where(hit, 0.0, t)
+    out = num / den
+    has = exact >= 0
+    out[has] = fvals[exact[has]]
+    return out
+
+
+def hadamard_w_loop(n: int, j_max: int, r_grid):
+    """W_0 .. W_{j_max} of the round S^n on r_grid, transporting node by
+    node with the same basis, mapping and filter floors as the package."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    pi2 = PI * PI
+    v_need = 1.0 - math.sqrt(max(0.0, 1.0 - float(r_grid.max()) ** 2 / pi2))
+    basis = _ChebBasis(220, min(0.93, v_need + 0.04))
+    v = basis.v
+    u_nodes = pi2 * v * (2.0 - v)
+    dudv = 2.0 * pi2 * (1.0 - v)
+    floors = [1e-14, 1e-12, 1e-11, 1e-10]
+
+    def ddu(fvals, floor):
+        return basis.derivative(fvals, floor) / dudv
+
+    def v_of_u(uq):
+        return 1.0 - np.sqrt(np.maximum(0.0, 1.0 - uq / pi2))
+
+    theta_nodes = _sinc_ratio(u_nodes) ** (n - 1)
+    V = [theta_nodes ** -0.5]
+    s_nodes, s_weights = composite_gauss_legendre(np.linspace(0, 1, 11),
+                                                  order=14)
+    for j in range(j_max):
+        dV = ddu(V[j], floors[j])
+        d2V = ddu(dV, floors[j])
+        lapV = (4.0 * u_nodes * d2V + 2.0 * dV
+                + 2.0 * (n - 1) * _cot_ratio(u_nodes) * dV)
+        g = np.sqrt(theta_nodes) * lapV
+        Wnext = np.empty(basis.npts)
+        for i, ui in enumerate(u_nodes):
+            g_at = _barycentric_eval(basis, g, v_of_u((s_nodes ** 2) * ui))
+            Wnext[i] = (theta_nodes[i] ** -0.5
+                        * float(np.sum(s_weights * (s_nodes ** j) * g_at)))
+        V.append(basis.filter(Wnext, floors[j + 1]))
+    vq = v_of_u(r_grid ** 2)
+    return [_barycentric_eval(basis, Vj, vq) for Vj in V]

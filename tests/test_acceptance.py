@@ -41,12 +41,13 @@ from kuzweyl.oscillatory_models import (
 from kuzweyl.restriction_coeffs import sphere_coefficients, torus_coefficients
 from kuzweyl.special_functions import (
     RegularizedPower,
-    assoc_legendre,
     fourier_halfline_power,
     gauss_legendre,
     halfline_power_gamma_rhs,
     regularized_pairing,
 )
+
+from oracles import assoc_legendre
 
 PI = math.pi
 BIG_BUDGET = 40_000_000

@@ -22,10 +22,11 @@ from kuzweyl.kuznecov import (
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
 from kuzweyl.restriction_coeffs import sphere_coefficients, torus_coefficients
 from kuzweyl.special_functions import (
-    assoc_legendre,
     composite_gauss_legendre,
     gauss_legendre,
 )
+
+from oracles import assoc_legendre
 
 PI = math.pi
 

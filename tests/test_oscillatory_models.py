@@ -7,8 +7,12 @@ from kuzweyl.errors import AccuracyError, ResourceGuardError, ValidationError
 from kuzweyl.kuznecov import make_test_function, shifted_bump_window
 from kuzweyl.oscillatory_models import (
     CriticalPoint,
+    ModelCutoff,
     PhaseProblem,
     RadialMetric,
+    _graded_phase_breakpoints,
+    _model_integral_once,
+    _plane_wave_factor_closed,
     brute_oscillatory_integral,
     double_bessel,
     full_model_hessian_rank,
@@ -26,6 +30,8 @@ from kuzweyl.special_functions import (
     regularized_pairing,
     sphere_volume,
 )
+
+from oracles import gegenbauer, hadamard_w_loop, model_integral_d2_loop
 
 PI = math.pi
 
@@ -92,6 +98,24 @@ def test_double_bessel_window_branch():
     u, wu = composite_gauss_legendre(np.linspace(0, 2 * PI, 25), order=12)
     f2 = np.sum(wu * win.psi_hat(r * np.cos(u)) * np.exp(-1j * lam * r * np.cos(u)))
     assert abs(res.quadrature - f1 * f2) < 1e-9 * max(1.0, abs(f1 * f2))
+
+
+def test_plane_wave_factor_closed_batch_against_mpmath():
+    import mpmath
+
+    for q, zmax in ((1, 400.0), (2, 400.0), (3, 400.0), (4, 200.0), (5, 200.0)):
+        z = np.concatenate([np.linspace(0.0, 1.0, 6), np.geomspace(1.5, zmax, 30)])
+        got = _plane_wave_factor_closed(q, z.reshape(6, 6))
+        assert got.shape == (6, 6)
+        nu = (q - 2) / 2.0
+        if q == 1:
+            ref = [2.0 * math.cos(x) for x in z]
+        else:
+            ref = [float((2 * mpmath.pi) ** (q / 2.0)
+                         * (mpmath.besselj(nu, x) / mpmath.mpf(x) ** nu if x
+                            else 1 / (2 ** nu * mpmath.gamma(nu + 1))))
+                   for x in z]
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-12 * sphere_volume(q - 1)
 
 
 def test_double_bessel_guards():
@@ -187,6 +211,51 @@ def test_model_integral_sp_agreement_42_order():
     scaled = np.asarray(errs) * np.asarray(lams)
     assert np.max(scaled) < 40.0
     assert errs[-1] < 0.05
+
+
+def _no_window(s):
+    return np.ones_like(np.asarray(s, dtype=float))
+
+
+def test_model_integral_42_polar_matches_x1_loop():
+    # the polar pass against the x_1-then-R loop at the same refine
+    co = ModelCutoff(d=2, width=0.69, taper="bump", width_tangent=0.25)
+    win = shifted_bump_window(0.35, 0.65)
+    for lam in (20.0, 40.0, 120.0):
+        got = model_integral(4, 2, lam).value
+        ref = model_integral_d2_loop(4, lam)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+        got = model_integral(4, 2, lam, cutoff=co, window=win,
+                             rel_tol=1e-5).value
+        ref = model_integral_d2_loop(4, lam, cutoff=co, psi_hat=win.psi_hat,
+                                     a_supp=0.65)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_model_integral_32_polar_converged():
+    # at n = 3 the x_1 loop under-resolves the sqrt(1 - x_1^2) edge of the
+    # disc at refine 1.6 (relative bias ~5e-7 at lambda = 20); the polar
+    # value is already converged there and the loop approaches it at refine 4
+    co = ModelCutoff(d=2)
+    lam = 20.0
+    fine = model_integral(3, 2, lam).value
+    dense, _ = _model_integral_once(3, 2, lam, co, _no_window, co.width, 4.0)
+    assert abs(fine - dense) <= 1e-10 * abs(dense)
+    ref = model_integral_d2_loop(3, lam, refine=4.0)
+    assert abs(dense - ref) <= 1e-6 * abs(ref)
+
+
+def test_model_integral_panels_of_fine_pass():
+    lam = 120.0
+    co = ModelCutoff(d=2)
+    res = model_integral(4, 2, lam)
+    # the d = 2 grid adds uniform panels for the kernel's linear phase
+    _, fine_panels = _model_integral_once(4, 2, lam, co, _no_window,
+                                          co.width, 1.6)
+    assert res.panels == fine_panels
+    assert res.panels > len(_graded_phase_breakpoints(lam, co.width, 1.6)) - 1
+    assert (model_integral(3, 1, lam).panels
+            == len(_graded_phase_breakpoints(lam, 0.98, 1.6)) - 1)
 
 
 def test_model_integral_accuracy_error():
@@ -389,6 +458,15 @@ def test_hadamard_higher_order_residuals_moderate_range():
         assert out.transport_residuals[2] < 1e-8
 
 
+def test_hadamard_transport_matches_node_loop():
+    for n, rmax in ((2, 2.6), (3, PI - 0.1), (5, 2.4)):
+        r = np.linspace(0.05, rmax, 50)
+        out = hadamard_transport(RadialMetric("sphere", n), 3, r)
+        ref = hadamard_w_loop(n, 3, r)
+        for got, want in zip(out.W, ref):
+            assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_hadamard_guards():
     with pytest.raises(ValidationError):
         hadamard_transport("sphere:3", 1, np.linspace(0.1, 3.2, 10))
@@ -422,6 +500,19 @@ def test_wave_kernel_mode_sum_n3():
         closed = sphere_wave_kernel(3, t, r)
         series = sphere_zonal_sum(3, t, r, 400)
         assert abs(closed - series) < 1e-6
+
+
+def test_zonal_sum_matches_per_degree_gegenbauer():
+    t = 1.7 + 0.2j
+    for n in (2, 3, 5):
+        a = (n - 1) / 2.0
+        for r in (0.0, 1.1, PI):
+            terms = [np.exp(1j * N * t) * (2 * N + n - 1)
+                     / ((n - 1) * sphere_volume(n))
+                     * gegenbauer(N, a, math.cos(r)) for N in range(100)]
+            got = sphere_zonal_sum(n, t, r, 100)
+            # rounding of a sum with cancellation: relative to sum |term|
+            assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
 
 
 def test_wave_kernel_domain_error():

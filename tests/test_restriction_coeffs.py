@@ -16,12 +16,11 @@ from kuzweyl.restriction_coeffs import (
     torus_coefficients,
 )
 from kuzweyl.special_functions import (
-    assoc_legendre,
-    assoc_legendre_normalized,
     gauss_legendre,
-    gegenbauer,
     sphere_volume,
 )
+
+from oracles import assoc_legendre, assoc_legendre_normalized, gegenbauer
 
 PI = math.pi
 

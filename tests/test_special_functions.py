@@ -7,19 +7,18 @@ from numpy.testing import assert_allclose
 from kuzweyl.errors import ValidationError
 from kuzweyl.special_functions import (
     RegularizedPower,
-    assoc_legendre,
-    assoc_legendre_normalized,
     bessel_j,
     bessel_j_scaled,
     composite_gauss_legendre,
     fourier_halfline_power,
     gauss_legendre,
-    gegenbauer,
     halfline_power_gamma_rhs,
     regularized_pairing,
     sphere_plane_wave_integral,
     sphere_volume,
 )
+
+from oracles import assoc_legendre, assoc_legendre_normalized, gegenbauer
 
 PI = math.pi
 
