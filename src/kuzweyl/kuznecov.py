@@ -6,7 +6,8 @@ psi and compactly supported psi_hat:
 
   * fejer(a):        psi_hat triangular on [-a, a], psi(x) = (a/2pi) sinc^2(ax/2)
   * bumpsquare(a):   psi = g^2 with ghat a smooth bump on [-a/2, a/2], so
-                     psi >= 0 and psi_hat = (ghat * ghat)/2pi lives on [-a, a]
+                     psi >= 0 and psi_hat = (ghat * ghat)/2pi lives on [-a, a];
+                     g is tabulated by one real FFT (see TestFunction)
   * sharp(eps):      psi = indicator of [-eps, eps] (sharp-sharp sums only)
 
 Sums evaluate the cached double sum exactly; the inner sum runs over the
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import TailBoundWarning, TruncationRiskError, ValidationError
 from .restriction_coeffs import CoefficientTable
-from .special_functions import composite_gauss_legendre, oscillatory_quadrature
+from .special_functions import composite_gauss_legendre
 
 __all__ = [
     "TestFunction",
@@ -83,6 +84,11 @@ def _bump(u):
     return out
 
 
+_G1_PER_Y = 1024  # bump-square g_1 grid points per unit y
+_G1_TAIL = 1024.0  # |g_1(y)| < 1e-16 beyond (1.1e-16 at 1000, 2e-17 at 1100)
+_EVAL_BLOCK = 1 << 15  # psi arguments interpolated per block
+
+
 def _smooth_plateau(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -114,9 +120,15 @@ class TestFunction:
     the half-width eps of the indicator for the sharp kind (a >= 0; a = 0
     counts exact coincidences).  `scale` multiplies psi and psi_hat jointly
     (used by the dominating-function construction).
-    """
 
-    GRID_STEP_DIV = 512  # psi-grid step = a / 512 for the bump-square kind
+    Bump-square: g(x) = (a/2) g_1(a x/2), g_1(y) = (1/2pi) int_{-1}^{1}
+    bump(u) exp(iuy) du.  The trapezoid rule on u_j = j du is exactly the
+    P-periodised g_1, P = 2pi/du (Poisson summation), so one real FFT of
+    length 1024 P gives g_1 on y_k = k/1024 (x-step 1/(512 a)) up to the
+    alias sum_{p != 0} g_1(y + pP).  |g_1(y)| < 1e-16 for y >= _G1_TAIL
+    (g_1(0) = 0.19), so the alias stays below that on y <= P - _G1_TAIL,
+    all of which is kept for later requests; g is 0 beyond _G1_TAIL.
+    """
 
     def __init__(self, kind: str, a: float, scale: float = 1.0):
         if kind not in ("fejer", "bumpsquare", "sharp"):
@@ -127,8 +139,6 @@ class TestFunction:
         self.a = float(a)
         self.scale = float(scale)
         self._g_grid: Optional[np.ndarray] = None
-        self._g_xmax = 0.0
-        self._g_cut: Optional[float] = None
 
     # -- descriptors ------------------------------------------------------
 
@@ -153,55 +163,41 @@ class TestFunction:
         return _bump(2.0 * np.asarray(s, dtype=float) / self.a)
 
     def _ensure_g_grid(self, xmax: float) -> None:
-        """g(x) = (1/2pi) int ghat exp(isx) ds on a uniform grid, step a/512.
-
-        The grid stops early once the envelope of |g| falls below 1e-12 of
-        its peak; beyond that cut psi = g^2 vanishes to double precision.
-        """
-        if self._g_cut is not None and xmax > self._g_cut:
-            xmax = self._g_cut
-        step = self.a / self.GRID_STEP_DIV
-        xmax = max(xmax, 8.0 * step)
-        if self._g_grid is not None and len(self._g_grid) and xmax <= self._g_xmax:
+        """Tabulate g on x_k = k/(512 a) up to xmax (see the class doc)."""
+        k_need = min(0.5 * self.a * xmax, _G1_TAIL) * _G1_PER_Y
+        if self._g_grid is not None and k_need <= len(self._g_grid) - 2:
             return
-        half = 0.5 * self.a
-        seg_pts = 4096
-        if self._g_grid is None:
-            self._g_grid = np.empty(0)
-            self._g_xmax = 0.0
-        while self._g_xmax < xmax:
-            start = len(self._g_grid)
-            x = (start + np.arange(seg_pts)) * step
-            snodes, sweights = oscillatory_quadrature(
-                0.0, half, half * float(x[-1]), order=12, min_panels=24)
-            gh = self._ghat(snodes) * sweights
-            vals = np.cos(np.outer(x, snodes)) @ gh / pi
-            self._g_grid = np.concatenate([self._g_grid, vals])
-            self._g_xmax = float(x[-1])
-            peak = float(np.max(np.abs(self._g_grid)))
-            if float(np.max(np.abs(vals))) < 1e-12 * peak:
-                self._g_cut = self._g_xmax
-                break
+        n = int(k_need + _G1_TAIL * _G1_PER_Y) + 3
+        # L = m 2^k with 8 <= m <= 16: a fast FFT length at most 1/8 above n
+        q = 1 << (n.bit_length() - 4)
+        n_fft = -(-n // q) * q
+        du = 2.0 * pi * _G1_PER_Y / n_fft
+        # irfft pads the bump samples on [0, 1] with zeros up to n_fft/2 + 1
+        g1 = np.fft.irfft(_bump(np.arange(int(1.0 / du) + 1) * du), n_fft)
+        keep = n_fft - int(_G1_TAIL * _G1_PER_Y)
+        self._g_grid = (0.5 * self.a * _G1_PER_Y) * g1[:keep]
 
     def _g_eval(self, x: np.ndarray) -> np.ndarray:
-        ax = np.abs(x)
+        ax = np.abs(x).ravel()
         self._ensure_g_grid(float(ax.max()) if ax.size else 1.0)
-        step = self.a / self.GRID_STEP_DIV
         grid = self._g_grid
         out = np.zeros_like(ax)
-        inside = ax <= self._g_xmax
-        # 4-point cubic (Catmull-Rom) interpolation on the uniform grid
-        t = ax[inside] / step
-        i1 = np.clip(t.astype(np.int64), 1, len(grid) - 3)
-        f = t - i1
-        pm1, p0, p1, p2 = grid[i1 - 1], grid[i1], grid[i1 + 1], grid[i1 + 2]
-        out[inside] = (
-            p0
-            + 0.5 * f * (p1 - pm1)
-            + f * f * (pm1 - 2.5 * p0 + 2.0 * p1 - 0.5 * p2)
-            + f * f * f * (1.5 * (p0 - p1) + 0.5 * (p2 - pm1))
-        )
-        return out
+        # 4-point cubic (Catmull-Rom) interpolation on the uniform grid, in
+        # blocks so that the temporaries stay small for large tables
+        for lo in range(0, len(ax), _EVAL_BLOCK):
+            t = (0.5 * self.a * _G1_PER_Y) * ax[lo:lo + _EVAL_BLOCK]
+            inside = t <= len(grid) - 2
+            t = t[inside]
+            i1 = np.clip(t.astype(np.int64), 1, len(grid) - 3)
+            f = t - i1
+            pm1, p0, p1, p2 = grid[i1 - 1], grid[i1], grid[i1 + 1], grid[i1 + 2]
+            out[lo:lo + _EVAL_BLOCK][inside] = (
+                p0
+                + 0.5 * f * (p1 - pm1)
+                + f * f * (pm1 - 2.5 * p0 + 2.0 * p1 - 0.5 * p2)
+                + f * f * f * (1.5 * (p0 - p1) + 0.5 * (p2 - pm1))
+            )
+        return out.reshape(np.shape(x))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -265,13 +261,14 @@ def dominating_test_function(eps: float, a: float = 1.0) -> TestFunction:
     Square construction scaled so min over [-eps, eps] is exactly 1; needs
     the first zero of psi beyond eps.
     """
-    base = TestFunction("bumpsquare", a)
+    psi = TestFunction("bumpsquare", a)
     grid = np.linspace(0.0, eps, 512)
-    m = float(np.min(base.psi(grid)))
+    m = float(np.min(psi.psi(grid)))
     if m <= 0.0:
         raise ValidationError(
             f"bump-square window with a={a} vanishes inside [-{eps}, {eps}]")
-    return TestFunction("bumpsquare", a, scale=1.0 / m)
+    psi.scale = 1.0 / m
+    return psi
 
 
 # --------------------------------------------------------------------------

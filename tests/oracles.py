@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the package against.
 
 Legendre and Gegenbauer recurrences (oracles for the closed-form
-restriction coefficients and zonal kernels), the x_1-then-R quadrature of
-the d = 2 model integral, and the per-node barycentric Hadamard
-transport.  The last two are the loop forms the package's batched paths
-replaced; they are slow and kept here only as references.
+restriction coefficients and zonal kernels), the segment-by-segment
+cosine-matrix tabulation of the bump-square g-grid, the x_1-then-R
+quadrature of the d = 2 model integral, and the per-node barycentric
+Hadamard transport.  The last three are the loop forms the package's
+FFT and batched paths replaced; they are slow and kept here only as
+references.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from kuzweyl.errors import ValidationError
+from kuzweyl.kuznecov import _bump
 from kuzweyl.oscillatory_models import (
     ModelCutoff,
     _ChebBasis,
@@ -20,7 +23,11 @@ from kuzweyl.oscillatory_models import (
     _graded_phase_breakpoints,
     _sinc_ratio,
 )
-from kuzweyl.special_functions import composite_gauss_legendre, sphere_volume
+from kuzweyl.special_functions import (
+    composite_gauss_legendre,
+    oscillatory_quadrature,
+    sphere_volume,
+)
 
 PI = math.pi
 
@@ -98,6 +105,50 @@ def gegenbauer(N: int, alpha: float, x):
     for k in range(2, N + 1):
         c0, c1 = c1, (2.0 * x * (k + alpha - 1.0) * c1 - (k + 2.0 * alpha - 2.0) * c0) / k
     return c1 if c1.ndim else float(c1)
+
+
+# --------------------------------------------- bump-square g-grid, cos loop
+
+def bump_g_grid_loop(a: float, xmax: float):
+    """g(x) = (1/2pi) int ghat exp(isx) ds of the bump-square window with
+    psi_hat radius a, on the grid x_k = k a/512 up to at least xmax, in
+    segments of 4096 points, each a cosine matrix times oscillatory
+    Gauss-Legendre weights.  Stops early once a segment falls below 1e-12
+    of the peak.  Returns the grid values."""
+    def ghat(s):
+        return _bump(2.0 * np.asarray(s, dtype=float) / a)
+
+    step = a / 512
+    xmax = max(xmax, 8.0 * step)
+    half = 0.5 * a
+    seg_pts = 4096
+    grid = np.empty(0)
+    g_xmax = 0.0
+    while g_xmax < xmax:
+        start = len(grid)
+        x = (start + np.arange(seg_pts)) * step
+        snodes, sweights = oscillatory_quadrature(
+            0.0, half, half * float(x[-1]), order=12, min_panels=24)
+        gh = ghat(snodes) * sweights
+        vals = np.cos(np.outer(x, snodes)) @ gh / PI
+        grid = np.concatenate([grid, vals])
+        g_xmax = float(x[-1])
+        peak = float(np.max(np.abs(grid)))
+        if float(np.max(np.abs(vals))) < 1e-12 * peak:
+            break
+    return grid
+
+
+def bump_g_direct(a: float, x):
+    """The same g at each point of x on its own: an oscillatory
+    Gauss-Legendre rule on [0, a/2] fitted to |x|."""
+    half = 0.5 * a
+    out = []
+    for xi in np.abs(np.asarray(x, dtype=float)):
+        s, w = oscillatory_quadrature(0.0, half, half * max(xi, 1.0),
+                                      order=12, min_panels=24)
+        out.append(float(np.sum(_bump(s / half) * w * np.cos(s * xi))) / PI)
+    return np.array(out)
 
 
 # ------------------------------------------------ model integral, d = 2 loop

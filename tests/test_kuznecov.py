@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from kuzweyl.special_functions import (
     gauss_legendre,
 )
 
-from oracles import assoc_legendre
+from oracles import assoc_legendre, bump_g_direct, bump_g_grid_loop
 
 PI = math.pi
 
@@ -78,13 +79,64 @@ def test_bumpsquare_properties():
     assert np.max(np.abs(b.psi_hat(s))) < 1e-12
 
 
-def test_bumpsquare_grid_matches_direct_transform():
-    b = make_test_function("bumpsquare", 1.0)
-    nodes, w = composite_gauss_legendre(np.linspace(-1, 1, 81), order=16)
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
+def test_bumpsquare_grid_matches_direct_transform(a):
+    b = make_test_function("bumpsquare", a)
+    nodes, w = composite_gauss_legendre(np.linspace(-a, a, 81), order=16)
     ph = b.psi_hat(nodes)
     for x in (0.0, 0.7, 3.3, 11.0, 25.0):
         direct = float(np.sum(w * ph * np.cos(nodes * x))) / (2 * PI)
         assert b.psi(x) == pytest.approx(direct, abs=1e-11)
+
+
+def test_bumpsquare_fft_grid_matches_cosine_loop():
+    # at a = 1 the FFT grid step 1/512 is the loop's step a/512
+    b = make_test_function("bumpsquare", 1.0)
+    b.psi(120.0)
+    n = 120 * 512 + 1
+    loop = bump_g_grid_loop(1.0, 120.0)
+    assert np.max(np.abs(b._g_grid[:n] - loop[:n])) <= 1e-16
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
+def test_bumpsquare_psi_matches_direct_quadrature(a):
+    b = make_test_function("bumpsquare", a)
+    x = np.concatenate([np.linspace(0.0, 816.0, 61) + 0.37,
+                        -np.linspace(1.0, 816.0, 23)])
+    got = b.psi(x)
+    assert np.max(np.abs(got - bump_g_direct(a, x) ** 2)) <= 1e-13
+    # the FFT's alias is largest just below the top of the kept range
+    top = (len(b._g_grid) - 2) / (512 * a)
+    xt = top - np.array([1e-3, 0.3, 1.7])
+    assert np.max(np.abs(b.psi(xt) - bump_g_direct(a, xt) ** 2)) <= 1e-13
+    assert np.max(np.abs(b._g_eval(xt) - bump_g_direct(a, xt))) <= 1e-15
+
+
+def test_bumpsquare_grid_growth():
+    b = make_test_function("bumpsquare", 1.0)
+    b.psi(100.0)
+    first = b._g_grid
+    b.psi(np.array([-50.0, (len(first) - 2) / 512]))
+    assert b._g_grid is first
+    b.psi(816.0)
+    assert b._g_grid is not first and len(b._g_grid) > len(first)
+    assert np.max(np.abs(b._g_grid[:len(first)] - first)) <= 1e-16
+    # beyond y = a x / 2 = 1024, |g| < 1e-16: psi is 0 there and the grid
+    # stops growing
+    assert b.psi(1e6) == 0.0
+    capped = b._g_grid
+    assert b.psi(-3e6) == 0.0 and b._g_grid is capped
+
+
+def test_bumpsquare_grid_memory():
+    b = make_test_function("bumpsquare", 1.0)
+    tracemalloc.start()
+    try:
+        b.psi(816.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
 
 
 def test_sharp_indicator():
