@@ -21,7 +21,6 @@ from .errors import (
 from .model_spectra import (
     ManifoldPair,
     SpectrumSlice,
-    difference_spectrum,
     enumerate_spectrum,
     sphere_pair,
     torus_pair,

@@ -35,7 +35,6 @@ from .asymptotics import (
 )
 from .errors import ResourceGuardError, ToleranceError, ValidationError
 from .kuznecov import (
-    DualTrace,
     SumTable,
     averaged_sharp_sum,
     dual_trace,
@@ -120,31 +119,6 @@ def _write_csv(path: str, header, rows):
         for row in rows:
             writer.writerow([FMT % v if isinstance(v, float) else v
                              for v in row])
-
-
-def emit_plot_data(obj, kind: str, path: str) -> None:
-    """Plain-CSV emission for downstream plotting; no plotting here."""
-    if kind == "loglog":
-        if not isinstance(obj, SumTable):
-            raise ValidationError("loglog emission needs a SumTable")
-        rows = [(math.log10(l), math.log10(v))
-                for l, v in zip(obj.lambda_grid, obj.values) if v > 0]
-        _write_csv(path, ["log10_lambda", "log10_value"], rows)
-    elif kind == "jumps":
-        lams, jumps, n, d = obj
-        power = (n + d) / 2.0 - 1.0
-        rows = [(float(l), float(j), float(j / l ** power))
-                for l, j in zip(lams, jumps)]
-        _write_csv(path, ["lambda_j", "jump", "jump_normalized"], rows)
-    elif kind == "trace":
-        if not isinstance(obj, DualTrace):
-            raise ValidationError("trace emission needs a DualTrace")
-        obj.to_csv(path)
-    elif kind == "coefficient-ratio":
-        rows = [(str(k), float(v)) for k, v in obj.items()]
-        _write_csv(path, ["label", "ratio"], rows)
-    else:
-        raise ValidationError(f"unknown plot-data kind {kind!r}")
 
 
 # --------------------------------------------------------------------------

@@ -183,14 +183,15 @@ class TestFunction:
         grid = self._g_grid
         out = np.zeros_like(ax)
         # 4-point cubic (Catmull-Rom) interpolation on the uniform grid, in
-        # blocks so that the temporaries stay small for large tables
+        # blocks so that the temporaries stay small for large tables; g is
+        # even, so node -1 of the stencil is node 1
         for lo in range(0, len(ax), _EVAL_BLOCK):
             t = (0.5 * self.a * _G1_PER_Y) * ax[lo:lo + _EVAL_BLOCK]
             inside = t <= len(grid) - 2
             t = t[inside]
-            i1 = np.clip(t.astype(np.int64), 1, len(grid) - 3)
+            i1 = np.minimum(t.astype(np.int64), len(grid) - 3)
             f = t - i1
-            pm1, p0, p1, p2 = grid[i1 - 1], grid[i1], grid[i1 + 1], grid[i1 + 2]
+            pm1, p0, p1, p2 = grid[np.abs(i1 - 1)], grid[i1], grid[i1 + 1], grid[i1 + 2]
             out[lo:lo + _EVAL_BLOCK][inside] = (
                 p0
                 + 0.5 * f * (p1 - pm1)

@@ -30,7 +30,6 @@ __all__ = [
     "sphere_pair",
     "harmonic_dim",
     "enumerate_spectrum",
-    "difference_spectrum",
 ]
 
 MODE_BUDGET_DEFAULT = 5_000_000
@@ -338,17 +337,3 @@ def enumerate_spectrum(pair: ManifoldPair, lambda_max: float, *,
     return SpectrumSlice(pair=pair, cutoff=float(lambda_max), h_cutoff=h_cut,
                          m_labels=m_lab, m_freqs=m_fr, m_eigenkeys=m_key,
                          h_labels=h_lab, h_freqs=h_fr, h_eigenkeys=h_key)
-
-
-def difference_spectrum(slice_: SpectrumSlice, c: float,
-                        max_pairs: int = 50_000_000) -> np.ndarray:
-    """The ordered multiset {c*lambda_j - mu_k} over all mode pairs, ascending."""
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError("need 0 <= c <= 1")
-    n_pairs = slice_.m_count * slice_.h_count
-    if n_pairs > max_pairs:
-        raise ResourceGuardError(
-            f"difference spectrum would hold {n_pairs} entries")
-    diffs = (c * slice_.m_freqs[:, None] - slice_.h_freqs[None, :]).ravel()
-    diffs.sort()
-    return diffs

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AccuracyError, ResourceGuardError, ValidationError
+from .errors import AccuracyError, ValidationError
 from .kuznecov import FourierWindow, TestFunction, _bump, _smooth_plateau
 from .special_functions import (
     bessel_j_scaled,
@@ -48,8 +48,6 @@ __all__ = [
     "CriticalPoint",
     "PhaseProblem",
     "stationary_phase_leading",
-    "brute_oscillatory_integral",
-    "stationary_phase_error_probe",
     "ModelHessian",
     "hessian_model",
     "full_model_hessian_rank",
@@ -429,49 +427,6 @@ def stationary_phase_leading(problem: PhaseProblem, lam: float) -> complex:
                   * np.exp(1j * pi * cp.signature / 4.0)
                   * np.exp(1j * lam * s0) * a0)
     return complex(total)
-
-
-def brute_oscillatory_integral(problem: PhaseProblem, lam: float, box,
-                               panels: int = None, order: int = 8) -> complex:
-    """Tensor composite Gauss-Legendre quadrature of the full integral over
-    the box; desk-scale guard caps the dimension at 3 and lambda at 2000."""
-    dim = problem.dimension
-    if dim > 3:
-        raise ResourceGuardError("brute oracle capped at dimension 3")
-    if lam > 2000:
-        raise ResourceGuardError("brute oracle capped at lambda <= 2000")
-    if panels is None:
-        panels = max(16, int(math.ceil(0.7 * lam)))
-    axes = []
-    for (lo, hi) in box:
-        x, w = composite_gauss_legendre(np.linspace(lo, hi, panels + 1),
-                                        order=order)
-        axes.append((x, w))
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrid = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    wtot = np.ones_like(wgrid[0])
-    for wg in wgrid:
-        wtot = wtot * wg
-    vals = problem.amplitude(pts) * np.exp(1j * lam * problem.phase(pts))
-    return complex(np.sum(wtot.ravel() * vals))
-
-
-def stationary_phase_error_probe(problem: PhaseProblem, box, lams,
-                                 panels: int = None) -> dict:
-    """Relative error of the leading term against brute quadrature across a
-    lambda ladder, with the fitted decay slope (expected near -1)."""
-    errs = []
-    for lam in lams:
-        brute = brute_oscillatory_integral(problem, lam, box, panels=panels)
-        lead = stationary_phase_leading(problem, lam)
-        errs.append(abs(brute - lead) / abs(lead))
-    x = np.log(np.asarray(lams, dtype=float))
-    y = np.log(np.asarray(errs, dtype=float))
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, _), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return {"lambdas": list(map(float, lams)), "relative_errors": errs,
-            "slope": float(slope)}
 
 
 # --------------------------------------------------------------------------

@@ -83,12 +83,6 @@ class CoefficientTable:
     def entry_h_freqs(self) -> np.ndarray:
         return self.slice.h_freqs[self.k_idx]
 
-    def parseval_row_sums(self) -> np.ndarray:
-        """Sum of squared coefficients per M-mode (the restricted L2 norm)."""
-        sums = np.zeros(self.slice.m_count)
-        np.add.at(sums, self.j_idx, self.values)
-        return sums
-
     def build_hash(self) -> str:
         h = hashlib.sha256()
         for arr in (self.j_idx, self.k_idx, self.values):

@@ -4,7 +4,9 @@ Everything here is implemented from scratch (recurrences, series, plain
 quadrature); no external math library beyond numpy array arithmetic.  The
 module also hosts the regularized-distribution machinery for boundary
 values (u(s) +- i0)^(-alpha), evaluated by a damping schedule with
-Richardson extrapolation.
+Richardson extrapolation, and the half-line transform of t^beta, whose
+[1, inf) piece is rotated onto t = 1 + iu/sigma, where it decays like
+e^{-u} and needs no damping.
 
 Fourier convention used throughout the package:
 
@@ -33,7 +35,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_scaled",
     "sphere_volume",
-    "sphere_plane_wave_integral",
     "RegularizedPower",
     "RegularizedLimit",
     "regularized_pairing",
@@ -199,7 +200,7 @@ def bessel_j_scaled(nu: float, x):
 
 
 # --------------------------------------------------------------------------
-# Sphere plane-wave integral (both sides of the Bessel identity)
+# Sphere volume
 # --------------------------------------------------------------------------
 
 def sphere_volume(q: int) -> float:
@@ -207,27 +208,6 @@ def sphere_volume(q: int) -> float:
     if q < 0:
         raise ValidationError("sphere dimension must be >= 0")
     return 2.0 * pi ** ((q + 1) / 2.0) / math.exp(lgamma((q + 1) / 2.0))
-
-
-def sphere_plane_wave_integral(n: int, r: float):
-    """Both sides of int_{S^{n-1}} exp(2 pi i r <xi, w>) dS(w), |xi| = 1.
-
-    Returns (direct, bessel): the direct quadrature of the sphere integral
-    (reduced to the polar angle, measure factor sin^{n-2}) and the closed
-    form (2 pi)^{n/2} (2 pi r)^{-(n-2)/2} J_{(n-2)/2}(2 pi r).  Both are
-    real by symmetry.
-    """
-    if n < 2:
-        raise ValidationError("ambient dimension must be >= 2")
-    if r < 0:
-        raise ValidationError("radius must be >= 0")
-    z = 2.0 * pi * r
-    tt, ww = oscillatory_quadrature(0.0, pi, z * pi, order=14)
-    integrand = np.cos(z * np.cos(tt)) * np.sin(tt) ** (n - 2)
-    direct = sphere_volume(n - 2) * float(integrand @ ww)
-    nu = (n - 2) / 2.0
-    bessel = (2.0 * pi) ** (n / 2.0) * bessel_j_scaled(nu, z)
-    return direct, bessel
 
 
 # --------------------------------------------------------------------------
@@ -354,31 +334,46 @@ def halfline_power_gamma_rhs(beta: float, sigma: float) -> complex:
         * sigma ** (-beta - 1.0)
 
 
-def fourier_halfline_power(beta: float, sigma: float,
-                           schedule=tuple(2.0 ** (-k) for k in range(4, 11))) -> complex:
-    """lim_{eps->0+} int_0^inf exp(i t sigma) t^beta exp(-eps t) dt by quadrature.
+def fourier_halfline_power(beta: float, sigma: float) -> complex:
+    """int_0^inf exp(i t sigma) t^beta dt for beta > -1, sigma > 0 by quadrature.
 
-    Damped oscillatory quadrature on each schedule step, then Richardson
-    extrapolation.  The endpoint algebraic singularity t^beta is removed by
-    the substitution t = v^4 on [0, 1].
+    The [1, inf) piece is rotated into the upper half-plane, t = 1 + iu/sigma,
+    where exp(i sigma t) decays:
+
+        int_1^inf e^{i sigma t} t^beta dt
+            = e^{i sigma} (i/sigma) int_0^inf e^{-u} (1 + iu/sigma)^beta du,
+
+    a smooth, exponentially damped integral, so it needs no damping schedule
+    and no extrapolation.  Its Gauss-Legendre panels are uniform on
+    [0, 48 + 2 max(beta, 0)] and, when sigma < 4, graded dyadically from 4
+    down to (sigma/4, sigma/2]: the integrand bends at u ~ sigma, the
+    distance to its branch point u = i sigma.  The [0, 1] piece stays a
+    quadrature, so the result is an independent check of the Gamma closed
+    form.  There t = v^q with q (beta + 1) = k = max(2, ceil(4 (beta + 1)))
+    turns t^beta dt into q v^(k-1) dv, which is smooth at v = 0 (q = 4 when
+    4 beta is an integer >= -2, q = 2/(beta + 1) for beta <= -1/2).
+
+    Relative error <= 1e-12 for -0.99 < beta <= 3 and 0.3 <= sigma <= 10.
+    beta <= -0.99 is out of scope (q grows like 2/(beta + 1)).  At large
+    sigma the two pieces cancel: the integrands are O(1) while the result is
+    Gamma(beta+1) sigma^(-beta-1), so the relative error grows like
+    1e-16 sigma^(beta+1) / Gamma(beta+1) (2e-9 at beta = 3, sigma = 100).
     """
     if beta <= -1:
         raise ValidationError("need beta > -1")
     if sigma <= 0:
         raise ValidationError("sigma must be > 0")
-    vals = []
-    for eps in schedule:
-        T = 45.0 / eps
-        # [0, 1] with t = v^4
-        v, wv = composite_gauss_legendre(
-            np.linspace(0.0, 1.0, int(math.ceil(sigma / 3.0)) + 6), order=16)
-        t0 = v ** 4
-        g0 = np.exp((1j * sigma - eps) * t0) * v ** (4.0 * beta + 3.0) * 4.0 * wv
-        # [1, T] oscillation-adapted
-        t1, w1 = oscillatory_quadrature(1.0, T, sigma * (T - 1.0), order=12)
-        g1 = np.exp((1j * sigma - eps) * t1) * t1 ** beta * w1
-        vals.append(complex(np.sum(g0) + np.sum(g1)))
-    vals = np.array(vals)
-    r1 = 2.0 * vals[1:] - vals[:-1]
-    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-    return complex(r2[-1])
+    k = max(2, math.ceil(4.0 * (beta + 1.0)))
+    q = k / (beta + 1.0)
+    # the phase sigma v^q turns fastest at v = 1, q sigma radians per unit v
+    v, wv = composite_gauss_legendre(
+        np.linspace(0.0, 1.0, math.ceil(q * sigma / 12.0) + 6), order=16)
+    head = np.sum(q * v ** (k - 1) * np.exp(1j * sigma * v ** q) * wv)
+    u_max = 48.0 + 2.0 * max(beta, 0.0)
+    bks = np.linspace(0.0, u_max, math.ceil(u_max / 2.0) + 1)
+    if sigma < 4.0:
+        dyadic = 4.0 * 0.5 ** np.arange(math.ceil(math.log2(16.0 / sigma)))
+        bks = np.union1d(bks, dyadic)
+    u, wu = composite_gauss_legendre(bks, order=16)
+    tail = np.sum(np.exp(-u) * (1.0 + 1j * u / sigma) ** beta * wu)
+    return complex(head + np.exp(1j * sigma) * (1j / sigma) * tail)

@@ -3,27 +3,38 @@
 Legendre and Gegenbauer recurrences (oracles for the closed-form
 restriction coefficients and zonal kernels), the segment-by-segment
 cosine-matrix tabulation of the bump-square g-grid, the x_1-then-R
-quadrature of the d = 2 model integral, and the per-node barycentric
-Hadamard transport.  The last three are the loop forms the package's
-FFT and batched paths replaced; they are slow and kept here only as
+quadrature of the d = 2 model integral, the per-node barycentric
+Hadamard transport and the damped-ladder half-line transform.  The last
+four are the loop and damping forms the package's FFT, batched and
+contour-rotated paths replaced; they are slow and kept here only as
 references.
+
+Also the test-only helpers: the direct sphere plane-wave quadrature, the
+full difference spectrum, plain-CSV plot data, the brute tensor
+quadrature of an oscillatory integral with its stationary-phase error
+probe, and the per-mode Parseval row sums of a coefficient table.
 """
 
 import math
 
 import numpy as np
 
-from kuzweyl.errors import ValidationError
-from kuzweyl.kuznecov import _bump
+from kuzweyl.cli import _write_csv
+from kuzweyl.errors import ResourceGuardError, ValidationError
+from kuzweyl.kuznecov import DualTrace, SumTable, _bump
+from kuzweyl.model_spectra import SpectrumSlice
 from kuzweyl.oscillatory_models import (
     ModelCutoff,
+    PhaseProblem,
     _ChebBasis,
     _cot_ratio,
     _fourier_on_support,
     _graded_phase_breakpoints,
     _sinc_ratio,
+    stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
+    bessel_j_scaled,
     composite_gauss_legendre,
     oscillatory_quadrature,
     sphere_volume,
@@ -250,3 +261,148 @@ def hadamard_w_loop(n: int, j_max: int, r_grid):
         V.append(basis.filter(Wnext, floors[j + 1]))
     vq = v_of_u(r_grid ** 2)
     return [_barycentric_eval(basis, Vj, vq) for Vj in V]
+
+
+# ------------------------------------------ half-line transform, damped ladder
+
+def fourier_halfline_power_damped(
+        beta: float, sigma: float,
+        schedule=tuple(2.0 ** (-k) for k in range(4, 11))) -> complex:
+    """lim_{eps->0+} int_0^inf exp(i t sigma) t^beta exp(-eps t) dt by quadrature.
+
+    Damped oscillatory quadrature on each schedule step, then Richardson
+    extrapolation.  The endpoint algebraic singularity t^beta is removed by
+    the substitution t = v^4 on [0, 1].
+    """
+    if beta <= -1:
+        raise ValidationError("need beta > -1")
+    if sigma <= 0:
+        raise ValidationError("sigma must be > 0")
+    vals = []
+    for eps in schedule:
+        T = 45.0 / eps
+        # [0, 1] with t = v^4
+        v, wv = composite_gauss_legendre(
+            np.linspace(0.0, 1.0, int(math.ceil(sigma / 3.0)) + 6), order=16)
+        t0 = v ** 4
+        g0 = np.exp((1j * sigma - eps) * t0) * v ** (4.0 * beta + 3.0) * 4.0 * wv
+        # [1, T] oscillation-adapted
+        t1, w1 = oscillatory_quadrature(1.0, T, sigma * (T - 1.0), order=12)
+        g1 = np.exp((1j * sigma - eps) * t1) * t1 ** beta * w1
+        vals.append(complex(np.sum(g0) + np.sum(g1)))
+    vals = np.array(vals)
+    r1 = 2.0 * vals[1:] - vals[:-1]
+    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
+    return complex(r2[-1])
+
+
+# ------------------------------------------------------- test-only helpers
+
+def sphere_plane_wave_integral(n: int, r: float):
+    """Both sides of int_{S^{n-1}} exp(2 pi i r <xi, w>) dS(w), |xi| = 1.
+
+    Returns (direct, bessel): the direct quadrature of the sphere integral
+    (reduced to the polar angle, measure factor sin^{n-2}) and the closed
+    form (2 pi)^{n/2} (2 pi r)^{-(n-2)/2} J_{(n-2)/2}(2 pi r).  Both are
+    real by symmetry.
+    """
+    if n < 2:
+        raise ValidationError("ambient dimension must be >= 2")
+    if r < 0:
+        raise ValidationError("radius must be >= 0")
+    z = 2.0 * PI * r
+    tt, ww = oscillatory_quadrature(0.0, PI, z * PI, order=14)
+    integrand = np.cos(z * np.cos(tt)) * np.sin(tt) ** (n - 2)
+    direct = sphere_volume(n - 2) * float(integrand @ ww)
+    nu = (n - 2) / 2.0
+    bessel = (2.0 * PI) ** (n / 2.0) * bessel_j_scaled(nu, z)
+    return direct, bessel
+
+
+def difference_spectrum(slice_: SpectrumSlice, c: float,
+                        max_pairs: int = 50_000_000) -> np.ndarray:
+    """The ordered multiset {c*lambda_j - mu_k} over all mode pairs, ascending."""
+    if not 0.0 <= c <= 1.0:
+        raise ValidationError("need 0 <= c <= 1")
+    n_pairs = slice_.m_count * slice_.h_count
+    if n_pairs > max_pairs:
+        raise ResourceGuardError(
+            f"difference spectrum would hold {n_pairs} entries")
+    diffs = (c * slice_.m_freqs[:, None] - slice_.h_freqs[None, :]).ravel()
+    diffs.sort()
+    return diffs
+
+
+def parseval_row_sums(table) -> np.ndarray:
+    """Sum of squared coefficients per M-mode (the restricted L2 norm)."""
+    sums = np.zeros(table.slice.m_count)
+    np.add.at(sums, table.j_idx, table.values)
+    return sums
+
+
+def emit_plot_data(obj, kind: str, path: str) -> None:
+    """Plain-CSV emission for downstream plotting; no plotting here."""
+    if kind == "loglog":
+        if not isinstance(obj, SumTable):
+            raise ValidationError("loglog emission needs a SumTable")
+        rows = [(math.log10(l), math.log10(v))
+                for l, v in zip(obj.lambda_grid, obj.values) if v > 0]
+        _write_csv(path, ["log10_lambda", "log10_value"], rows)
+    elif kind == "jumps":
+        lams, jumps, n, d = obj
+        power = (n + d) / 2.0 - 1.0
+        rows = [(float(l), float(j), float(j / l ** power))
+                for l, j in zip(lams, jumps)]
+        _write_csv(path, ["lambda_j", "jump", "jump_normalized"], rows)
+    elif kind == "trace":
+        if not isinstance(obj, DualTrace):
+            raise ValidationError("trace emission needs a DualTrace")
+        obj.to_csv(path)
+    elif kind == "coefficient-ratio":
+        rows = [(str(k), float(v)) for k, v in obj.items()]
+        _write_csv(path, ["label", "ratio"], rows)
+    else:
+        raise ValidationError(f"unknown plot-data kind {kind!r}")
+
+
+def brute_oscillatory_integral(problem: PhaseProblem, lam: float, box,
+                               panels: int = None, order: int = 8) -> complex:
+    """Tensor composite Gauss-Legendre quadrature of the full integral over
+    the box; desk-scale guard caps the dimension at 3 and lambda at 2000."""
+    dim = problem.dimension
+    if dim > 3:
+        raise ResourceGuardError("brute oracle capped at dimension 3")
+    if lam > 2000:
+        raise ResourceGuardError("brute oracle capped at lambda <= 2000")
+    if panels is None:
+        panels = max(16, int(math.ceil(0.7 * lam)))
+    axes = []
+    for (lo, hi) in box:
+        x, w = composite_gauss_legendre(np.linspace(lo, hi, panels + 1),
+                                        order=order)
+        axes.append((x, w))
+    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrid = np.meshgrid(*[a[1] for a in axes], indexing="ij")
+    wtot = np.ones_like(wgrid[0])
+    for wg in wgrid:
+        wtot = wtot * wg
+    vals = problem.amplitude(pts) * np.exp(1j * lam * problem.phase(pts))
+    return complex(np.sum(wtot.ravel() * vals))
+
+
+def stationary_phase_error_probe(problem: PhaseProblem, box, lams,
+                                 panels: int = None) -> dict:
+    """Relative error of the leading term against brute quadrature across a
+    lambda ladder, with the fitted decay slope (expected near -1)."""
+    errs = []
+    for lam in lams:
+        brute = brute_oscillatory_integral(problem, lam, box, panels=panels)
+        lead = stationary_phase_leading(problem, lam)
+        errs.append(abs(brute - lead) / abs(lead))
+    x = np.log(np.asarray(lams, dtype=float))
+    y = np.log(np.asarray(errs, dtype=float))
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, _), *_ = np.linalg.lstsq(design, y, rcond=None)
+    return {"lambdas": list(map(float, lams)), "relative_errors": errs,
+            "slope": float(slope)}

@@ -47,7 +47,7 @@ from kuzweyl.special_functions import (
     regularized_pairing,
 )
 
-from oracles import assoc_legendre
+from oracles import assoc_legendre, parseval_row_sums
 
 PI = math.pi
 BIG_BUDGET = 40_000_000
@@ -206,7 +206,7 @@ def sphere21():
     lams_j, jumps = eigenvalue_jumps(table, 0.6, 20.0, 200.0)
     # Parseval defect against independent dense quadrature, N <= 40
     slc = table.slice
-    rows = table.parseval_row_sums()
+    rows = parseval_row_sums(table)
     defect = 0.0
     for i in range(slc.m_count):
         N, l, m_trans = (int(v) for v in slc.m_labels[i][:3])

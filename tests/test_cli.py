@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from kuzweyl.cli import emit_plot_data, main, run_experiment
+from kuzweyl.cli import main, run_experiment
 from kuzweyl.errors import ValidationError
 from kuzweyl.kuznecov import SumTable, dual_trace, make_test_function
 from kuzweyl.model_spectra import enumerate_spectrum, torus_pair
 from kuzweyl.restriction_coeffs import torus_coefficients
+
+from oracles import emit_plot_data
 
 CONFIG = """
 [experiment]

@@ -112,6 +112,16 @@ def test_bumpsquare_psi_matches_direct_quadrature(a):
     assert np.max(np.abs(b._g_eval(xt) - bump_g_direct(a, xt))) <= 1e-15
 
 
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_bumpsquare_g_even_stencil_at_zero(a):
+    # below the first node the stencil reaches node -1, which is node 1 by
+    # the evenness of g (a clipped stencil extrapolates: 7e-15 off at x = 0)
+    b = make_test_function("bumpsquare", a)
+    x = np.array([0.0, 1e-4, 1e-3])
+    assert np.max(np.abs(b._g_eval(x) - bump_g_direct(a, x))) <= 1e-15
+
+
 def test_bumpsquare_grid_growth():
     b = make_test_function("bumpsquare", 1.0)
     b.psi(100.0)

@@ -13,7 +13,6 @@ from kuzweyl.oscillatory_models import (
     _graded_phase_breakpoints,
     _model_integral_once,
     _plane_wave_factor_closed,
-    brute_oscillatory_integral,
     double_bessel,
     full_model_hessian_rank,
     hadamard_transport,
@@ -21,7 +20,6 @@ from kuzweyl.oscillatory_models import (
     model_integral,
     sphere_wave_kernel,
     sphere_zonal_sum,
-    stationary_phase_error_probe,
     stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
@@ -31,7 +29,13 @@ from kuzweyl.special_functions import (
     sphere_volume,
 )
 
-from oracles import gegenbauer, hadamard_w_loop, model_integral_d2_loop
+from oracles import (
+    brute_oscillatory_integral,
+    gegenbauer,
+    hadamard_w_loop,
+    model_integral_d2_loop,
+    stationary_phase_error_probe,
+)
 
 PI = math.pi
 

@@ -20,7 +20,12 @@ from kuzweyl.special_functions import (
     sphere_volume,
 )
 
-from oracles import assoc_legendre, assoc_legendre_normalized, gegenbauer
+from oracles import (
+    assoc_legendre,
+    assoc_legendre_normalized,
+    gegenbauer,
+    parseval_row_sums,
+)
 
 PI = math.pi
 
@@ -155,7 +160,7 @@ def test_sphere_21_parseval_against_quadrature():
     # row sums vs restricted L2 norms by independent dense quadrature, N <= 40
     slc = enumerate_spectrum(sphere_pair(2, 1), 41.0)
     table = sphere_coefficients(slc)
-    rows = table.parseval_row_sums()
+    rows = parseval_row_sums(table)
     worst = 0.0
     for i in range(slc.m_count):
         N, l, m_trans = (int(v) for v in slc.m_labels[i][:3])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kuzweyl.errors import ValidationError
@@ -14,11 +16,16 @@ from kuzweyl.special_functions import (
     gauss_legendre,
     halfline_power_gamma_rhs,
     regularized_pairing,
-    sphere_plane_wave_integral,
     sphere_volume,
 )
 
-from oracles import assoc_legendre, assoc_legendre_normalized, gegenbauer
+from oracles import (
+    assoc_legendre,
+    assoc_legendre_normalized,
+    fourier_halfline_power_damped,
+    gegenbauer,
+    sphere_plane_wave_integral,
+)
 
 PI = math.pi
 
@@ -327,6 +334,56 @@ def test_halfline_gamma_identity_single():
     lhs = fourier_halfline_power(0.25, 3.0)
     rhs = halfline_power_gamma_rhs(0.25, 3.0)
     assert abs(lhs - rhs) < 1e-6
+
+
+
+_CRITERION_9_POINTS = [(b, s) for b in (0.25, 0.5, 1.5) for s in (1.0, 3.0, 10.0)]
+
+
+def _halfline_rel_err(value, beta, sigma):
+    rhs = halfline_power_gamma_rhs(beta, sigma)
+    return abs(value - rhs) / abs(rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(min_value=-0.75, max_value=3.0),
+       sigma=st.floats(min_value=0.3, max_value=10.0))
+def test_halfline_rotation_gamma_identity_property(beta, sigma):
+    value = fourier_halfline_power(beta, sigma)
+    assert _halfline_rel_err(value, beta, sigma) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 3.0, 10.0, 100.0])
+def test_halfline_near_minus_one(sigma):
+    # t = v^4 on [0, 1] would leave the factor v^(4 beta + 3) singular for
+    # beta < -3/4 (2-3 % off at beta = -0.9); t = v^q keeps it polynomial
+    value = fourier_halfline_power(-0.9, sigma)
+    assert _halfline_rel_err(value, -0.9, sigma) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [0.05, 100.0])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.5])
+def test_halfline_rotation_beats_damped_ladder_at_extremes(beta, sigma):
+    # at sigma = 100 the default ladder would build 2.6e7 nodes per step;
+    # stopping it at eps = 2^-7 keeps its largest rule at the size of the
+    # default ladder at sigma = 10
+    schedule = tuple(2.0 ** (-k) for k in range(4, 8 if sigma > 10 else 11))
+    damped = fourier_halfline_power_damped(beta, sigma, schedule=schedule)
+    rotated = fourier_halfline_power(beta, sigma)
+    assert (_halfline_rel_err(rotated, beta, sigma)
+            <= _halfline_rel_err(damped, beta, sigma))
+
+
+def test_halfline_rotation_matches_damped_ladder():
+    for beta, sigma in _CRITERION_9_POINTS:
+        damped = fourier_halfline_power_damped(beta, sigma)
+        assert abs(fourier_halfline_power(beta, sigma) - damped) <= 1e-6
+
+
+def test_halfline_validation():
+    for beta, sigma in ((-1.0, 1.0), (-1.5, 1.0), (0.5, 0.0), (0.5, -2.0)):
+        with pytest.raises(ValidationError):
+            fourier_halfline_power(beta, sigma)
 
 
 def test_sphere_volume_values():
