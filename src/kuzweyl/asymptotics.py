@@ -10,8 +10,7 @@ where it cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,8 @@ __all__ = [
     "subcritical_coefficient",
     "jump_bound_check",
 ]
+
+_Z_95 = 1.96  # two-sided 95% normal quantile of the jump-trend test
 
 
 @dataclass
@@ -129,8 +130,7 @@ def _window_of(psi) -> FourierWindow:
     raise ValidationError("psi must be a TestFunction or FourierWindow")
 
 
-def sphere_leading_coefficient(n: int, d: int, psi,
-                               reg: RegularizedPower = None) -> CoefficientPrediction:
+def sphere_leading_coefficient(n: int, d: int, psi) -> CoefficientPrediction:
     """Global-in-s edge coefficient on the sphere pair:
     int psi_hat(s) (sin(s + i0))^(-(n-d)/2) ds.
 
@@ -141,12 +141,8 @@ def sphere_leading_coefficient(n: int, d: int, psi,
     lo, hi = win.support
     if lo <= -math.pi or hi >= math.pi:
         raise ValidationError("psi_hat support must lie inside (-pi, pi)")
-    alpha = 0.5 * (n - d)
-    if reg is None:
-        reg = RegularizedPower(alpha=alpha)
-    elif reg.alpha != alpha:
-        raise ValidationError("reg.alpha must equal (n-d)/2")
-    limit = regularized_pairing(win.psi_hat, (lo, hi), reg, sign=+1,
+    limit = regularized_pairing(win.psi_hat, (lo, hi),
+                                RegularizedPower(alpha=0.5 * (n - d)), sign=+1,
                                 base=np.sin)
     return CoefficientPrediction(value=limit.value, formula="SphereGlobal",
                                  inputs={"n": n, "d": d,
@@ -155,20 +151,16 @@ def sphere_leading_coefficient(n: int, d: int, psi,
                                          else None})
 
 
-def flat_leading_coefficient(n: int, d: int, psi, vol_H: float = None,
-                             reg: RegularizedPower = None) -> CoefficientPrediction:
+def flat_leading_coefficient(n: int, d: int, psi,
+                             vol_H: float = None) -> CoefficientPrediction:
     """Flat-torus edge coefficient up to the universal constant:
     Vol(H) * Vol(S^{d-1}) * int psi_hat(s) (s + i0)^(-(n-d)/2) ds.
 
     Meaningful only in ratios (the universal constant is left at 1).
     """
     win = _window_of(psi)
-    alpha = 0.5 * (n - d)
-    if reg is None:
-        reg = RegularizedPower(alpha=alpha)
-    elif reg.alpha != alpha:
-        raise ValidationError("reg.alpha must equal (n-d)/2")
-    limit = regularized_pairing(win.psi_hat, win.support, reg, sign=+1)
+    limit = regularized_pairing(win.psi_hat, win.support,
+                                RegularizedPower(alpha=0.5 * (n - d)), sign=+1)
     vol = float(vol_H) if vol_H is not None else (2.0 * math.pi) ** d
     value = limit.value * vol * sphere_volume(d - 1)
     return CoefficientPrediction(value=value, formula="FlatRegularized",
@@ -188,12 +180,11 @@ def subcritical_coefficient(n: int, d: int, c: float, psi,
                                  inputs={"n": n, "d": d, "c": c, "vol_H": vol})
 
 
-def jump_bound_check(lambdas, jumps, n: int, d: int,
-                     z_crit: float = 1.96) -> dict:
+def jump_bound_check(lambdas, jumps, n: int, d: int) -> dict:
     """Normalize jumps by lambda^((n+d)/2 - 1) and test for a positive trend.
 
-    PASS when the OLS slope confidence interval of the normalized sequence
-    against lambda contains 0 or is negative.
+    PASS when the 95% (z = 1.96) OLS slope confidence interval of the
+    normalized sequence against lambda contains 0 or is negative.
     """
     lam = np.asarray(lambdas, dtype=float)
     J = np.asarray(jumps, dtype=float)
@@ -208,7 +199,7 @@ def jump_bound_check(lambdas, jumps, n: int, d: int,
     resid = normalized - np.mean(normalized) - slope * x
     dof = max(len(lam) - 2, 1)
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / float(np.sum(x * x)))
-    ci = (slope - z_crit * se, slope + z_crit * se)
+    ci = (slope - _Z_95 * se, slope + _Z_95 * se)
     return {
         "max": float(np.max(normalized)),
         "median": float(np.median(normalized)),

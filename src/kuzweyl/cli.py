@@ -28,7 +28,6 @@ from . import __version__
 from .asymptotics import (
     fit_growth,
     flat_leading_coefficient,
-    jump_bound_check,
     predicted_exponent,
     sphere_leading_coefficient,
     subcritical_coefficient,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import warnings
 from dataclasses import dataclass, field
 from math import pi
 from typing import Optional
@@ -87,6 +87,7 @@ def _bump(u):
 _G1_PER_Y = 1024  # bump-square g_1 grid points per unit y
 _G1_TAIL = 1024.0  # |g_1(y)| < 1e-16 beyond (1.1e-16 at 1000, 2e-17 at 1100)
 _EVAL_BLOCK = 1 << 15  # psi arguments interpolated per block
+_PRODUCT_BLOCK = 1 << 18  # grid x eigenspace kernel values per block
 
 
 def _smooth_plateau(t):
@@ -392,82 +393,83 @@ def averaged_sharp_sum(table: CoefficientTable, c: float, eps: float,
     return st
 
 
-def _eigenspace_entries(table: CoefficientTable, lambda_j: float):
-    slc = table.slice
-    freqs = slc.m_freqs[table.j_idx]
-    keys = slc.m_eigenkeys[table.j_idx]
-    tol = 1e-9 * max(1.0, abs(lambda_j))
-    near = np.abs(freqs - lambda_j) <= tol
-    if not np.any(near):
-        raise ValidationError(f"{lambda_j} is not an eigenvalue of the slice")
-    cand = np.unique(keys[near])
-    if len(cand) != 1:
-        raise ValidationError(
-            f"{lambda_j} matches several exact eigenspaces; tighten the value")
-    return keys == cand[0]
+def _eigenspaces(table: CoefficientTable, psi: TestFunction):
+    """The c = 1 entry weights summed over each exact eigenspace.
+
+    Entries run in j_idx order and modes in eigenkey order, so each
+    eigenspace is one run of equal keys.  Returns the eigenvalues (that of
+    the run's first entry) and the summed weights.
+    """
+    lam, mu, w = _entry_weights(table, 1.0, psi)
+    keys = table.slice.m_eigenkeys[table.j_idx]
+    new_key = np.ones(len(keys), dtype=bool)
+    new_key[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new_key)
+    return lam[starts], np.add.reduceat(w, starts)
+
+
+def _as_test_function(window) -> TestFunction:
+    return window if isinstance(window, TestFunction) else TestFunction(
+        "sharp", a=float(window))
 
 
 def jump(table: CoefficientTable, window, lambda_j: float) -> float:
     """J^1(lambda_j): the inner sums over the full eigenspace at lambda_j.
 
-    `window` is a TestFunction or a float eps (indicator window).  Matching
-    is by exact eigenspace key, never by float comparison across groups.
+    `window` is a TestFunction or a float eps (indicator window).  lambda_j
+    selects one exact eigenspace; sums never mix eigenspaces.
     """
-    psi = window if isinstance(window, TestFunction) else TestFunction(
-        "sharp", a=float(window))
-    in_space = _eigenspace_entries(table, lambda_j)
-    lam = table.entry_m_freqs()[in_space]
-    mu = table.entry_h_freqs()[in_space]
-    vals = table.values[in_space]
-    return float(np.sum(psi.psi(lam - mu) * vals))
+    lams, sums = _eigenspaces(table, _as_test_function(window))
+    tol = 1e-9 * max(1.0, abs(lambda_j))
+    near = np.flatnonzero(np.abs(lams - lambda_j) <= tol)
+    if len(near) == 0:
+        raise ValidationError(f"{lambda_j} is not an eigenvalue of the slice")
+    if len(near) > 1:
+        raise ValidationError(
+            f"{lambda_j} matches several exact eigenspaces; tighten the value")
+    return float(sums[near[0]])
 
 
 def eigenvalue_jumps(table: CoefficientTable, window, lambda_min: float = 0.0,
                      lambda_max: float = None):
-    """All (lambda_j, J(lambda_j)) for distinct eigenvalues in the range.
-
-    Vectorized over eigenspace groups; used for jump-bound scans.
-    """
-    psi = window if isinstance(window, TestFunction) else TestFunction(
-        "sharp", a=float(window))
+    """All (lambda_j, J(lambda_j)) for distinct eigenvalues in the range."""
     hi = lambda_max if lambda_max is not None else table.lambda_max
-    lam = table.entry_m_freqs()
-    mu = table.entry_h_freqs()
-    keys = table.slice.m_eigenkeys[table.j_idx]
-    w = psi.psi(lam - mu) * table.values
-    order = np.argsort(keys, kind="stable")
-    keys_s, lam_s, w_s = keys[order], lam[order], w[order]
-    group_starts = np.nonzero(np.concatenate(
-        [[True], keys_s[1:] != keys_s[:-1]]))[0]
-    sums = np.add.reduceat(w_s, group_starts)
-    lams = lam_s[group_starts]
+    lams, sums = _eigenspaces(table, _as_test_function(window))
     keep = (lams >= lambda_min) & (lams <= hi)
     return lams[keep], sums[keep]
+
+
+def _grid_product(kernel, grid, lams, weights):
+    """sum_e kernel(grid[:, None], lams[None, :]) weights[e], in row blocks of
+    at most _PRODUCT_BLOCK kernel values (at least one row)."""
+    rows = max(1, _PRODUCT_BLOCK // max(1, len(lams)))
+    return np.concatenate([np.zeros(0)] + [
+        kernel(grid[i:i + rows, None], lams[None, :]) @ weights
+        for i in range(0, len(grid), rows)])
 
 
 def doubly_smoothed_sum(table: CoefficientTable, psi: TestFunction,
                         rho: TestFunction, lambda_grid) -> SumTable:
     """sum_{j,k} rho(lambda - lambda_j) psi(lambda_j - mu_k) |coeff|^2.
 
-    The j-sum runs over all cached modes; warns when the estimated rho mass
-    beyond the cache cutoff exceeds 1e-9 of the total.
+    The j-sum runs over all cached modes, one term per eigenspace; warns
+    when the estimated rho mass beyond the cache cutoff exceeds 1e-9 of the
+    total.
     """
     if rho.kind not in ("fejer", "bumpsquare"):
         raise ValidationError("rho must be a smooth kind")
     grid = np.asarray(lambda_grid, dtype=float)
-    lam, mu, w = _entry_weights(table, 1.0, psi)
-    vals = np.array([float(np.sum(w * rho.psi(g - lam))) for g in grid])
+    lams, sums = _eigenspaces(table, psi)
+    vals = _grid_product(lambda g, l: rho.psi(g - l), grid, lams, sums)
     # rho tail estimate: x^-2 envelope beyond the cache edge times the local
     # modal weight density at the top of the cache
     edge = table.lambda_max
-    top = lam > edge - 1.0
-    density = float(np.sum(np.abs(w[top])))
+    density = float(np.sum(np.abs(sums[lams > edge - 1.0])))
     gaps = np.maximum(edge - grid, 1e-6)
     tail_est = density * rho.scale * (2.0 / (pi * rho.a)) / gaps
     total = np.abs(vals) + 1e-300
     worst = float(np.max(tail_est / total))
     if worst > 1e-9:
-        import warnings
         warnings.warn(f"rho tail beyond cache cutoff may reach {worst:.2g} "
                       "of the total", TailBoundWarning)
     return SumTable(pair=table.pair.to_dict(), c=1.0, test=psi.descriptor(),
@@ -495,10 +497,9 @@ class DualTrace:
 
 def dual_trace(table: CoefficientTable, psi: TestFunction, t_grid) -> DualTrace:
     t_grid = np.asarray(t_grid, dtype=float)
-    lam, mu, w = _entry_weights(table, 1.0, psi)
-    keep = w != 0.0
-    lam, w = lam[keep], w[keep]
-    out = np.empty(len(t_grid), dtype=complex)
-    for i, t in enumerate(t_grid):
-        out[i] = np.sum(w * np.exp(1j * t * lam))
-    return DualTrace(t_grid=t_grid, values=out, test=psi.descriptor())
+    lams, sums = _eigenspaces(table, psi)
+    keep = sums != 0.0
+    values = _grid_product(lambda t, l: np.exp(1j * t * l), t_grid,
+                           lams[keep], sums[keep])
+    return DualTrace(t_grid=t_grid, values=values.astype(complex, copy=False),
+                     test=psi.descriptor())

@@ -251,62 +251,63 @@ def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
 # sphere enumeration
 # --------------------------------------------------------------------------
 
+def _harmonic_dims(q: int, top: int) -> np.ndarray:
+    return np.array([harmonic_dim(q, l) for l in range(top + 1)], dtype=np.int64)
+
+
+def _run_positions(counts) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated, as int32."""
+    pos = np.arange(int(counts.sum()), dtype=np.int32)
+    pos -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)
+    return pos
+
+
 def _enumerate_sphere_ambient(n: int, d: int, normalization: str,
                               cutoff: float, budget: int):
-    """Adapted-basis labels (N, l, m, alpha, beta) for degrees up to cutoff."""
+    """Adapted-basis labels (N, l, m, alpha, beta) for degrees up to cutoff.
+
+    Blocks (N, l, m) with N - l - m even and >= 0 run in lexicographic
+    order; block (N, l, m) holds dim_d(l) * dim_{n-d-1}(m) modes, alpha
+    major, beta minor.
+    """
     n_max = _sphere_degree_max(n, normalization, cutoff)
-    q_trans = n - d - 1
-    total = sum(harmonic_dim(n, N) for N in range(n_max + 1))
+    total = int(_harmonic_dims(n, n_max).sum())
     if total > budget:
         raise ResourceGuardError(f"mode count {total} exceeds budget {budget}")
-    labels = np.empty((total, 5), dtype=np.int32)
-    degrees = np.empty(total, dtype=np.int64)
-    pos = 0
-    for N in range(n_max + 1):
-        block = []
-        for l in range(N, -1, -1):
-            for m in range(N - l, -1, -1):
-                if (N - l - m) % 2:
-                    continue
-                da = harmonic_dim(d, l)
-                db = harmonic_dim(q_trans, m)
-                if da == 0 or db == 0:
-                    continue
-                block.append((l, m, da, db))
-        # lexicographic in (l, m, alpha, beta)
-        block.sort()
-        for (l, m, da, db) in block:
-            cnt = da * db
-            seg = labels[pos:pos + cnt]
-            seg[:, 0] = N
-            seg[:, 1] = l
-            seg[:, 2] = m
-            seg[:, 3] = np.repeat(np.arange(da, dtype=np.int32), db)
-            seg[:, 4] = np.tile(np.arange(db, dtype=np.int32), da)
-            degrees[pos:pos + cnt] = N
-            pos += cnt
-    if pos != total:
+    q = n - d - 1
+    da, db = _harmonic_dims(d, n_max), _harmonic_dims(q, n_max)
+    # (N, l) with l <= N, then m = N - l - 2k >= 0 ascending; S^q has
+    # harmonics of every degree for q >= 1, of degrees 0 and 1 only for q = 0
+    per_N = np.arange(1, n_max + 2)
+    N = np.repeat(np.arange(n_max + 1, dtype=np.int32), per_N)
+    l = _run_positions(per_N)
+    s = N - l
+    per_Nl = s // 2 + 1 if q else np.ones_like(s)
+    N, l, s = np.repeat(N, per_Nl), np.repeat(l, per_Nl), np.repeat(s, per_Nl)
+    m = s % 2 + 2 * _run_positions(per_Nl)
+    del s
+    cnt = da[l] * db[m]
+    if int(cnt.sum()) != total:
         raise RuntimeError("adapted-basis enumeration does not fill the eigenspace")
-    freqs = _sphere_frequency(degrees, n, normalization)
+    labels = np.empty((total, 5), dtype=np.int32)
+    for col, per_block in enumerate((N, l, m)):
+        labels[:, col] = np.repeat(per_block, cnt)
+    np.divmod(_run_positions(cnt), np.repeat(db[m].astype(np.int32), cnt),
+              out=(labels[:, 3], labels[:, 4]))
+    degrees = np.repeat(N.astype(np.int64), cnt)
+    freqs = np.repeat(_sphere_frequency(N, n, normalization), cnt)
     return labels, freqs, degrees
 
 
 def _enumerate_sphere_sub(d: int, normalization: str, cutoff: float, budget: int):
     l_max = _sphere_degree_max(d, normalization, cutoff)
-    total = sum(harmonic_dim(d, l) for l in range(l_max + 1))
+    dims = _harmonic_dims(d, l_max)
+    total = int(dims.sum())
     if total > budget:
         raise ResourceGuardError(f"mode count {total} exceeds budget {budget}")
-    labels = np.empty((total, 2), dtype=np.int32)
-    degrees = np.empty(total, dtype=np.int64)
-    pos = 0
-    for l in range(l_max + 1):
-        cnt = harmonic_dim(d, l)
-        labels[pos:pos + cnt, 0] = l
-        labels[pos:pos + cnt, 1] = np.arange(cnt, dtype=np.int32)
-        degrees[pos:pos + cnt] = l
-        pos += cnt
-    freqs = _sphere_frequency(degrees, d, normalization)
-    return labels, freqs, degrees
+    degrees = np.repeat(np.arange(l_max + 1, dtype=np.int64), dims)
+    labels = np.stack([degrees.astype(np.int32), _run_positions(dims)], axis=1)
+    return labels, _sphere_frequency(degrees, d, normalization), degrees
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 from typing import Callable, Optional
 
@@ -34,7 +34,6 @@ from .kuznecov import FourierWindow, TestFunction, _bump, _smooth_plateau
 from .special_functions import (
     bessel_j_scaled,
     composite_gauss_legendre,
-    gauss_legendre,
     oscillatory_quadrature,
     sphere_volume,
 )

@@ -60,8 +60,11 @@ class CoefficientTable:
     """Sparse table of squared restriction coefficients over a SpectrumSlice.
 
     Entries are triplets (j_idx, k_idx, value) indexing the slice's M- and
-    H-mode arrays, sorted by j_idx (hence by M-frequency).  Values below
-    1e-14 are dropped as exact zeros.
+    H-mode arrays, sorted by j_idx (hence by M-frequency).  The slice's
+    modes are sorted by eigenkey, so slice.m_eigenkeys[j_idx] is
+    non-decreasing and each exact eigenspace is one run of entries; the
+    per-eigenspace sums rely on this.  Values below 1e-14 are dropped as
+    exact zeros.
     """
 
     pair: ManifoldPair

@@ -4,10 +4,12 @@ Legendre and Gegenbauer recurrences (oracles for the closed-form
 restriction coefficients and zonal kernels), the segment-by-segment
 cosine-matrix tabulation of the bump-square g-grid, the x_1-then-R
 quadrature of the d = 2 model integral, the per-node barycentric
-Hadamard transport and the damped-ladder half-line transform.  The last
-four are the loop and damping forms the package's FFT, batched and
-contour-rotated paths replaced; they are slow and kept here only as
-references.
+Hadamard transport, the damped-ladder half-line transform, the per-mode
+forms of the jumps, doubly smoothed sums and dual trace, and the
+(N, l, m) triple-loop sphere enumeration.  All but the first two are the
+loop and damping forms the package's FFT, batched, contour-rotated,
+per-eigenspace and block-level paths replaced; they are slow and kept
+here only as references.
 
 Also the test-only helpers: the direct sphere plane-wave quadrature, the
 full difference spectrum, plain-CSV plot data, the brute tensor
@@ -21,8 +23,19 @@ import numpy as np
 
 from kuzweyl.cli import _write_csv
 from kuzweyl.errors import ResourceGuardError, ValidationError
-from kuzweyl.kuznecov import DualTrace, SumTable, _bump
-from kuzweyl.model_spectra import SpectrumSlice
+from kuzweyl.kuznecov import (
+    DualTrace,
+    SumTable,
+    TestFunction,
+    _bump,
+    _entry_weights,
+)
+from kuzweyl.model_spectra import (
+    SpectrumSlice,
+    _sphere_degree_max,
+    _sphere_frequency,
+    harmonic_dim,
+)
 from kuzweyl.oscillatory_models import (
     ModelCutoff,
     PhaseProblem,
@@ -294,6 +307,91 @@ def fourier_halfline_power_damped(
     r1 = 2.0 * vals[1:] - vals[:-1]
     r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
     return complex(r2[-1])
+
+
+# ---------------------------------- per-mode jumps, smoothed sums and trace
+
+def eigenvalue_jumps_argsort(table, window, lambda_min: float = 0.0,
+                             lambda_max: float = None):
+    """All (lambda_j, J(lambda_j)) for distinct eigenvalues in the range,
+    grouping the entries by a stable argsort of their eigenkeys."""
+    psi = window if isinstance(window, TestFunction) else TestFunction(
+        "sharp", a=float(window))
+    hi = lambda_max if lambda_max is not None else table.lambda_max
+    lam = table.entry_m_freqs()
+    mu = table.entry_h_freqs()
+    keys = table.slice.m_eigenkeys[table.j_idx]
+    w = psi.psi(lam - mu) * table.values
+    order = np.argsort(keys, kind="stable")
+    keys_s, lam_s, w_s = keys[order], lam[order], w[order]
+    group_starts = np.nonzero(np.concatenate(
+        [[True], keys_s[1:] != keys_s[:-1]]))[0]
+    sums = np.add.reduceat(w_s, group_starts)
+    lams = lam_s[group_starts]
+    keep = (lams >= lambda_min) & (lams <= hi)
+    return lams[keep], sums[keep]
+
+
+def doubly_smoothed_loop(table, psi, rho, lambda_grid) -> np.ndarray:
+    """The doubly smoothed sum, one pass over every entry per grid point."""
+    grid = np.asarray(lambda_grid, dtype=float)
+    lam, mu, w = _entry_weights(table, 1.0, psi)
+    return np.array([float(np.sum(w * rho.psi(g - lam))) for g in grid])
+
+
+def dual_trace_loop(table, psi, t_grid) -> np.ndarray:
+    """The dual trace, one pass over every entry per t."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    lam, mu, w = _entry_weights(table, 1.0, psi)
+    keep = w != 0.0
+    lam, w = lam[keep], w[keep]
+    out = np.empty(len(t_grid), dtype=complex)
+    for i, t in enumerate(t_grid):
+        out[i] = np.sum(w * np.exp(1j * t * lam))
+    return out
+
+
+# ------------------------------------------- sphere enumeration, block loop
+
+def enumerate_sphere_ambient_loop(n: int, d: int, normalization: str,
+                                  cutoff: float, budget: int):
+    """Adapted-basis labels (N, l, m, alpha, beta) for degrees up to cutoff,
+    filled block by block in a Python loop over (N, l, m)."""
+    n_max = _sphere_degree_max(n, normalization, cutoff)
+    q_trans = n - d - 1
+    total = sum(harmonic_dim(n, N) for N in range(n_max + 1))
+    if total > budget:
+        raise ResourceGuardError(f"mode count {total} exceeds budget {budget}")
+    labels = np.empty((total, 5), dtype=np.int32)
+    degrees = np.empty(total, dtype=np.int64)
+    pos = 0
+    for N in range(n_max + 1):
+        block = []
+        for l in range(N, -1, -1):
+            for m in range(N - l, -1, -1):
+                if (N - l - m) % 2:
+                    continue
+                da = harmonic_dim(d, l)
+                db = harmonic_dim(q_trans, m)
+                if da == 0 or db == 0:
+                    continue
+                block.append((l, m, da, db))
+        # lexicographic in (l, m, alpha, beta)
+        block.sort()
+        for (l, m, da, db) in block:
+            cnt = da * db
+            seg = labels[pos:pos + cnt]
+            seg[:, 0] = N
+            seg[:, 1] = l
+            seg[:, 2] = m
+            seg[:, 3] = np.repeat(np.arange(da, dtype=np.int32), db)
+            seg[:, 4] = np.tile(np.arange(db, dtype=np.int32), da)
+            degrees[pos:pos + cnt] = N
+            pos += cnt
+    if pos != total:
+        raise RuntimeError("adapted-basis enumeration does not fill the eigenspace")
+    freqs = _sphere_frequency(degrees, n, normalization)
+    return labels, freqs, degrees
 
 
 # ------------------------------------------------------- test-only helpers

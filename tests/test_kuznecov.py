@@ -1,14 +1,19 @@
 import math
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kuzweyl.errors import TruncationRiskError, ValidationError
 from kuzweyl.kuznecov import (
     DualTrace,
     FourierWindow,
     SumTable,
+    _entry_weights,
     averaged_sharp_sum,
     dominating_test_function,
     doubly_smoothed_sum,
@@ -21,13 +26,24 @@ from kuzweyl.kuznecov import (
     shifted_bump_window,
 )
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
-from kuzweyl.restriction_coeffs import sphere_coefficients, torus_coefficients
+from kuzweyl.restriction_coeffs import (
+    load_or_build,
+    sphere_coefficients,
+    torus_coefficients,
+)
 from kuzweyl.special_functions import (
     composite_gauss_legendre,
     gauss_legendre,
 )
 
-from oracles import assoc_legendre, bump_g_direct, bump_g_grid_loop
+from oracles import (
+    assoc_legendre,
+    bump_g_direct,
+    bump_g_grid_loop,
+    doubly_smoothed_loop,
+    dual_trace_loop,
+    eigenvalue_jumps_argsort,
+)
 
 PI = math.pi
 
@@ -413,6 +429,72 @@ def test_dual_trace_torus_period_peak(torus21_table):
     interior = (t > 1.0) & (t < 7.5)
     peak_t = t[interior][np.argmax(mag[interior])]
     assert abs(peak_t - 2 * PI) < 0.3
+
+
+# ----------------------------------------------- per-eigenspace reduction
+
+# small pairs: ambient dimension -> lambda_max keeping the tables a few
+# thousand entries
+_LAMBDA_TOP = {2: 20.0, 3: 9.0, 4: 5.0}
+
+
+@st.composite
+def _small_pairs(draw):
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["torus-uniform", "torus-periods", "sphere"]))
+    if kind == "sphere":
+        pair = sphere_pair(n, d, draw(st.sampled_from(["laplace", "degree"])))
+    elif kind == "torus-uniform":
+        pair = torus_pair(n, d, (draw(st.floats(5.0, 8.0)),) * n)
+    else:
+        pair = torus_pair(n, d, tuple(draw(st.lists(
+            st.floats(5.0, 8.0), min_size=n, max_size=n, unique=True))))
+    return pair, draw(st.floats(2.0, _LAMBDA_TOP[n]))
+
+
+_windows = st.one_of(
+    st.builds(make_test_function, st.sampled_from(["fejer", "bumpsquare"]),
+              st.floats(0.3, 2.0)),
+    st.floats(0.0, 1.0))  # a float eps is the sharp window
+
+
+def _assert_keys_run(table):
+    """The reduction's precondition: eigenkeys non-decreasing over entries."""
+    assert np.all(np.diff(table.slice.m_eigenkeys[table.j_idx]) >= 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_small_pairs(), window=_windows)
+def test_eigenspace_reduction_matches_per_mode_oracles(case, window):
+    pair, lam_top = case
+    with tempfile.TemporaryDirectory() as cache:
+        table = load_or_build(pair, lam_top, cache, mu_max=lam_top + 3.0)
+        _assert_keys_run(table)
+        _assert_keys_run(load_or_build(pair, lam_top, cache,
+                                       mu_max=lam_top + 3.0))
+    lams, jumps = eigenvalue_jumps(table, window)
+    want_lams, want_jumps = eigenvalue_jumps_argsort(table, window)
+    assert np.array_equal(lams, want_lams)
+    assert np.array_equal(jumps, want_jumps)
+    for i in np.linspace(0, len(lams) - 1, 4).astype(int):
+        assert jump(table, window, float(lams[i])) == jumps[i]
+
+    psi = window if not isinstance(window, float) else make_test_function(
+        "sharp", window)
+    rho = make_test_function("fejer", 3.0)
+    grid = np.linspace(1.0, lam_top, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = doubly_smoothed_sum(table, psi, rho, grid).values
+    lam, mu, w = _entry_weights(table, 1.0, psi)
+    scale = np.array([np.sum(np.abs(w * rho.psi(g - lam))) for g in grid])
+    assert np.all(np.abs(got - doubly_smoothed_loop(table, psi, rho, grid))
+                  <= 1e-12 * scale)
+    t = np.linspace(0.0, 10.0, 9)
+    got = dual_trace(table, psi, t).values
+    assert np.all(np.abs(got - dual_trace_loop(table, psi, t))
+                  <= 1e-12 * np.sum(np.abs(w)))
 
 
 # ------------------------------------------------------------------- tables

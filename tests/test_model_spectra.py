@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from kuzweyl.errors import ResourceGuardError, ValidationError
 from kuzweyl.model_spectra import (
     ManifoldPair,
+    _enumerate_sphere_ambient,
+    _enumerate_sphere_sub,
+    _sphere_frequency,
     enumerate_spectrum,
     harmonic_dim,
     sphere_pair,
     torus_pair,
 )
 
-from oracles import difference_spectrum
+from oracles import difference_spectrum, enumerate_sphere_ambient_loop
 
 
 def test_pair_validation():
@@ -118,6 +121,33 @@ def test_enumeration_deterministic():
     s = enumerate_spectrum(sphere_pair(3, 2), 9.0)
     t = enumerate_spectrum(sphere_pair(3, 2), 9.0)
     assert np.array_equal(s.m_labels, t.m_labels)
+
+
+@pytest.mark.parametrize("normalization", ["laplace", "degree"])
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
+                                 (5, 2), (5, 3)])
+def test_sphere_enumeration_matches_loops(n, d, normalization):
+    # cutoffs midway between consecutive degrees, so n_max = 0, 1, 2, 7
+    for n_max in (0, 1, 2, 7):
+        cutoff = 0.5 * float(_sphere_frequency(n_max, n, normalization)
+                             + _sphere_frequency(n_max + 1, n, normalization))
+        got = _enumerate_sphere_ambient(n, d, normalization, cutoff, 10**6)
+        want = enumerate_sphere_ambient_loop(n, d, normalization, cutoff,
+                                             10**6)
+        assert int(got[2].max()) == n_max
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        # the submanifold S^d: (l, alpha) rows, degree-major
+        labels, freqs, degrees = _enumerate_sphere_sub(d, normalization,
+                                                       cutoff, 10**6)
+        want = [(l, a) for l in range(int(degrees.max()) + 1)
+                for a in range(harmonic_dim(d, l))]
+        assert labels.dtype == np.int32 and degrees.dtype == np.int64
+        assert np.array_equal(labels, np.array(want))
+        assert np.array_equal(degrees, labels[:, 0])
+        assert np.array_equal(freqs, _sphere_frequency(degrees, d,
+                                                       normalization))
 
 
 def test_frequencies_sorted_and_nonnegative():

@@ -322,10 +322,6 @@ def test_pairing_signs_are_conjugate():
 def test_regularized_power_validation():
     with pytest.raises(ValidationError):
         RegularizedPower(alpha=-0.5)
-    with pytest.raises(ValidationError):
-        RegularizedPower(alpha=0.5, schedule=(0.1, 0.2, 0.05, 0.01))
-    with pytest.raises(ValidationError):
-        RegularizedPower(alpha=0.5, schedule=(0.1, 0.05))
 
 
 def test_halfline_gamma_identity_single():
