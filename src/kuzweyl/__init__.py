@@ -27,6 +27,8 @@ from .model_spectra import (
 )
 from .restriction_coeffs import (
     CoefficientTable,
+    RowTable,
+    build_table,
     load_or_build,
     sphere_coefficients,
     torus_coefficients,

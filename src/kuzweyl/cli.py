@@ -139,12 +139,12 @@ def _cmd_coeffs(args) -> int:
     pair = _parse_pair(args.pair)
     table = load_or_build(pair, args.lmax, _cache_dir(args.cache_dir),
                           mu_max=args.mumax, budget=args.budget)
-    print(f"{pair.label}: {table.entry_count} coefficient entries "
+    print(f"{pair.label}: {table.entry_count} coefficient rows "
           f"(lambda_max={table.lambda_max}, mu_max={table.mu_max})")
     if args.out:
-        rows = zip(table.j_idx.tolist(), table.k_idx.tolist(),
-                   table.values.tolist())
-        _write_csv(args.out, ["j_index", "k_index", "value"], rows)
+        rows = zip(table.lam.tolist(), table.mu.tolist(),
+                   table.weight.tolist())
+        _write_csv(args.out, ["lambda", "mu", "weight"], rows)
     return 0
 
 

@@ -10,9 +10,10 @@ psi and compactly supported psi_hat:
                      g is tabulated by one real FFT (see TestFunction)
   * sharp(eps):      psi = indicator of [-eps, eps] (sharp-sharp sums only)
 
-Sums evaluate the cached double sum exactly; the inner sum runs over the
-full cached H-spectrum and the contribution beyond mu_k > c*lambda_j + 10a
-is reported as `tail_fraction` metadata.
+Sums evaluate the cached double sum exactly, over the rows of a RowTable
+(one per eigenvalue pair) or the entries of a per-mode CoefficientTable;
+the inner sum runs over the full cached H-spectrum and the contribution
+beyond mu_k > c*lambda_j + 10a is reported as `tail_fraction` metadata.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from math import pi
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import TailBoundWarning, TruncationRiskError, ValidationError
-from .restriction_coeffs import CoefficientTable
+from .restriction_coeffs import CoefficientTable, RowTable
 from .special_functions import composite_gauss_legendre
+
+# the sums read the (lam, mu, weight, key) view that both table kinds expose
+Table = Union[CoefficientTable, RowTable]
 
 __all__ = [
     "TestFunction",
@@ -88,6 +92,10 @@ _G1_PER_Y = 1024  # bump-square g_1 grid points per unit y
 _G1_TAIL = 1024.0  # |g_1(y)| < 1e-16 beyond (1.1e-16 at 1000, 2e-17 at 1100)
 _EVAL_BLOCK = 1 << 15  # psi arguments interpolated per block
 _PRODUCT_BLOCK = 1 << 18  # grid x eigenspace kernel values per block
+# every tabulation reaches at least this y, so the dominating window's
+# minimum on [0, eps] and a first sum up to |x| = 510/a share one FFT; with
+# the _G1_TAIL margin that FFT has 10 * 2^17 points (y = 256 would need 11)
+_G1_FIRST = 255.0
 
 
 def _smooth_plateau(t):
@@ -164,8 +172,9 @@ class TestFunction:
         return _bump(2.0 * np.asarray(s, dtype=float) / self.a)
 
     def _ensure_g_grid(self, xmax: float) -> None:
-        """Tabulate g on x_k = k/(512 a) up to xmax (see the class doc)."""
-        k_need = min(0.5 * self.a * xmax, _G1_TAIL) * _G1_PER_Y
+        """Tabulate g on x_k = k/(512 a) up to xmax, and at least up to
+        y = a x / 2 = _G1_FIRST (see the class doc)."""
+        k_need = min(max(0.5 * self.a * xmax, _G1_FIRST), _G1_TAIL) * _G1_PER_Y
         if self._g_grid is not None and k_need <= len(self._g_grid) - 2:
             return
         n = int(k_need + _G1_TAIL * _G1_PER_Y) + 3
@@ -313,14 +322,12 @@ class SumTable:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
 
 
-def _entry_weights(table: CoefficientTable, c: float, psi: TestFunction):
-    lam = table.entry_m_freqs()
-    mu = table.entry_h_freqs()
-    w = psi.psi(c * lam - mu) * table.values
-    return lam, mu, w
+def _entry_weights(table: Table, c: float, psi: TestFunction):
+    lam, mu = table.lam, table.mu
+    return lam, mu, psi.psi(c * lam - mu) * table.weight
 
 
-def _check_grid(table: CoefficientTable, c: float, margin: float, grid):
+def _check_grid(table: Table, c: float, margin: float, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValidationError("lambda grid must be strictly increasing")
@@ -337,7 +344,7 @@ def _check_grid(table: CoefficientTable, c: float, margin: float, grid):
     return grid
 
 
-def kuznecov_sum(table: CoefficientTable, c: float, psi: TestFunction,
+def kuznecov_sum(table: Table, c: float, psi: TestFunction,
                  lambda_grid, variant: str = "smooth-sharp") -> SumTable:
     """N^c(lambda) = sum_{lambda_j <= lambda} sum_k psi(c lambda_j - mu_k) |coeff|^2.
 
@@ -363,7 +370,7 @@ def kuznecov_sum(table: CoefficientTable, c: float, psi: TestFunction,
                     metadata=meta)
 
 
-def sharp_sum(table: CoefficientTable, c: float, eps: float,
+def sharp_sum(table: Table, c: float, eps: float,
               lambda_grid) -> SumTable:
     """Sharp-sharp variant: indicator window |c lambda_j - mu_k| <= eps."""
     if eps < 0:
@@ -374,7 +381,7 @@ def sharp_sum(table: CoefficientTable, c: float, eps: float,
     return out
 
 
-def averaged_sharp_sum(table: CoefficientTable, c: float, eps: float,
+def averaged_sharp_sum(table: Table, c: float, eps: float,
                        lambda_grid, jitter: float = 0.1,
                        samples: int = 5) -> SumTable:
     """Mean of sharp sums over eps * (1 +- jitter), damping the jumps the
@@ -393,15 +400,15 @@ def averaged_sharp_sum(table: CoefficientTable, c: float, eps: float,
     return st
 
 
-def _eigenspaces(table: CoefficientTable, psi: TestFunction):
+def _eigenspaces(table: Table, psi: TestFunction):
     """The c = 1 entry weights summed over each exact eigenspace.
 
-    Entries run in j_idx order and modes in eigenkey order, so each
-    eigenspace is one run of equal keys.  Returns the eigenvalues (that of
-    the run's first entry) and the summed weights.
+    Entries (rows) run in eigenkey order, so each eigenspace is one run of
+    equal keys.  Returns the eigenvalues (that of the run's first entry)
+    and the summed weights.
     """
     lam, mu, w = _entry_weights(table, 1.0, psi)
-    keys = table.slice.m_eigenkeys[table.j_idx]
+    keys = table.key
     new_key = np.ones(len(keys), dtype=bool)
     new_key[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(new_key)
@@ -413,7 +420,7 @@ def _as_test_function(window) -> TestFunction:
         "sharp", a=float(window))
 
 
-def jump(table: CoefficientTable, window, lambda_j: float) -> float:
+def jump(table: Table, window, lambda_j: float) -> float:
     """J^1(lambda_j): the inner sums over the full eigenspace at lambda_j.
 
     `window` is a TestFunction or a float eps (indicator window).  lambda_j
@@ -430,7 +437,7 @@ def jump(table: CoefficientTable, window, lambda_j: float) -> float:
     return float(sums[near[0]])
 
 
-def eigenvalue_jumps(table: CoefficientTable, window, lambda_min: float = 0.0,
+def eigenvalue_jumps(table: Table, window, lambda_min: float = 0.0,
                      lambda_max: float = None):
     """All (lambda_j, J(lambda_j)) for distinct eigenvalues in the range."""
     hi = lambda_max if lambda_max is not None else table.lambda_max
@@ -448,7 +455,7 @@ def _grid_product(kernel, grid, lams, weights):
         for i in range(0, len(grid), rows)])
 
 
-def doubly_smoothed_sum(table: CoefficientTable, psi: TestFunction,
+def doubly_smoothed_sum(table: Table, psi: TestFunction,
                         rho: TestFunction, lambda_grid) -> SumTable:
     """sum_{j,k} rho(lambda - lambda_j) psi(lambda_j - mu_k) |coeff|^2.
 
@@ -495,7 +502,7 @@ class DualTrace:
                                  f"{v.imag:.17g}", f"{abs(v):.17g}"])
 
 
-def dual_trace(table: CoefficientTable, psi: TestFunction, t_grid) -> DualTrace:
+def dual_trace(table: Table, psi: TestFunction, t_grid) -> DualTrace:
     t_grid = np.asarray(t_grid, dtype=float)
     lams, sums = _eigenspaces(table, psi)
     keep = sums != 0.0

@@ -17,6 +17,12 @@ with k = (N-l)/2, A = (n-d-2)/2, B = l + (d-1)/2, h_k the Jacobi norm and
 c0 the measure constant of the split.  For (n, d) = (2, 1) it equals the
 squared theta-normalized associated Legendre value at the equator, which
 the tests use as an independent oracle.
+
+So the sums need only eigenvalue pairs and the coefficient mass on each:
+build_table and load_or_build return a RowTable (torus shell pairs, sphere
+(N, l) blocks); torus_coefficients and sphere_coefficients keep the
+per-mode CoefficientTable over an enumerated SpectrumSlice.  Both expose
+the (lam, mu, weight, key) view the sums read.
 """
 
 from __future__ import annotations
@@ -28,23 +34,27 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from math import lgamma
+from math import lgamma, pi
 from typing import Optional
 
 import numpy as np
 
-from .errors import CacheCorruptionWarning, ValidationError
+from .errors import CacheCorruptionWarning, ResourceGuardError, ValidationError
 from .model_spectra import (
     MODE_BUDGET_DEFAULT,
     ManifoldPair,
     SpectrumSlice,
-    enumerate_spectrum,
+    _harmonic_dims,
+    _run_positions,
+    _sphere_degree_max,
+    _sphere_frequency,
 )
 from .special_functions import sphere_volume
 
 __all__ = [
     "SCHEMA_VERSION",
     "CoefficientTable",
+    "RowTable",
     "torus_coefficients",
     "sphere_coefficients",
     "sphere_coefficient_value",
@@ -52,19 +62,22 @@ __all__ = [
     "load_or_build",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass
 class CoefficientTable:
-    """Sparse table of squared restriction coefficients over a SpectrumSlice.
+    """Sparse per-mode table of squared restriction coefficients.
 
     Entries are triplets (j_idx, k_idx, value) indexing the slice's M- and
     H-mode arrays, sorted by j_idx (hence by M-frequency).  The slice's
-    modes are sorted by eigenkey, so slice.m_eigenkeys[j_idx] is
-    non-decreasing and each exact eigenspace is one run of entries; the
-    per-eigenspace sums rely on this.  Values below 1e-14 are dropped as
-    exact zeros.
+    modes are sorted by eigenkey, so the entry keys are non-decreasing and
+    each exact eigenspace is one run of entries; the per-eigenspace sums
+    rely on this.  Values below 1e-14 are dropped as exact zeros.
+
+    `lam`, `mu`, `weight` and `key` gather the entries' M-frequency,
+    H-frequency, value and M-eigenkey: the view the sums read, shared with
+    RowTable.
     """
 
     pair: ManifoldPair
@@ -80,15 +93,50 @@ class CoefficientTable:
     def entry_count(self) -> int:
         return len(self.values)
 
-    def entry_m_freqs(self) -> np.ndarray:
+    @property
+    def lam(self) -> np.ndarray:
         return self.slice.m_freqs[self.j_idx]
 
-    def entry_h_freqs(self) -> np.ndarray:
+    @property
+    def mu(self) -> np.ndarray:
         return self.slice.h_freqs[self.k_idx]
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self.values
+
+    @property
+    def key(self) -> np.ndarray:
+        return self.slice.m_eigenkeys[self.j_idx]
+
+
+@dataclass
+class RowTable:
+    """Squared restriction coefficients summed over eigenvalue pairs.
+
+    Row i stands for a set of (M-mode, H-mode) entries that share the
+    M-frequency lam[i] and the H-frequency mu[i]; weight[i] is the sum of
+    their squared coefficients.  Rows are sorted by the exact integer
+    M-eigenkey `key` (the same keys as SpectrumSlice.m_eigenkeys), so each
+    eigenspace is one run of rows.  Torus rows are the shell pairs (A, B)
+    of the factor lattices, sphere rows the blocks (N, l).
+    """
+
+    pair: ManifoldPair
+    lambda_max: float
+    mu_max: float
+    lam: np.ndarray
+    mu: np.ndarray
+    weight: np.ndarray
+    key: np.ndarray
+
+    @property
+    def entry_count(self) -> int:
+        return len(self.weight)
 
     def build_hash(self) -> str:
         h = hashlib.sha256()
-        for arr in (self.j_idx, self.k_idx, self.values):
+        for arr in (self.lam, self.mu, self.weight, self.key):
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -189,96 +237,196 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
 
 
 # --------------------------------------------------------------------------
-# build + cache
+# row tables
 # --------------------------------------------------------------------------
+
+def _lattice_shells(scale, cutoff: float, budget: int):
+    """Shells of the lattice points m with sum (scale_i m_i)^2 <= cutoff^2.
+
+    Returns the squared norms, ascending, and their multiplicities.  Unit
+    scales give exact integer norms, other scales the float squared
+    frequencies summed in coordinate order, as the mode enumeration sums
+    them.  np.unique needs memory in the point count; np.bincount would
+    need it in cutoff^2 (8e8 bytes for a 1-D factor at cutoff 1e4).
+    """
+    integer = all(s == 1.0 for s in scale)
+    cut2 = cutoff * cutoff * (1 + 1e-15)
+    q = np.zeros(1, dtype=np.int64 if integer else float)
+    for s in scale:
+        top = int(cutoff / s + 1e-12)
+        m = np.arange(-top, top + 1, dtype=np.int64)
+        if len(q) * len(m) > budget:
+            raise ResourceGuardError(
+                f"factor lattice needs {len(q) * len(m)} points, "
+                f"over budget {budget}")
+        q = (q[:, None] + (m * m if integer else (s * m) ** 2)).ravel()
+        q = q[q <= cut2]
+    return np.unique(q, return_counts=True)
+
+
+def _check_rows(rows: int, budget: int) -> None:
+    if rows > budget:
+        raise ResourceGuardError(f"row count {rows} exceeds budget {budget}")
+
+
+def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
+    """One row per shell pair (A, B) of the factor lattices Z^d x Z^(n-d)
+    with A + B <= lambda_max^2, weight r_H(A) r_T(B) / Vol(T^(n-d)).
+
+    Equal periods give integer keys A + B (as the mode enumeration's keys);
+    other periods the enumeration's rounded squared-frequency keys.
+    """
+    d = pair.d
+    scale = 2.0 * pi / np.array(pair.torus_periods)
+    uniform = bool(np.all(scale == scale[0]))
+    unit = float(scale[0]) if uniform else 1.0
+    factor = np.ones(pair.n) if uniform else scale
+    cutoff = lambda_max / unit
+    (a, r_h), (b, r_t) = (_lattice_shells(part, cutoff, budget)
+                          for part in (factor[:d], factor[d:]))
+    per_a = np.searchsorted(b, cutoff * cutoff * (1 + 1e-15) - a, side="right")
+    _check_rows(int(per_a.sum()), budget)
+    ia = np.repeat(np.arange(len(a)), per_a)
+    ib = _run_positions(per_a)
+    value = 1.0
+    for L in pair.torus_periods[d:]:
+        value /= L
+    weight = (r_h[ia] * r_t[ib]) * value
+    a, b = a[ia], b[ib]
+    q = a + b
+    lam, mu = unit * np.sqrt(q), unit * np.sqrt(a)
+    if uniform:
+        key = q
+    else:
+        key = np.round(q / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
+    order = np.lexsort((lam, key))
+    return lam[order], mu[order], weight[order], key[order]
+
+
+def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
+    """One row per block (N, l), l <= N with N - l even, weight
+    dim H_l(S^d) * sphere_coefficient_value(n, d, N, l).
+
+    Every such l is inside the H cutoff: the H-frequency of degree l is at
+    most the M-frequency of degree N, and mu_max >= lambda_max.
+    """
+    n, d, norm = pair.n, pair.d, pair.normalization
+    n_max = _sphere_degree_max(n, norm, lambda_max)
+    N = np.arange(n_max + 1)
+    per_N = N // 2 + 1
+    _check_rows(int(per_N.sum()), budget)
+    N = np.repeat(N, per_N)
+    l = N % 2 + 2 * _run_positions(per_N)
+    c = np.array([sphere_coefficient_value(n, d, Nv, lv)
+                  for Nv, lv in zip(N.tolist(), l.tolist())], dtype=float)
+    keep = c > 1e-14  # the per-mode tables' exact-zero rule
+    N, l = N[keep], l[keep]
+    weight = _harmonic_dims(d, n_max)[l] * c[keep]
+    return (_sphere_frequency(N, n, norm), _sphere_frequency(l, d, norm),
+            weight, N.astype(np.int64))
+
+
+def _mu_cutoff(lambda_max: float, mu_max) -> float:
+    mu = float(mu_max) if mu_max is not None else float(lambda_max)
+    return max(mu, float(lambda_max))
+
 
 def build_table(pair: ManifoldPair, lambda_max: float, *,
                 mu_max: float = None,
-                budget: int = MODE_BUDGET_DEFAULT) -> CoefficientTable:
-    mu = float(mu_max) if mu_max is not None else float(lambda_max)
-    mu = max(mu, float(lambda_max))
-    slice_ = enumerate_spectrum(pair, lambda_max, h_cutoff=mu, budget=budget)
-    if pair.kind == "torus":
-        return torus_coefficients(slice_)
-    return sphere_coefficients(slice_)
+                budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
+    """Row table of every M-mode up to lambda_max against the H-modes up to
+    mu_max (default and floor: lambda_max).
+
+    Raises ResourceGuardError, before allocating, when the factor-lattice
+    points or the rows would exceed the budget.
+    """
+    if lambda_max <= 0:
+        raise ValidationError("lambda_max must be > 0")
+    lam_max, mu = float(lambda_max), _mu_cutoff(lambda_max, mu_max)
+    rows = _torus_rows if pair.kind == "torus" else _sphere_rows
+    return RowTable(pair, lam_max, mu, *rows(pair, lam_max, budget))
 
 
-def _cache_key(pair: ManifoldPair, lambda_max: float, mu_max) -> str:
-    key = json.dumps({"pair": pair.to_dict(), "lambda_max": lambda_max,
-                      "mu_max": mu_max, "schema": SCHEMA_VERSION},
-                     sort_keys=True)
+# --------------------------------------------------------------------------
+# cache
+# --------------------------------------------------------------------------
+
+# A cache file is _MAGIC, a one-line JSON header, the four row arrays
+# (lam, mu, weight as little-endian float64, key as int64) and the sha256
+# of everything before it, so any truncation or flipped byte is caught.
+_MAGIC = b"kuzweyl rows\n"
+_ROW_DTYPES = ("<f8", "<f8", "<f8", "<i8")
+
+
+def _header(pair: ManifoldPair, lambda_max: float, mu_max: float) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "pair": pair.to_dict(),
+            "lambda_max": lambda_max, "mu_max": mu_max}
+
+
+def _cache_key(pair: ManifoldPair, lambda_max: float, mu_max: float) -> str:
+    key = json.dumps(_header(pair, lambda_max, mu_max), sort_keys=True)
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
-def _save_table(table: CoefficientTable, path: str) -> None:
-    header = json.dumps({
-        "schema_version": SCHEMA_VERSION,
-        "pair": table.pair.to_dict(),
-        "lambda_max": table.lambda_max,
-        "mu_max": table.mu_max,
-        "build_hash": table.build_hash(),
-    })
+def _save_rows(table: RowTable, path: str) -> None:
+    body = b"".join(
+        [_MAGIC, json.dumps(_header(table.pair, table.lambda_max,
+                                    table.mu_max)).encode(), b"\n"]
+        + [np.ascontiguousarray(arr, dtype=dt).tobytes() for arr, dt in
+           zip((table.lam, table.mu, table.weight, table.key), _ROW_DTYPES)])
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                         suffix=".tmp")
     try:
         with os.fdopen(tmp_fd, "wb") as fh:
-            np.savez(fh,
-                     header=np.frombuffer(header.encode(), dtype=np.uint8),
-                     m_labels=table.slice.m_labels,
-                     m_freqs=table.slice.m_freqs,
-                     m_eigenkeys=table.slice.m_eigenkeys,
-                     h_labels=table.slice.h_labels,
-                     h_freqs=table.slice.h_freqs,
-                     h_eigenkeys=table.slice.h_eigenkeys,
-                     j_idx=table.j_idx, k_idx=table.k_idx, values=table.values)
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest())
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
 
 
-def _load_table(path: str, pair: ManifoldPair, lambda_max: float,
-                mu_max: float) -> Optional[CoefficientTable]:
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header.get("schema_version") != SCHEMA_VERSION:
-            return None
-        if header["pair"] != pair.to_dict():
-            return None
-        if header["lambda_max"] != lambda_max or header["mu_max"] != mu_max:
-            return None
-        slice_ = SpectrumSlice(
-            pair=pair, cutoff=lambda_max, h_cutoff=mu_max,
-            m_labels=data["m_labels"], m_freqs=data["m_freqs"],
-            m_eigenkeys=data["m_eigenkeys"], h_labels=data["h_labels"],
-            h_freqs=data["h_freqs"], h_eigenkeys=data["h_eigenkeys"])
-        table = CoefficientTable(
-            pair=pair, lambda_max=lambda_max, mu_max=mu_max,
-            schema_version=SCHEMA_VERSION, slice=slice_,
-            j_idx=data["j_idx"], k_idx=data["k_idx"], values=data["values"])
-        if table.build_hash() != header["build_hash"]:
-            raise ValueError("payload hash mismatch")
-        return table
+def _load_rows(path: str, pair: ManifoldPair, lambda_max: float,
+               mu_max: float) -> Optional[RowTable]:
+    """The cached rows; None for a stale file (another schema or key),
+    ValueError for a damaged one."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(b"PK"):  # an npz table of schema <= 2
+        return None
+    body = memoryview(raw)[:-32]
+    digest = hashlib.sha256(body).digest()
+    if not raw.startswith(_MAGIC) or digest != raw[-32:]:
+        raise ValueError("checksum mismatch")
+    end = raw.index(b"\n", len(_MAGIC))
+    if json.loads(raw[len(_MAGIC):end]) != _header(pair, lambda_max, mu_max):
+        return None
+    payload = body[end + 1:]
+    rows, rest = divmod(len(payload), 32)
+    if rest:
+        raise ValueError("row payload is not four whole arrays")
+    arrays = [np.frombuffer(payload, dtype=dt, count=rows, offset=8 * rows * i)
+              for i, dt in enumerate(_ROW_DTYPES)]
+    return RowTable(pair, lambda_max, mu_max, *arrays)
 
 
 def load_or_build(pair: ManifoldPair, lambda_max: float, cache_dir: str, *,
                   mu_max: float = None,
-                  budget: int = MODE_BUDGET_DEFAULT) -> CoefficientTable:
-    """Cached table fetch: returns the cached build when the key matches,
-    rebuilds (and replaces the file) on miss, version mismatch, or corruption."""
+                  budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
+    """Cached build_table: returns the cached rows when the key matches,
+    rebuilds (and replaces the file) on a miss or a stale file, and warns
+    CacheCorruptionWarning before rebuilding over a damaged one."""
     os.makedirs(cache_dir, exist_ok=True)
-    mu = float(mu_max) if mu_max is not None else float(lambda_max)
-    mu = max(mu, float(lambda_max))
-    key = _cache_key(pair, float(lambda_max), mu)
-    path = os.path.join(cache_dir, f"coeffs-{key}.npz")
+    lam_max, mu = float(lambda_max), _mu_cutoff(lambda_max, mu_max)
+    path = os.path.join(cache_dir, f"rows-{_cache_key(pair, lam_max, mu)}.bin")
     if os.path.exists(path):
         try:
-            cached = _load_table(path, pair, float(lambda_max), mu)
+            cached = _load_rows(path, pair, lam_max, mu)
             if cached is not None:
                 return cached
-        except Exception as exc:
+        except (OSError, ValueError) as exc:
             warnings.warn(f"cache file {path} unusable ({exc}); rebuilding",
                           CacheCorruptionWarning)
-    table = build_table(pair, lambda_max, mu_max=mu, budget=budget)
-    _save_table(table, path)
+    table = build_table(pair, lam_max, mu_max=mu, budget=budget)
+    _save_rows(table, path)
     return table

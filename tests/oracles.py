@@ -318,8 +318,8 @@ def eigenvalue_jumps_argsort(table, window, lambda_min: float = 0.0,
     psi = window if isinstance(window, TestFunction) else TestFunction(
         "sharp", a=float(window))
     hi = lambda_max if lambda_max is not None else table.lambda_max
-    lam = table.entry_m_freqs()
-    mu = table.entry_h_freqs()
+    lam = table.slice.m_freqs[table.j_idx]
+    mu = table.slice.h_freqs[table.k_idx]
     keys = table.slice.m_eigenkeys[table.j_idx]
     w = psi.psi(lam - mu) * table.values
     order = np.argsort(keys, kind="stable")

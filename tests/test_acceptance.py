@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Heavy spectral tables are built inside module fixtures that keep only the
-derived numbers, so the large lattices are freed before the next pair is
-built (the full (3,1)/(3,2) tables run near 2 GB each).
+derived numbers, so each table is freed before the next pair is built.
+The n = 3 pairs use shell-pair row tables (build_table): the per-mode
+(3,1)/(3,2) tables at 162 run near 2 GB each.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
@@ -38,7 +39,11 @@ from kuzweyl.oscillatory_models import (
     sphere_wave_kernel,
     sphere_zonal_sum,
 )
-from kuzweyl.restriction_coeffs import sphere_coefficients, torus_coefficients
+from kuzweyl.restriction_coeffs import (
+    build_table,
+    sphere_coefficients,
+    torus_coefficients,
+)
 from kuzweyl.special_functions import (
     RegularizedPower,
     fourier_halfline_power,
@@ -53,9 +58,9 @@ PI = math.pi
 BIG_BUDGET = 40_000_000
 
 # The spec window [100, 800] is used verbatim for the (2,1) pair.  For the
-# n = 3 pairs that window needs ~2.1e9 modes (~34 GB), far past the resource
-# guard, so they run on the largest dyadic window that fits the budget;
-# exponent targets are unchanged.  See the decisions ledger.
+# n = 3 pairs that window needs ~2.1e9 modes (~34 GB) per mode, far past the
+# resource guard, so they run on the largest dyadic window that fit the
+# per-mode budget; exponent targets are unchanged.  See the decisions ledger.
 WINDOW_21 = (100.0, 800.0)
 WINDOW_3D = (50.0, 160.0)
 
@@ -142,8 +147,8 @@ def torus31():
     grid = np.geomspace(*WINDOW_3D, 14)
     psi_bulk = make_test_function("fejer", 1.0)
     psi_small = make_test_function("fejer", 0.5)
-    table = torus_coefficients(enumerate_spectrum(
-        torus_pair(3, 1), 162.0, h_cutoff=172.0, budget=BIG_BUDGET))
+    table = build_table(torus_pair(3, 1), 162.0, mu_max=172.0,
+                        budget=BIG_BUDGET)
     sharp_avg = averaged_sharp_sum(table, 1.0, 0.5, grid, jitter=0.1,
                                    samples=5)
     sharp_plain = sharp_sum(table, 1.0, 0.5, grid)
@@ -171,8 +176,8 @@ def torus32():
     grid = np.geomspace(*WINDOW_3D, 14)
     psi1 = make_test_function("fejer", 1.0)
     psi2 = make_test_function("bumpsquare", 1.0)
-    table = torus_coefficients(enumerate_spectrum(
-        torus_pair(3, 2), 162.0, h_cutoff=172.0, budget=BIG_BUDGET))
+    table = build_table(torus_pair(3, 2), 162.0, mu_max=172.0,
+                        budget=BIG_BUDGET)
     sharp_avg = averaged_sharp_sum(table, 1.0, 0.5, grid, jitter=0.1,
                                    samples=5)
     sharp_plain = sharp_sum(table, 1.0, 0.5, grid)

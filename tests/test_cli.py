@@ -9,7 +9,7 @@ from kuzweyl.cli import main, run_experiment
 from kuzweyl.errors import ValidationError
 from kuzweyl.kuznecov import SumTable, dual_trace, make_test_function
 from kuzweyl.model_spectra import enumerate_spectrum, torus_pair
-from kuzweyl.restriction_coeffs import torus_coefficients
+from kuzweyl.restriction_coeffs import build_table, torus_coefficients
 
 from oracles import emit_plot_data
 
@@ -43,6 +43,26 @@ def test_spectrum_command(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(open(out).read())
     assert doc["pair"]["kind"] == "torus"
+
+
+def test_coeffs_command(tmp_path, capsys):
+    out = str(tmp_path / "rows.csv")
+    cache = str(tmp_path / "cache")
+    rc = main(["coeffs", "--pair", "torus:2,1", "--lmax", "10",
+               "--cache-dir", cache, "--out", out])
+    assert rc == 0
+    table = build_table(torus_pair(2, 1), 10.0)
+    assert f"{table.entry_count} coefficient rows" in capsys.readouterr().out
+    lines = open(out).read().splitlines()
+    assert lines[0] == "lambda,mu,weight"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    for col, arr in enumerate((table.lam, table.mu, table.weight)):
+        assert np.array_equal(rows[:, col], arr)  # %.17g round-trips
+    # every ambient mode carries mass 1/(2 pi)
+    modes = enumerate_spectrum(torus_pair(2, 1), 10.0).m_count
+    assert rows[:, 2].sum() == pytest.approx(modes / (2 * math.pi), rel=1e-13)
+    assert main(["coeffs", "--pair", "torus:2,1", "--lmax", "10", "--cache-dir",
+                 str(tmp_path / "cold"), "--budget", "20"]) == 3
 
 
 def test_sums_and_fit_commands(tmp_path, capsys):

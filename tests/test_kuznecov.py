@@ -27,6 +27,7 @@ from kuzweyl.kuznecov import (
 )
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
 from kuzweyl.restriction_coeffs import (
+    build_table,
     load_or_build,
     sphere_coefficients,
     torus_coefficients,
@@ -154,6 +155,20 @@ def test_bumpsquare_grid_growth():
     assert b.psi(-3e6) == 0.0 and b._g_grid is capped
 
 
+def test_dominating_window_then_large_sum_is_one_fft(monkeypatch):
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(values, n):
+        calls.append(n)
+        return irfft(values, n)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    psi = dominating_test_function(0.5)
+    psi.psi(311.0)
+    assert len(calls) == 1, calls
+
+
 def test_bumpsquare_grid_memory():
     b = make_test_function("bumpsquare", 1.0)
     tracemalloc.start()
@@ -240,9 +255,9 @@ def test_sharp_c_zero_counts_everything(torus21_table):
     # window covering every cached H-frequency at c = 0 counts every pair:
     # sum over lambda_j <= lambda of the restricted norms
     eps = torus21_table.mu_max - 1.0
-    assert eps > float(np.max(torus21_table.entry_h_freqs()))
+    assert eps > float(np.max(torus21_table.mu))
     st = sharp_sum(torus21_table, 0.0, eps, np.array([20.0]))
-    lam = torus21_table.entry_m_freqs()
+    lam = torus21_table.lam
     expected = float(np.sum(torus21_table.values[lam <= 20.0]))
     assert st.values[0] == pytest.approx(expected, rel=1e-12)
 
@@ -405,8 +420,8 @@ def test_doubly_smoothed_requires_smooth_rho(torus21_table):
 def test_dual_trace_at_zero_is_total(torus21_table):
     psi = make_test_function("fejer", 1.0)
     tr = dual_trace(torus21_table, psi, np.array([0.0]))
-    lam = torus21_table.entry_m_freqs()
-    mu = torus21_table.entry_h_freqs()
+    lam = torus21_table.lam
+    mu = torus21_table.mu
     total = float(np.sum(psi.psi(lam - mu) * torus21_table.values))
     assert tr.values[0].real == pytest.approx(total, rel=1e-13)
     assert abs(tr.values[0].imag) < 1e-12
@@ -459,20 +474,29 @@ _windows = st.one_of(
     st.floats(0.0, 1.0))  # a float eps is the sharp window
 
 
+def _per_mode_table(pair, lambda_max, mu_max):
+    slc = enumerate_spectrum(pair, lambda_max, h_cutoff=mu_max)
+    if pair.kind == "torus":
+        return torus_coefficients(slc)
+    return sphere_coefficients(slc)
+
+
 def _assert_keys_run(table):
-    """The reduction's precondition: eigenkeys non-decreasing over entries."""
-    assert np.all(np.diff(table.slice.m_eigenkeys[table.j_idx]) >= 0)
+    """The reduction's precondition: eigenkeys non-decreasing over entries
+    (per-mode tables) or rows (row tables)."""
+    assert np.all(np.diff(table.key) >= 0)
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=_small_pairs(), window=_windows)
 def test_eigenspace_reduction_matches_per_mode_oracles(case, window):
     pair, lam_top = case
+    table = _per_mode_table(pair, lam_top, lam_top + 3.0)
+    _assert_keys_run(table)
     with tempfile.TemporaryDirectory() as cache:
-        table = load_or_build(pair, lam_top, cache, mu_max=lam_top + 3.0)
-        _assert_keys_run(table)
-        _assert_keys_run(load_or_build(pair, lam_top, cache,
-                                       mu_max=lam_top + 3.0))
+        for _ in range(2):  # a build, then a cache hit
+            _assert_keys_run(load_or_build(pair, lam_top, cache,
+                                           mu_max=lam_top + 3.0))
     lams, jumps = eigenvalue_jumps(table, window)
     want_lams, want_jumps = eigenvalue_jumps_argsort(table, window)
     assert np.array_equal(lams, want_lams)
@@ -495,6 +519,57 @@ def test_eigenspace_reduction_matches_per_mode_oracles(case, window):
     got = dual_trace(table, psi, t).values
     assert np.all(np.abs(got - dual_trace_loop(table, psi, t))
                   <= 1e-12 * np.sum(np.abs(w)))
+
+
+# ------------------------------------------------- row tables vs per-mode
+
+def _assert_rel(got, want, rel=1e-10):
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+# c in {0, 1} or interior; eps = 0 only with c in {0, 1}, where a
+# coincidence c lambda_j = mu_k is exact in floating point for both tables
+# (B = 0, or A = 0), while at interior c its float value rides on rounding
+_c_eps = st.one_of(
+    st.tuples(st.sampled_from([0.0, 1.0]), st.just(0.0)),
+    st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95)),
+              st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_small_pairs(), c_eps=_c_eps, window=_windows)
+def test_row_table_matches_per_mode_table(case, c_eps, window):
+    pair, lam_top = case
+    c, eps = c_eps
+    rows = build_table(pair, lam_top, mu_max=lam_top + 3.0)
+    modes = _per_mode_table(pair, lam_top, lam_top + 3.0)
+    assert rows.entry_count <= modes.entry_count
+    assert np.isclose(rows.weight.sum(), modes.weight.sum(), rtol=1e-12)
+    grid = np.linspace(1.0, lam_top, 7)
+    psi = window if not isinstance(window, float) else make_test_function(
+        "sharp", window)
+    for fn, args in ((kuznecov_sum, (c, psi, grid)),
+                     (sharp_sum, (c, eps, grid)),
+                     (averaged_sharp_sum, (c, eps, grid))):
+        _assert_rel(fn(rows, *args).values, fn(modes, *args).values)
+
+    # the same eigenspaces: eigenvalues to rounding (their float value
+    # depends on which mode of the eigenspace computed it), equal jumps
+    lams, jumps = eigenvalue_jumps(rows, window)
+    want_lams, want_jumps = eigenvalue_jumps(modes, window)
+    assert len(lams) == len(want_lams)
+    assert np.allclose(lams, want_lams, rtol=1e-14, atol=0)
+    _assert_rel(jumps, want_jumps)
+
+    rho = make_test_function("fejer", 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _assert_rel(doubly_smoothed_sum(rows, psi, rho, grid).values,
+                    doubly_smoothed_sum(modes, psi, rho, grid).values)
+    t = np.linspace(0.0, 10.0, 9)
+    scale = np.sum(np.abs(_entry_weights(modes, 1.0, psi)[2]))
+    assert np.all(np.abs(dual_trace(rows, psi, t).values
+                         - dual_trace(modes, psi, t).values) <= 1e-10 * scale)
 
 
 # ------------------------------------------------------------------- tables

@@ -1,11 +1,19 @@
+import json
 import math
-import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kuzweyl.errors import CacheCorruptionWarning, ValidationError
+from kuzweyl.errors import (
+    CacheCorruptionWarning,
+    ResourceGuardError,
+    ValidationError,
+)
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
 from kuzweyl.restriction_coeffs import (
     CoefficientTable,
@@ -224,6 +232,13 @@ def test_kind_dispatch_errors():
 
 # --------------------------------------------------------------------- cache
 
+def _assert_same_rows(a, b):
+    assert a.build_hash() == b.build_hash()
+    for name in ("lam", "mu", "weight", "key"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+
+
 def test_cache_hit_is_identical(tmp_path):
     pair = torus_pair(2, 1)
     first = load_or_build(pair, 8.0, str(tmp_path))
@@ -232,9 +247,7 @@ def test_cache_hit_is_identical(tmp_path):
     mtime = files[0].stat().st_mtime_ns
     second = load_or_build(pair, 8.0, str(tmp_path))
     assert files[0].stat().st_mtime_ns == mtime  # no rewrite on hit
-    assert first.build_hash() == second.build_hash()
-    assert np.array_equal(first.j_idx, second.j_idx)
-    assert np.array_equal(first.values, second.values)
+    _assert_same_rows(first, second)
 
 
 def test_cache_key_miss_rebuilds(tmp_path):
@@ -251,8 +264,63 @@ def test_cache_corruption_rebuilds(tmp_path):
     path.write_bytes(b"garbage" * 100)
     with pytest.warns(CacheCorruptionWarning):
         rebuilt = load_or_build(pair, 6.0, str(tmp_path))
-    assert rebuilt.build_hash() == fresh.build_hash()
-    assert np.array_equal(rebuilt.values, fresh.values)
+    _assert_same_rows(rebuilt, fresh)
+
+
+_CACHE_PAIRS = [torus_pair(2, 1), torus_pair(3, 2, (5.0, 6.5, 7.0)),
+                sphere_pair(3, 1, "degree")]
+
+
+def _damaged_rebuild(tmp_path, pair, damage):
+    fresh = load_or_build(pair, 7.0, str(tmp_path), mu_max=8.0)
+    path = next(tmp_path.iterdir())
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.warns(CacheCorruptionWarning):
+        rebuilt = load_or_build(pair, 7.0, str(tmp_path), mu_max=8.0)
+    _assert_same_rows(rebuilt, fresh)
+    _assert_same_rows(load_or_build(pair, 7.0, str(tmp_path), mu_max=8.0),
+                      fresh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(_CACHE_PAIRS), cut=st.floats(0.0, 1.0,
+                                                         exclude_max=True))
+def test_cache_truncated_rebuilds(tmp_path_factory, pair, cut):
+    _damaged_rebuild(tmp_path_factory.mktemp("cache"), pair,
+                     lambda raw: raw[:int(cut * len(raw))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(_CACHE_PAIRS), at=st.floats(0.0, 1.0,
+                                                        exclude_max=True),
+       flip=st.integers(1, 255))
+def test_cache_flipped_byte_rebuilds(tmp_path_factory, pair, at, flip):
+    def damage(raw):
+        i = int(at * len(raw))
+        return raw[:i] + bytes([raw[i] ^ flip]) + raw[i + 1:]
+
+    _damaged_rebuild(tmp_path_factory.mktemp("cache"), pair, damage)
+
+
+def test_cache_schema2_file_rebuilds_silently(tmp_path):
+    # a per-mode table in the schema-2 npz layout, under the current key
+    pair = torus_pair(2, 1)
+    fresh = load_or_build(pair, 6.0, str(tmp_path))
+    path = next(tmp_path.iterdir())
+    old = torus_coefficients(enumerate_spectrum(pair, 6.0))
+    header = json.dumps({"schema_version": 2, "pair": pair.to_dict(),
+                         "lambda_max": 6.0, "mu_max": 6.0})
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(header.encode(), dtype=np.uint8),
+                 m_labels=old.slice.m_labels, m_freqs=old.slice.m_freqs,
+                 j_idx=old.j_idx, k_idx=old.k_idx, values=old.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rebuilt = load_or_build(pair, 6.0, str(tmp_path))
+    _assert_same_rows(rebuilt, fresh)
+    mtime = path.stat().st_mtime_ns  # replaced by the schema-3 rows: a hit
+    _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
+    assert path.stat().st_mtime_ns == mtime
 
 
 def test_build_table_sphere_dispatch():
@@ -260,3 +328,35 @@ def test_build_table_sphere_dispatch():
     assert table.pair.kind == "sphere"
     assert table.mu_max == 7.0
     assert table.entry_count > 0
+
+
+def test_row_budget_edge():
+    # the budget counts factor-lattice points and rows; at the row count
+    # the build fits, one below it raises
+    pair = torus_pair(2, 1)
+    rows = build_table(pair, 40.0).entry_count
+    assert rows > 81  # more rows than points of either factor lattice
+    assert build_table(pair, 40.0, budget=rows).entry_count == rows
+    with pytest.raises(ResourceGuardError):
+        build_table(pair, 40.0, budget=rows - 1)
+    sphere = build_table(sphere_pair(2, 1), 40.0).entry_count
+    assert build_table(sphere_pair(2, 1), 40.0,
+                       budget=sphere).entry_count == sphere
+    with pytest.raises(ResourceGuardError):
+        build_table(sphere_pair(2, 1), 40.0, budget=sphere - 1)
+
+
+@pytest.mark.parametrize("pair, lam", [
+    (torus_pair(3, 1), 1e5),  # the 2-D factor lattice: ~3e10 points
+    (torus_pair(2, 1), 1e4),  # factor lattices fit, ~8e7 rows do not
+    (sphere_pair(2, 1), 1e4),  # ~2.5e7 (N, l) rows
+])
+def test_row_budget_guard_before_allocating(pair, lam):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            build_table(pair, lam, budget=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
