@@ -95,7 +95,7 @@ def _parse_psi(text: str):
     if kind == "sharp":
         return make_test_function("sharp", params.get("eps", params.get("a", 0.5)))
     return make_test_function(kind, params.get("a", 1.0),
-                              shape={"scale": params.get("scale", 1.0)})
+                              scale=params.get("scale", 1.0))
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -138,9 +138,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_coeffs(args) -> int:
     pair = _parse_pair(args.pair)
     table = load_or_build(pair, args.lmax, _cache_dir(args.cache_dir),
-                          mu_max=args.mumax, budget=args.budget)
+                          budget=args.budget)
     print(f"{pair.label}: {table.entry_count} coefficient rows "
-          f"(lambda_max={table.lambda_max}, mu_max={table.mu_max})")
+          f"(lambda_max={table.lambda_max})")
     if args.out:
         rows = zip(table.lam.tolist(), table.mu.tolist(),
                    table.weight.tolist())
@@ -152,9 +152,7 @@ def _cmd_sums(args) -> int:
     pair = _parse_pair(args.pair)
     grid = _parse_grid(args.lgrid)
     psi = _parse_psi(args.psi)
-    margin = 10.0 * psi.a if psi.kind != "sharp" else psi.a
     table = load_or_build(pair, float(grid[-1]), _cache_dir(args.cache_dir),
-                          mu_max=args.c * float(grid[-1]) + margin,
                           budget=args.budget)
     if psi.kind == "sharp":
         st = sharp_sum(table, args.c, psi.a, grid)
@@ -245,7 +243,7 @@ def _cmd_trace(args) -> int:
     tgrid = _parse_grid(args.tgrid) if ":" in args.tgrid else None
     grid = np.linspace(0.0, 8.0, 257) if tgrid is None else tgrid
     table = load_or_build(pair, args.lmax, _cache_dir(args.cache_dir),
-                          mu_max=args.lmax + 10 * psi.a, budget=args.budget)
+                          budget=args.budget)
     tr = dual_trace(table, psi, grid)
     out = args.out or os.path.join(_out_dir(), "trace.csv")
     tr.to_csv(out)
@@ -298,24 +296,21 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
 
     if variant == "sharp":
         eps = _cfg_get(cfg, "sums", "epsilon", float, required=True)
-        mu_max = c * float(grid[-1]) + eps * 1.2 + 1.0
+        jitter = _cfg_get(cfg, "sums", "jitter", float, default=0.0)
         psi_desc = {"kind": "sharp", "eps": eps}
     else:
         psi = _parse_psi(_cfg_get(cfg, "sums", "psi", required=True))
-        mu_max = c * float(grid[-1]) + 10.0 * psi.a
         psi_desc = psi.descriptor()
     table = load_or_build(pair, float(grid[-1]), _cache_dir(cache_dir),
-                          mu_max=mu_max, budget=budget)
+                          budget=budget)
     build_time = time.time() - t0
 
-    if variant == "sharp":
-        jitter = _cfg_get(cfg, "sums", "jitter", float, default=0.0)
-        if jitter > 0:
-            st = averaged_sharp_sum(table, c, eps, grid, jitter=jitter)
-        else:
-            st = sharp_sum(table, c, eps, grid)
-    else:
+    if variant != "sharp":
         st = kuznecov_sum(table, c, psi, grid)
+    elif jitter > 0:
+        st = averaged_sharp_sum(table, c, eps, grid, jitter=jitter)
+    else:
+        st = sharp_sum(table, c, eps, grid)
     sums_csv = os.path.join(out_base, f"{name}-sums.csv")
     st.write(sums_csv)
 
@@ -390,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="build or load a coefficient table")
     p.add_argument("--pair", required=True)
     p.add_argument("--lmax", type=float, required=True)
-    p.add_argument("--mumax", type=float, default=None)
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=_cmd_coeffs)

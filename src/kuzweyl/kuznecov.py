@@ -12,8 +12,10 @@ psi and compactly supported psi_hat:
 
 Sums evaluate the cached double sum exactly, over the rows of a RowTable
 (one per eigenvalue pair) or the entries of a per-mode CoefficientTable;
-the inner sum runs over the full cached H-spectrum and the contribution
-beyond mu_k > c*lambda_j + 10a is reported as `tail_fraction` metadata.
+the contribution beyond mu_k > c*lambda_j + 10a is reported as
+`tail_fraction` metadata.  No sum is truncated in mu: a restricted M-mode
+meets one H-mode, with mu_k <= lambda_j, so a table up to lambda_max holds
+every term up to lambda_max; a grid beyond it raises TruncationRiskError.
 """
 
 from __future__ import annotations
@@ -257,12 +259,8 @@ class TestFunction:
         return float(out[0]) if scalar else out
 
 
-def make_test_function(kind: str, a: float, shape=None) -> TestFunction:
-    """Factory for the three window kinds; `shape` holds kind-specific extras
-    (currently only 'scale')."""
-    scale = 1.0
-    if shape:
-        scale = float(shape.get("scale", 1.0))
+def make_test_function(kind: str, a: float, scale: float = 1.0) -> TestFunction:
+    """Factory for the three window kinds."""
     return TestFunction(kind=kind, a=a, scale=scale)
 
 
@@ -327,7 +325,7 @@ def _entry_weights(table: Table, c: float, psi: TestFunction):
     return lam, mu, psi.psi(c * lam - mu) * table.weight
 
 
-def _check_grid(table: Table, c: float, margin: float, grid):
+def _check_grid(table: Table, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValidationError("lambda grid must be strictly increasing")
@@ -336,12 +334,16 @@ def _check_grid(table: Table, c: float, margin: float, grid):
     if grid[-1] > table.lambda_max * (1 + 1e-12):
         raise TruncationRiskError(
             f"grid max {grid[-1]} exceeds cached lambda_max {table.lambda_max}")
-    needed = c * grid[-1] + margin
-    if table.mu_max < needed - 1e-9:
-        raise TruncationRiskError(
-            f"inner sum truncated: need mu_max >= {needed:.3f}, "
-            f"cached {table.mu_max:.3f}")
     return grid
+
+
+def _cumulate(lam, w, grid):
+    """Running sums of the entry weights w, entries in M-frequency order,
+    read at each grid point; and their total."""
+    csum = np.cumsum(w)
+    idx = np.searchsorted(lam, grid * (1 + 1e-15), side="right")
+    total = float(csum[-1]) if len(csum) else 0.0
+    return np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0), total
 
 
 def kuznecov_sum(table: Table, c: float, psi: TestFunction,
@@ -353,18 +355,12 @@ def kuznecov_sum(table: Table, c: float, psi: TestFunction,
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("need 0 <= c <= 1")
-    grid = _check_grid(table, c, psi.a, lambda_grid)
+    grid = _check_grid(table, lambda_grid)
     lam, mu, w = _entry_weights(table, c, psi)
-    csum = np.cumsum(w)
-    idx = np.searchsorted(lam, grid * (1 + 1e-15), side="right")
-    vals = np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
-    total = float(csum[-1]) if len(csum) else 0.0
+    vals, total = _cumulate(lam, w, grid)
     tail_mask = mu > c * lam + 10.0 * psi.a
     tail = float(np.sum(np.abs(w[tail_mask]))) if len(w) else 0.0
-    meta = {
-        "mu_max": table.mu_max,
-        "tail_fraction": tail / total if total > 0 else 0.0,
-    }
+    meta = {"tail_fraction": tail / total if total > 0 else 0.0}
     return SumTable(pair=table.pair.to_dict(), c=c, test=psi.descriptor(),
                     rho=None, lambda_grid=grid, values=vals, variant=variant,
                     metadata=meta)
@@ -385,19 +381,26 @@ def averaged_sharp_sum(table: Table, c: float, eps: float,
                        lambda_grid, jitter: float = 0.1,
                        samples: int = 5) -> SumTable:
     """Mean of sharp sums over eps * (1 +- jitter), damping the jumps the
-    sharp window suffers at special eps values."""
+    sharp window suffers at special eps values; one pass serves every eps."""
     if samples < 1:
         raise ValidationError("need >= 1 sample")
     eps_vals = np.linspace(eps * (1 - jitter), eps * (1 + jitter), samples)
-    acc = None
-    for e in eps_vals:
-        st = sharp_sum(table, c, float(e), lambda_grid)
-        acc = st.values if acc is None else acc + st.values
-    st.values = acc / samples
-    st.test = {"kind": "sharp-averaged", "eps": eps, "jitter": jitter,
-               "samples": samples}
-    st.metadata["eps_values"] = [float(e) for e in eps_vals]
-    return st
+    if eps_vals.min() < 0:
+        raise ValidationError("eps must be >= 0")
+    if not 0.0 <= c <= 1.0:
+        raise ValidationError("need 0 <= c <= 1")
+    grid = _check_grid(table, lambda_grid)
+    lam, weight = table.lam, table.weight
+    dist = np.abs(c * lam - table.mu)
+    acc = sum(_cumulate(lam, (dist <= e) * weight, grid)[0] for e in eps_vals)
+    # the indicator vanishes beyond mu_k > c lambda_j + eps: no tail
+    return SumTable(pair=table.pair.to_dict(), c=c,
+                    test={"kind": "sharp-averaged", "eps": eps,
+                          "jitter": jitter, "samples": samples},
+                    rho=None, lambda_grid=grid, values=acc / samples,
+                    variant="sharp-sharp",
+                    metadata={"tail_fraction": 0.0,
+                              "eps_values": [float(e) for e in eps_vals]})
 
 
 def _eigenspaces(table: Table, psi: TestFunction):

@@ -18,6 +18,10 @@ c0 the measure constant of the split.  For (n, d) = (2, 1) it equals the
 squared theta-normalized associated Legendre value at the equator, which
 the tests use as an independent oracle.
 
+Tables are complete in mu: the one H-mode a restricted M-mode meets has
+mu_k <= lambda_j, so the M-modes up to lambda_max need no H-mode beyond it
+(the per-mode builders refuse a slice whose H cutoff is lower).
+
 So the sums need only eigenvalue pairs and the coefficient mass on each:
 build_table and load_or_build return a RowTable (torus shell pairs, sphere
 (N, l) blocks); torus_coefficients and sphere_coefficients keep the
@@ -62,7 +66,7 @@ __all__ = [
     "load_or_build",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -82,12 +86,15 @@ class CoefficientTable:
 
     pair: ManifoldPair
     lambda_max: float
-    mu_max: float
-    schema_version: int
     slice: SpectrumSlice
     j_idx: np.ndarray
     k_idx: np.ndarray
     values: np.ndarray
+
+    @property
+    def mu_max(self) -> float:
+        """The slice's H cutoff, never below lambda_max."""
+        return self.slice.h_cutoff
 
     @property
     def entry_count(self) -> int:
@@ -119,16 +126,18 @@ class RowTable:
     their squared coefficients.  Rows are sorted by the exact integer
     M-eigenkey `key` (the same keys as SpectrumSlice.m_eigenkeys), so each
     eigenspace is one run of rows.  Torus rows are the shell pairs (A, B)
-    of the factor lattices, sphere rows the blocks (N, l).
+    of the factor lattices, sphere rows the blocks (N, l).  `need` is the
+    largest count the build checked against its budget (factor-lattice
+    points or rows); a cache hit checks it again.
     """
 
     pair: ManifoldPair
     lambda_max: float
-    mu_max: float
     lam: np.ndarray
     mu: np.ndarray
     weight: np.ndarray
     key: np.ndarray
+    need: int
 
     @property
     def entry_count(self) -> int:
@@ -146,19 +155,23 @@ def _drop_tiny(j, k, v):
     return j[keep], k[keep], v[keep]
 
 
+def _check_slice(slice_: SpectrumSlice, kind: str) -> None:
+    if slice_.pair.kind != kind:
+        raise ValidationError(f"{kind}_coefficients needs a {kind} pair")
+    if slice_.h_cutoff < slice_.cutoff:
+        raise ValidationError("H cutoff below the M cutoff misses H-modes")
+
+
 # --------------------------------------------------------------------------
 # torus
 # --------------------------------------------------------------------------
 
 def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     """Exact torus table: one entry per M-mode, value = 1 / Vol(transverse torus)."""
+    _check_slice(slice_, "torus")
     pair = slice_.pair
-    if pair.kind != "torus":
-        raise ValidationError("torus_coefficients needs a torus pair")
     d = pair.d
-    h_lab = slice_.h_labels
-    if slice_.h_count == 0:
-        raise ValidationError("empty H spectrum")
+    h_lab = slice_.h_labels  # holds the zero mode: h_cutoff >= cutoff > 0
     # dense lookup (k_1, ..., k_d) -> H index
     mins = h_lab.min(axis=0).astype(np.int64)
     maxs = h_lab.max(axis=0).astype(np.int64)
@@ -179,9 +192,7 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     v = np.full(len(j), value)
     j, k, v = _drop_tiny(j.astype(np.int64), k.astype(np.int64), v)
     order = np.argsort(j, kind="stable")
-    return CoefficientTable(pair=pair, lambda_max=slice_.cutoff,
-                            mu_max=slice_.h_cutoff,
-                            schema_version=SCHEMA_VERSION, slice=slice_,
+    return CoefficientTable(pair=pair, lambda_max=slice_.cutoff, slice=slice_,
                             j_idx=j[order], k_idx=k[order], values=v[order])
 
 
@@ -213,26 +224,21 @@ def sphere_coefficient_value(n: int, d: int, N: int, l: int) -> float:
 def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     """Sphere table in the equator-adapted basis.
 
-    The surviving modes (m = 0, l within the H cutoff) are grouped by their
-    (N, l) block and the closed form is evaluated once per block.
+    The surviving modes (m = 0) are grouped by their (N, l) block and the
+    closed form is evaluated once per block.
     """
+    _check_slice(slice_, "sphere")
     pair = slice_.pair
-    if pair.kind != "sphere":
-        raise ValidationError("sphere_coefficients needs a sphere pair")
     labels = slice_.m_labels
-    h_lab = slice_.h_labels
-    l_max_h = int(h_lab[:, 0].max()) if len(h_lab) else -1
-    j = np.nonzero((labels[:, 2] == 0) & (labels[:, 1] <= l_max_h))[0]
-    # H-modes run (l, alpha) with alpha fastest: degree l starts at first[l]
-    first = np.searchsorted(h_lab[:, 0], np.arange(l_max_h + 1))
-    k = first[labels[j, 1]] + labels[j, 3].astype(np.int64)
+    j = np.nonzero(labels[:, 2] == 0)[0]
+    # H-modes run (l, alpha), alpha fastest: degree l starts at its first row
+    k = (np.searchsorted(slice_.h_labels[:, 0], labels[j, 1])
+         + labels[j, 3].astype(np.int64))
     blocks, inverse = np.unique(labels[j, :2], axis=0, return_inverse=True)
     block_vals = np.array([sphere_coefficient_value(pair.n, pair.d, N, l)
                            for N, l in blocks.tolist()], dtype=float)
     j, k, vals = _drop_tiny(j, k, block_vals[inverse.reshape(-1)])
-    return CoefficientTable(pair=pair, lambda_max=slice_.cutoff,
-                            mu_max=slice_.h_cutoff,
-                            schema_version=SCHEMA_VERSION, slice=slice_,
+    return CoefficientTable(pair=pair, lambda_max=slice_.cutoff, slice=slice_,
                             j_idx=j, k_idx=k, values=vals)
 
 
@@ -240,33 +246,34 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
 # row tables
 # --------------------------------------------------------------------------
 
+def _guard(count: int, budget: int, what: str) -> int:
+    if count > budget:
+        raise ResourceGuardError(f"{what} {count} exceeds budget {budget}")
+    return count
+
+
 def _lattice_shells(scale, cutoff: float, budget: int):
     """Shells of the lattice points m with sum (scale_i m_i)^2 <= cutoff^2.
 
-    Returns the squared norms, ascending, and their multiplicities.  Unit
-    scales give exact integer norms, other scales the float squared
-    frequencies summed in coordinate order, as the mode enumeration sums
-    them.  np.unique needs memory in the point count; np.bincount would
-    need it in cutoff^2 (8e8 bytes for a 1-D factor at cutoff 1e4).
+    Returns the squared norms, ascending, their multiplicities and the
+    largest point count guarded.  Unit scales give exact integer norms,
+    other scales the float squared frequencies summed in coordinate order,
+    as the mode enumeration sums them.  np.unique needs memory in the point
+    count; np.bincount would need it in cutoff^2 (8e8 bytes for a 1-D
+    factor at cutoff 1e4).
     """
     integer = all(s == 1.0 for s in scale)
     cut2 = cutoff * cutoff * (1 + 1e-15)
     q = np.zeros(1, dtype=np.int64 if integer else float)
+    need = 0
     for s in scale:
         top = int(cutoff / s + 1e-12)
         m = np.arange(-top, top + 1, dtype=np.int64)
-        if len(q) * len(m) > budget:
-            raise ResourceGuardError(
-                f"factor lattice needs {len(q) * len(m)} points, "
-                f"over budget {budget}")
+        need = max(need, _guard(len(q) * len(m), budget,
+                                "factor-lattice point count"))
         q = (q[:, None] + (m * m if integer else (s * m) ** 2)).ravel()
         q = q[q <= cut2]
-    return np.unique(q, return_counts=True)
-
-
-def _check_rows(rows: int, budget: int) -> None:
-    if rows > budget:
-        raise ResourceGuardError(f"row count {rows} exceeds budget {budget}")
+    return (*np.unique(q, return_counts=True), need)
 
 
 def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
@@ -282,10 +289,10 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     unit = float(scale[0]) if uniform else 1.0
     factor = np.ones(pair.n) if uniform else scale
     cutoff = lambda_max / unit
-    (a, r_h), (b, r_t) = (_lattice_shells(part, cutoff, budget)
-                          for part in (factor[:d], factor[d:]))
+    (a, r_h, need_h), (b, r_t, need_t) = (
+        _lattice_shells(part, cutoff, budget) for part in (factor[:d], factor[d:]))
     per_a = np.searchsorted(b, cutoff * cutoff * (1 + 1e-15) - a, side="right")
-    _check_rows(int(per_a.sum()), budget)
+    need = max(need_h, need_t, _guard(int(per_a.sum()), budget, "row count"))
     ia = np.repeat(np.arange(len(a)), per_a)
     ib = _run_positions(per_a)
     value = 1.0
@@ -300,21 +307,17 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     else:
         key = np.round(q / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
     order = np.lexsort((lam, key))
-    return lam[order], mu[order], weight[order], key[order]
+    return lam[order], mu[order], weight[order], key[order], need
 
 
 def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     """One row per block (N, l), l <= N with N - l even, weight
-    dim H_l(S^d) * sphere_coefficient_value(n, d, N, l).
-
-    Every such l is inside the H cutoff: the H-frequency of degree l is at
-    most the M-frequency of degree N, and mu_max >= lambda_max.
-    """
+    dim H_l(S^d) * sphere_coefficient_value(n, d, N, l)."""
     n, d, norm = pair.n, pair.d, pair.normalization
     n_max = _sphere_degree_max(n, norm, lambda_max)
     N = np.arange(n_max + 1)
     per_N = N // 2 + 1
-    _check_rows(int(per_N.sum()), budget)
+    need = _guard(int(per_N.sum()), budget, "row count")
     N = np.repeat(N, per_N)
     l = N % 2 + 2 * _run_positions(per_N)
     c = np.array([sphere_coefficient_value(n, d, Nv, lv)
@@ -323,55 +326,49 @@ def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     N, l = N[keep], l[keep]
     weight = _harmonic_dims(d, n_max)[l] * c[keep]
     return (_sphere_frequency(N, n, norm), _sphere_frequency(l, d, norm),
-            weight, N.astype(np.int64))
-
-
-def _mu_cutoff(lambda_max: float, mu_max) -> float:
-    mu = float(mu_max) if mu_max is not None else float(lambda_max)
-    return max(mu, float(lambda_max))
+            weight, N.astype(np.int64), need)
 
 
 def build_table(pair: ManifoldPair, lambda_max: float, *,
-                mu_max: float = None,
                 budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
-    """Row table of every M-mode up to lambda_max against the H-modes up to
-    mu_max (default and floor: lambda_max).
+    """Row table of every M-mode up to lambda_max (complete in mu).
 
     Raises ResourceGuardError, before allocating, when the factor-lattice
     points or the rows would exceed the budget.
     """
     if lambda_max <= 0:
         raise ValidationError("lambda_max must be > 0")
-    lam_max, mu = float(lambda_max), _mu_cutoff(lambda_max, mu_max)
+    lam_max = float(lambda_max)
     rows = _torus_rows if pair.kind == "torus" else _sphere_rows
-    return RowTable(pair, lam_max, mu, *rows(pair, lam_max, budget))
+    return RowTable(pair, lam_max, *rows(pair, lam_max, budget))
 
 
 # --------------------------------------------------------------------------
 # cache
 # --------------------------------------------------------------------------
 
-# A cache file is _MAGIC, a one-line JSON header, the four row arrays
-# (lam, mu, weight as little-endian float64, key as int64) and the sha256
-# of everything before it, so any truncation or flipped byte is caught.
+# A cache file is _MAGIC, a one-line JSON header (the key fields plus the
+# build's budget need), the four row arrays (lam, mu, weight as
+# little-endian float64, key as int64) and the sha256 of everything before
+# it, so any truncation or flipped byte is caught.
 _MAGIC = b"kuzweyl rows\n"
 _ROW_DTYPES = ("<f8", "<f8", "<f8", "<i8")
 
 
-def _header(pair: ManifoldPair, lambda_max: float, mu_max: float) -> dict:
+def _header(pair: ManifoldPair, lambda_max: float) -> dict:
     return {"schema_version": SCHEMA_VERSION, "pair": pair.to_dict(),
-            "lambda_max": lambda_max, "mu_max": mu_max}
+            "lambda_max": lambda_max}
 
 
-def _cache_key(pair: ManifoldPair, lambda_max: float, mu_max: float) -> str:
-    key = json.dumps(_header(pair, lambda_max, mu_max), sort_keys=True)
+def _cache_key(pair: ManifoldPair, lambda_max: float) -> str:
+    key = json.dumps(_header(pair, lambda_max), sort_keys=True)
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
 def _save_rows(table: RowTable, path: str) -> None:
+    header = dict(_header(table.pair, table.lambda_max), need=table.need)
     body = b"".join(
-        [_MAGIC, json.dumps(_header(table.pair, table.lambda_max,
-                                    table.mu_max)).encode(), b"\n"]
+        [_MAGIC, json.dumps(header).encode(), b"\n"]
         + [np.ascontiguousarray(arr, dtype=dt).tobytes() for arr, dt in
            zip((table.lam, table.mu, table.weight, table.key), _ROW_DTYPES)])
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
@@ -387,9 +384,10 @@ def _save_rows(table: RowTable, path: str) -> None:
 
 
 def _load_rows(path: str, pair: ManifoldPair, lambda_max: float,
-               mu_max: float) -> Optional[RowTable]:
+               budget: int) -> Optional[RowTable]:
     """The cached rows; None for a stale file (another schema or key),
-    ValueError for a damaged one."""
+    ValueError for a damaged one, ResourceGuardError when the build would
+    have raised."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw.startswith(b"PK"):  # an npz table of schema <= 2
@@ -399,34 +397,37 @@ def _load_rows(path: str, pair: ManifoldPair, lambda_max: float,
     if not raw.startswith(_MAGIC) or digest != raw[-32:]:
         raise ValueError("checksum mismatch")
     end = raw.index(b"\n", len(_MAGIC))
-    if json.loads(raw[len(_MAGIC):end]) != _header(pair, lambda_max, mu_max):
+    header = json.loads(raw[len(_MAGIC):end])
+    need = header.pop("need", None)
+    if header != _header(pair, lambda_max) or need is None:
         return None
+    _guard(need, budget, "the cached build's count")
     payload = body[end + 1:]
     rows, rest = divmod(len(payload), 32)
     if rest:
         raise ValueError("row payload is not four whole arrays")
     arrays = [np.frombuffer(payload, dtype=dt, count=rows, offset=8 * rows * i)
               for i, dt in enumerate(_ROW_DTYPES)]
-    return RowTable(pair, lambda_max, mu_max, *arrays)
+    return RowTable(pair, lambda_max, *arrays, need)
 
 
 def load_or_build(pair: ManifoldPair, lambda_max: float, cache_dir: str, *,
-                  mu_max: float = None,
                   budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
     """Cached build_table: returns the cached rows when the key matches,
     rebuilds (and replaces the file) on a miss or a stale file, and warns
-    CacheCorruptionWarning before rebuilding over a damaged one."""
+    CacheCorruptionWarning before rebuilding over a damaged one.  A hit
+    raises ResourceGuardError exactly when the build would."""
     os.makedirs(cache_dir, exist_ok=True)
-    lam_max, mu = float(lambda_max), _mu_cutoff(lambda_max, mu_max)
-    path = os.path.join(cache_dir, f"rows-{_cache_key(pair, lam_max, mu)}.bin")
+    lam_max = float(lambda_max)
+    path = os.path.join(cache_dir, f"rows-{_cache_key(pair, lam_max)}.bin")
     if os.path.exists(path):
         try:
-            cached = _load_rows(path, pair, lam_max, mu)
+            cached = _load_rows(path, pair, lam_max, budget)
             if cached is not None:
                 return cached
         except (OSError, ValueError) as exc:
             warnings.warn(f"cache file {path} unusable ({exc}); rebuilding",
                           CacheCorruptionWarning)
-    table = build_table(pair, lam_max, mu_max=mu, budget=budget)
+    table = build_table(pair, lam_max, budget=budget)
     _save_rows(table, path)
     return table

@@ -147,8 +147,7 @@ def torus31():
     grid = np.geomspace(*WINDOW_3D, 14)
     psi_bulk = make_test_function("fejer", 1.0)
     psi_small = make_test_function("fejer", 0.5)
-    table = build_table(torus_pair(3, 1), 162.0, mu_max=172.0,
-                        budget=BIG_BUDGET)
+    table = build_table(torus_pair(3, 1), 162.0, budget=BIG_BUDGET)
     sharp_avg = averaged_sharp_sum(table, 1.0, 0.5, grid, jitter=0.1,
                                    samples=5)
     sharp_plain = sharp_sum(table, 1.0, 0.5, grid)
@@ -176,8 +175,7 @@ def torus32():
     grid = np.geomspace(*WINDOW_3D, 14)
     psi1 = make_test_function("fejer", 1.0)
     psi2 = make_test_function("bumpsquare", 1.0)
-    table = build_table(torus_pair(3, 2), 162.0, mu_max=172.0,
-                        budget=BIG_BUDGET)
+    table = build_table(torus_pair(3, 2), 162.0, budget=BIG_BUDGET)
     sharp_avg = averaged_sharp_sum(table, 1.0, 0.5, grid, jitter=0.1,
                                    samples=5)
     sharp_plain = sharp_sum(table, 1.0, 0.5, grid)

@@ -61,8 +61,10 @@ def test_coeffs_command(tmp_path, capsys):
     # every ambient mode carries mass 1/(2 pi)
     modes = enumerate_spectrum(torus_pair(2, 1), 10.0).m_count
     assert rows[:, 2].sum() == pytest.approx(modes / (2 * math.pi), rel=1e-13)
-    assert main(["coeffs", "--pair", "torus:2,1", "--lmax", "10", "--cache-dir",
-                 str(tmp_path / "cold"), "--budget", "20"]) == 3
+    # the budget holds against a cold and a warm cache alike
+    for state in (str(tmp_path / "cold"), cache):
+        assert main(["coeffs", "--pair", "torus:2,1", "--lmax", "10",
+                     "--cache-dir", state, "--budget", "20"]) == 3
 
 
 def test_sums_and_fit_commands(tmp_path, capsys):
@@ -79,6 +81,20 @@ def test_sums_and_fit_commands(tmp_path, capsys):
         assert abs(report["exponent"] - 1.5) < 0.2
     finally:
         del os.environ["KUZWEYL_CACHE_DIR"]
+
+
+def test_commands_share_one_cache_file(tmp_path, capsys):
+    # tables are complete in mu: windows, c and commands that need the same
+    # lambda_max read the same rows
+    cache = str(tmp_path / "cache")
+    for psi, c in (("sharp:eps=0.5", "1.0"), ("fejer:a=1", "0.5")):
+        assert main(["sums", "--pair", "torus:2,1", "--c", c, "--psi", psi,
+                     "--lgrid", "10:60:10", "--cache-dir", cache,
+                     "--out", str(tmp_path / "sums.csv")]) == 0
+    assert main(["trace", "--pair", "torus:2,1", "--psi", "fejer:a=1",
+                 "--lmax", "60", "--cache-dir", cache,
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    assert len(os.listdir(cache)) == 1
 
 
 def test_coefficient_command(capsys):

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+the package reads the environment only through its two documented keys."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kuzweyl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ENV_KEYS = {"KUZWEYL_CACHE_DIR", "KUZWEYL_OUTPUT_DIR"}
 
 
 def unused_imports(source: str) -> list:
@@ -47,3 +49,48 @@ def test_scanner_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def environment_reads(source: str) -> list:
+    """(line, key) for every use of an `environ` or `getenv` name.
+
+    key is the string constant read by `environ.get(...)`,
+    `environ[...]` or `getenv(...)`, and None for any other use (a
+    computed key, iteration, a copy of the whole mapping).
+    """
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name not in ("environ", "getenv"):
+            continue
+        up = parent.get(node)
+        key = None
+        if name == "getenv" and isinstance(up, ast.Call) and up.args:
+            key = up.args[0]
+        elif isinstance(up, ast.Subscript) and up.value is node:
+            key = up.slice
+        elif isinstance(up, ast.Attribute) and up.attr == "get":
+            call = parent.get(up)
+            if isinstance(call, ast.Call) and call.func is up and call.args:
+                key = call.args[0]
+        reads.append((node.lineno, key.value if isinstance(key, ast.Constant)
+                      and isinstance(key.value, str) else None))
+    return sorted(reads, key=lambda read: read[0])
+
+
+def test_environment_scanner():
+    src = ("import os\nfrom os import environ\n"
+           "a = os.environ.get('KUZWEYL_CACHE_DIR', '.')\n"
+           "b = os.environ['HOME']\nc = os.getenv(a)\nd = dict(environ)\n")
+    assert environment_reads(src) == [(3, "KUZWEYL_CACHE_DIR"), (4, "HOME"),
+                                      (5, None), (6, None)]
+
+
+def test_environment_read_only_through_documented_keys():
+    keys = {key for path in SRC.glob("*.py")
+            for _, key in environment_reads(path.read_text())}
+    assert keys <= ENV_KEYS

@@ -305,11 +305,27 @@ def test_truncation_risk_errors(torus21_table):
     with pytest.raises(TruncationRiskError):
         kuznecov_sum(torus21_table, 1.0, psi, np.array([40.0]))
     with pytest.raises(TruncationRiskError):
-        sharp_sum(torus21_table, 1.0, 20.0, np.array([30.0]))
+        averaged_sharp_sum(torus21_table, 1.0, 0.5, np.array([40.0]))
+    # the one truncation in mu, an H cutoff below the M cutoff, is refused
+    # when the table is built
+    with pytest.raises(ValidationError):
+        torus_coefficients(enumerate_spectrum(torus_pair(2, 1), 30.0,
+                                              h_cutoff=0.5 * 30.0 + 10.0))
     with pytest.raises(ValidationError):
         kuznecov_sum(torus21_table, 1.4, psi, np.array([10.0]))
     with pytest.raises(ValidationError):
         kuznecov_sum(torus21_table, 1.0, psi, np.array([10.0, 5.0]))
+
+
+def test_sharp_sum_on_complete_row_table():
+    # a window reaching past lambda_max needs no H-mode beyond it: the
+    # row table up to 100 holds every term of the sum
+    grid = np.geomspace(10.0, 100.0, 12)
+    rows = sharp_sum(build_table(torus_pair(2, 1), 100.0), 1.0, 0.5, grid)
+    modes = sharp_sum(torus_coefficients(enumerate_spectrum(
+        torus_pair(2, 1), 100.0, h_cutoff=100.0)), 1.0, 0.5, grid)
+    _assert_rel(rows.values, modes.values)
+    assert "mu_max" not in rows.metadata
 
 
 def test_tail_fraction_zero_for_single_entry_tables(torus21_table):
@@ -495,8 +511,7 @@ def test_eigenspace_reduction_matches_per_mode_oracles(case, window):
     _assert_keys_run(table)
     with tempfile.TemporaryDirectory() as cache:
         for _ in range(2):  # a build, then a cache hit
-            _assert_keys_run(load_or_build(pair, lam_top, cache,
-                                           mu_max=lam_top + 3.0))
+            _assert_keys_run(load_or_build(pair, lam_top, cache))
     lams, jumps = eigenvalue_jumps(table, window)
     want_lams, want_jumps = eigenvalue_jumps_argsort(table, window)
     assert np.array_equal(lams, want_lams)
@@ -541,7 +556,7 @@ _c_eps = st.one_of(
 def test_row_table_matches_per_mode_table(case, c_eps, window):
     pair, lam_top = case
     c, eps = c_eps
-    rows = build_table(pair, lam_top, mu_max=lam_top + 3.0)
+    rows = build_table(pair, lam_top)
     modes = _per_mode_table(pair, lam_top, lam_top + 3.0)
     assert rows.entry_count <= modes.entry_count
     assert np.isclose(rows.weight.sum(), modes.weight.sum(), rtol=1e-12)
@@ -603,3 +618,22 @@ def test_averaged_sharp_sum(torus21_table):
     single = averaged_sharp_sum(torus21_table, 1.0, 0.5, grid, jitter=0.0,
                                 samples=1)
     assert np.array_equal(single.values, plain.values)
+
+
+@pytest.mark.parametrize("c, eps", [(1.0, 0.5), (0.5, 0.3), (0.0, 2.0)])
+def test_averaged_sharp_sum_is_mean_of_sharp_sums(torus21_table, c, eps):
+    # one gather for every eps sample, bit-identical to the mean of the
+    # per-sample sharp sums
+    grid = np.linspace(5, 30, 11)
+    for table in (torus21_table, build_table(torus_pair(2, 1), 35.0)):
+        avg = averaged_sharp_sum(table, c, eps, grid, jitter=0.2, samples=5)
+        acc = None
+        for e in avg.metadata["eps_values"]:
+            v = sharp_sum(table, c, e, grid).values
+            acc = v if acc is None else acc + v
+        assert np.array_equal(avg.values, acc / 5)
+        assert avg.metadata["tail_fraction"] == 0.0
+    with pytest.raises(ValidationError):
+        averaged_sharp_sum(torus21_table, 1.0, 0.5, grid, jitter=1.5)
+    with pytest.raises(ValidationError):
+        averaged_sharp_sum(torus21_table, 1.2, 0.5, grid)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -230,6 +232,25 @@ def test_kind_dispatch_errors():
         torus_coefficients(slc2)
 
 
+@pytest.mark.parametrize("pair, build", [
+    (torus_pair(3, 1), torus_coefficients),
+    (sphere_pair(3, 2), sphere_coefficients),
+])
+def test_per_mode_builders_reject_h_cutoff_below_cutoff(pair, build):
+    # a table cut in mu below lambda_max would silently drop coefficients;
+    # from lambda_max up, a higher H cutoff adds H-modes but no entry, since
+    # every restricted M-mode meets one H-mode with mu <= lambda
+    with pytest.raises(ValidationError, match="H cutoff"):
+        build(enumerate_spectrum(pair, 12.0, h_cutoff=11.0))
+    tight = build(enumerate_spectrum(pair, 12.0))
+    wide = build(enumerate_spectrum(pair, 12.0, h_cutoff=24.0))
+    assert tight.mu_max == 12.0
+    assert wide.slice.h_count > tight.slice.h_count
+    for name in ("lam", "mu", "weight", "key"):
+        assert np.array_equal(getattr(tight, name), getattr(wide, name))
+    assert np.all(tight.mu <= tight.lam * (1 + 1e-15))
+
+
 # --------------------------------------------------------------------- cache
 
 def _assert_same_rows(a, b):
@@ -272,14 +293,13 @@ _CACHE_PAIRS = [torus_pair(2, 1), torus_pair(3, 2, (5.0, 6.5, 7.0)),
 
 
 def _damaged_rebuild(tmp_path, pair, damage):
-    fresh = load_or_build(pair, 7.0, str(tmp_path), mu_max=8.0)
+    fresh = load_or_build(pair, 7.0, str(tmp_path))
     path = next(tmp_path.iterdir())
     path.write_bytes(damage(path.read_bytes()))
     with pytest.warns(CacheCorruptionWarning):
-        rebuilt = load_or_build(pair, 7.0, str(tmp_path), mu_max=8.0)
+        rebuilt = load_or_build(pair, 7.0, str(tmp_path))
     _assert_same_rows(rebuilt, fresh)
-    _assert_same_rows(load_or_build(pair, 7.0, str(tmp_path), mu_max=8.0),
-                      fresh)
+    _assert_same_rows(load_or_build(pair, 7.0, str(tmp_path)), fresh)
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,16 +338,57 @@ def test_cache_schema2_file_rebuilds_silently(tmp_path):
         warnings.simplefilter("error")
         rebuilt = load_or_build(pair, 6.0, str(tmp_path))
     _assert_same_rows(rebuilt, fresh)
-    mtime = path.stat().st_mtime_ns  # replaced by the schema-3 rows: a hit
+    mtime = path.stat().st_mtime_ns  # replaced by current rows: a hit
     _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
     assert path.stat().st_mtime_ns == mtime
 
 
+def test_cache_schema3_file_rebuilds_silently(tmp_path):
+    # a well-formed schema-3 row file (mu_max in its header, no budget
+    # need) under the current key is stale, not damaged
+    pair = torus_pair(2, 1)
+    fresh = load_or_build(pair, 6.0, str(tmp_path))
+    path = next(tmp_path.iterdir())
+    header = json.dumps({"schema_version": 3, "pair": pair.to_dict(),
+                         "lambda_max": 6.0, "mu_max": 6.0})
+    body = b"".join([b"kuzweyl rows\n", header.encode(), b"\n"]
+                    + [np.ascontiguousarray(a, dtype=dt).tobytes() for a, dt in
+                       zip((fresh.lam, fresh.mu, fresh.weight, fresh.key),
+                           ("<f8", "<f8", "<f8", "<i8"))])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
+    assert json.loads(path.read_bytes().split(b"\n")[1])["schema_version"] == 4
+
+
 def test_build_table_sphere_dispatch():
-    table = build_table(sphere_pair(2, 1), 6.0, mu_max=7.0)
+    table = build_table(sphere_pair(2, 1), 6.0)
     assert table.pair.kind == "sphere"
-    assert table.mu_max == 7.0
+    assert table.lambda_max == 6.0
     assert table.entry_count > 0
+
+
+@pytest.mark.parametrize("pair", [torus_pair(2, 1), torus_pair(3, 2),
+                                  sphere_pair(2, 1)])
+def test_cache_hit_keeps_the_budget(tmp_path, pair):
+    # a warm cache raises ResourceGuardError exactly when a cold build
+    # does: the build's largest guarded count (the 2-D factor lattice of
+    # torus(3,2), the rows otherwise) is kept in the cache header
+    warm = str(tmp_path / "warm")
+    need = load_or_build(pair, 10.0, warm).need
+    outcomes = {}
+    for budget in range(need - 2, need + 3):
+        for state, cache in (("cold", str(tmp_path / f"cold{budget}")),
+                             ("warm", warm)):
+            try:
+                load_or_build(pair, 10.0, cache, budget=budget)
+                outcomes[state, budget] = True
+            except ResourceGuardError:
+                outcomes[state, budget] = False
+    assert outcomes == {(state, b): b >= need for state in ("cold", "warm")
+                        for b in range(need - 2, need + 3)}
+    assert len(os.listdir(warm)) == 1
 
 
 def test_row_budget_edge():
