@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kuznecov import FourierWindow, SumTable, TestFunction
+from .kuznecov import SumTable, _window_of
 from .special_functions import (
     RegularizedPower,
     regularized_pairing,
@@ -122,14 +122,6 @@ def predicted_exponent(c: float, n: int, d: int) -> float:
     return float(n - 1)
 
 
-def _window_of(psi) -> FourierWindow:
-    if isinstance(psi, FourierWindow):
-        return psi
-    if isinstance(psi, TestFunction):
-        return psi.as_window()
-    raise ValidationError("psi must be a TestFunction or FourierWindow")
-
-
 def sphere_leading_coefficient(n: int, d: int, psi) -> CoefficientPrediction:
     """Global-in-s edge coefficient on the sphere pair:
     int psi_hat(s) (sin(s + i0))^(-(n-d)/2) ds.
@@ -146,9 +138,7 @@ def sphere_leading_coefficient(n: int, d: int, psi) -> CoefficientPrediction:
                                 base=np.sin)
     return CoefficientPrediction(value=limit.value, formula="SphereGlobal",
                                  inputs={"n": n, "d": d,
-                                         "psi": win.descriptor()
-                                         if isinstance(win, FourierWindow)
-                                         else None})
+                                         "psi": win.descriptor()})
 
 
 def flat_leading_coefficient(n: int, d: int, psi,

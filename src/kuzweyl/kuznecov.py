@@ -81,6 +81,15 @@ class FourierWindow:
         return {"kind": "window", "support": list(self.support)}
 
 
+def _window_of(psi) -> FourierWindow:
+    """psi as a FourierWindow: a TestFunction becomes its as_window()."""
+    if isinstance(psi, FourierWindow):
+        return psi
+    if isinstance(psi, TestFunction):
+        return psi.as_window()
+    raise ValidationError("psi must be a TestFunction or FourierWindow")
+
+
 def _bump(u):
     """Smooth bump exp(1 - 1/(1 - u^2)) on |u| < 1, zero outside, peak 1."""
     u = np.asarray(u, dtype=float)

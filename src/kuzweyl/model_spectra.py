@@ -177,74 +177,59 @@ class SpectrumSlice:
         return json.dumps(doc)
 
 
+def _guard(count: int, budget: int, what: str) -> int:
+    """count, or ResourceGuardError when it exceeds the budget.  Every
+    resource limit is checked here, before the allocation it counts."""
+    if count > budget:
+        raise ResourceGuardError(f"{what} {count} exceeds budget {budget}")
+    return count
+
+
 # --------------------------------------------------------------------------
 # torus enumeration
 # --------------------------------------------------------------------------
 
-def _torus_count_estimate(periods, cutoff: float) -> float:
-    # volume of the frequency ellipsoid |2 pi m / L| <= cutoff
-    dim = len(periods)
-    ball = pi ** (dim / 2.0) / math.exp(math.lgamma(dim / 2.0 + 1.0))
-    vol = ball
-    for L in periods:
-        vol *= cutoff * L / (2.0 * pi)
-    return vol
+def _lattice_points(scale, cutoff: float, budget: int):
+    """All m in Z^dim with sum (scale_i m_i)^2 <= cutoff^2.
+
+    Built one coordinate at a time: each step pairs the points kept so far
+    with the candidates of the next coordinate, and keeps the pairs inside.
+    Returns the int32 labels in lexicographic order, their squared norms
+    summed in coordinate order, and the largest candidate count, which is
+    what the budget guards.
+    """
+    cut2 = cutoff * cutoff * (1 + 1e-15)
+    labels = np.zeros((1, 0), dtype=np.int32)
+    q = np.zeros(1)
+    need = 0
+    for s in scale:
+        top = int(cutoff / s + 1e-12)
+        m = np.arange(-top, top + 1, dtype=np.int32)
+        need = max(need, _guard(len(q) * len(m), budget,
+                                "lattice candidate count"))
+        q = q[:, None] + (s * m) ** 2
+        row, col = np.nonzero(q <= cut2)
+        q, labels = q[row, col], np.hstack((labels[row], m[col, None]))
+    return labels, q, need
+
+
+def _float_eigenkeys(q, scale) -> np.ndarray:
+    """Eigenspace keys where no exact integer key exists (unequal scales):
+    the squared frequency q in units of min(scale)^2 / 2^20, rounded."""
+    return np.round(q / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
 
 
 def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
-    """All m in Z^dim with sum (2 pi m_i / L_i)^2 <= cutoff^2, lex-sorted."""
-    dim = len(periods)
-    est = _torus_count_estimate(periods, cutoff)
-    if est > 1.2 * budget + 1000:
-        raise ResourceGuardError(
-            f"estimated mode count {est:.3g} exceeds budget {budget}")
+    """All m in Z^dim with sum (2 pi m_i / L_i)^2 <= cutoff^2, ordered by
+    eigenkey (|m|^2 for equal periods), then lexicographically."""
     scale = np.array([2.0 * pi / L for L in periods])
-    bounds = np.floor(cutoff / scale + 1e-12).astype(np.int64)
-    uniform = np.allclose(scale, scale[0], rtol=0, atol=0)
-    cut2 = cutoff * cutoff
-    chunks_lab = []
-    chunks_key = []
-    if dim == 1:
-        m = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64)
-        keep = (scale[0] * m) ** 2 <= cut2 * (1 + 1e-15)
-        chunks_lab.append(m[keep].reshape(-1, 1))
-        chunks_key.append((m[keep] ** 2))
+    labels, q, _ = _lattice_points(scale, cutoff, budget)
+    if np.all(scale == scale[0]):
+        keys = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
     else:
-        tail = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds[1:]]
-        grids = np.meshgrid(*tail, indexing="ij")
-        tail_labels = np.stack([g.ravel() for g in grids], axis=1)
-        tail_q = np.zeros(len(tail_labels))
-        for i in range(1, dim):
-            tail_q += (scale[i] * tail_labels[:, i - 1]) ** 2
-        for m1 in range(-int(bounds[0]), int(bounds[0]) + 1):
-            q = tail_q + (scale[0] * m1) ** 2
-            keep = q <= cut2 * (1 + 1e-15)
-            if not np.any(keep):
-                continue
-            lab = np.empty((int(keep.sum()), dim), dtype=np.int64)
-            lab[:, 0] = m1
-            lab[:, 1:] = tail_labels[keep]
-            chunks_lab.append(lab)
-            if uniform:
-                chunks_key.append((lab.astype(np.int64) ** 2).sum(axis=1))
-            else:
-                chunks_key.append(np.zeros(len(lab), dtype=np.int64))
-    labels = np.concatenate(chunks_lab, axis=0)
-    keys = np.concatenate(chunks_key)
-    if len(labels) > budget:
-        raise ResourceGuardError(
-            f"mode count {len(labels)} exceeds budget {budget}")
-    freqs2 = np.zeros(len(labels))
-    for i in range(dim):
-        freqs2 += (scale[i] * labels[:, i]) ** 2
-    freqs = np.sqrt(freqs2)
-    if not uniform:
-        # no exact integer key available: group by rounded squared frequency
-        keys = np.round(freqs2 / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
-    # deterministic order: frequency group, then lexicographic label
-    sort_keys = tuple(labels[:, i] for i in range(dim - 1, -1, -1)) + (keys,)
-    order = np.lexsort(sort_keys)
-    return (labels[order].astype(np.int32), freqs[order], keys[order])
+        keys = _float_eigenkeys(q, scale)
+    order = np.argsort(keys, kind="stable")
+    return labels[order], np.sqrt(q)[order], keys[order]
 
 
 # --------------------------------------------------------------------------
@@ -272,8 +257,7 @@ def _enumerate_sphere_ambient(n: int, d: int, normalization: str,
     """
     n_max = _sphere_degree_max(n, normalization, cutoff)
     total = int(_harmonic_dims(n, n_max).sum())
-    if total > budget:
-        raise ResourceGuardError(f"mode count {total} exceeds budget {budget}")
+    _guard(total, budget, "mode count")
     q = n - d - 1
     da, db = _harmonic_dims(d, n_max), _harmonic_dims(q, n_max)
     # (N, l) with l <= N, then m = N - l - 2k >= 0 ascending; S^q has
@@ -303,8 +287,7 @@ def _enumerate_sphere_sub(d: int, normalization: str, cutoff: float, budget: int
     l_max = _sphere_degree_max(d, normalization, cutoff)
     dims = _harmonic_dims(d, l_max)
     total = int(dims.sum())
-    if total > budget:
-        raise ResourceGuardError(f"mode count {total} exceeds budget {budget}")
+    _guard(total, budget, "mode count")
     degrees = np.repeat(np.arange(l_max + 1, dtype=np.int64), dims)
     labels = np.stack([degrees.astype(np.int32), _run_positions(dims)], axis=1)
     return labels, _sphere_frequency(degrees, d, normalization), degrees
@@ -319,8 +302,9 @@ def enumerate_spectrum(pair: ManifoldPair, lambda_max: float, *,
                        budget: int = MODE_BUDGET_DEFAULT) -> SpectrumSlice:
     """All modes of M with frequency <= lambda_max and of H up to h_cutoff.
 
-    h_cutoff defaults to lambda_max.  Raises ResourceGuardError when the
-    mode count would exceed the budget.
+    h_cutoff defaults to lambda_max.  Raises ResourceGuardError, before
+    allocating, when the mode count (spheres) or a step's lattice
+    candidates (tori, see _lattice_points) would exceed the budget.
     """
     if lambda_max <= 0:
         raise ValidationError("lambda_max must be > 0")

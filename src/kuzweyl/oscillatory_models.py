@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, ValidationError
-from .kuznecov import FourierWindow, TestFunction, _bump, _smooth_plateau
+from .kuznecov import _bump, _smooth_plateau, _window_of
 from .special_functions import (
     bessel_j_scaled,
     composite_gauss_legendre,
@@ -322,14 +322,10 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
     if window is None:
         psi_hat = lambda s: np.ones_like(np.asarray(s, dtype=float))
         a_supp = cutoff.width
-    elif isinstance(window, TestFunction):
-        psi_hat = window.psi_hat
-        a_supp = window.a
-    elif isinstance(window, FourierWindow):
-        psi_hat = window.psi_hat
-        a_supp = max(abs(window.support[0]), abs(window.support[1]))
     else:
-        raise ValidationError("window must be TestFunction or FourierWindow")
+        win = _window_of(window)
+        psi_hat = win.psi_hat
+        a_supp = max(abs(win.support[0]), abs(win.support[1]))
     coarse, _ = _model_integral_once(n, d, lam, cutoff, psi_hat, a_supp, 1.0)
     fine, panels = _model_integral_once(n, d, lam, cutoff, psi_hat, a_supp, 1.6)
     achieved = abs(fine - coarse) / max(abs(fine), 1e-300)

@@ -43,12 +43,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CacheCorruptionWarning, ResourceGuardError, ValidationError
+from .errors import CacheCorruptionWarning, ValidationError
 from .model_spectra import (
     MODE_BUDGET_DEFAULT,
     ManifoldPair,
     SpectrumSlice,
+    _float_eigenkeys,
+    _guard,
     _harmonic_dims,
+    _lattice_points,
     _run_positions,
     _sphere_degree_max,
     _sphere_frequency,
@@ -128,7 +131,7 @@ class RowTable:
     eigenspace is one run of rows.  Torus rows are the shell pairs (A, B)
     of the factor lattices, sphere rows the blocks (N, l).  `need` is the
     largest count the build checked against its budget (factor-lattice
-    points or rows); a cache hit checks it again.
+    candidates or rows); a cache hit checks it again.
     """
 
     pair: ManifoldPair
@@ -166,34 +169,36 @@ def _check_slice(slice_: SpectrumSlice, kind: str) -> None:
 # torus
 # --------------------------------------------------------------------------
 
+def _inverse_transverse_volume(pair: ManifoldPair) -> float:
+    """1 / Vol(T^(n-d)), the squared coefficient of every torus entry."""
+    value = 1.0
+    for L in pair.torus_periods[pair.d:]:
+        value /= L
+    return value
+
+
 def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
-    """Exact torus table: one entry per M-mode, value = 1 / Vol(transverse torus)."""
+    """Exact torus table: one entry per M-mode, value = 1 / Vol(transverse torus).
+
+    Every M-mode's projection (m_1, ..., m_d) is an H-mode: its squared
+    frequency is a partial sum of the M-mode's, and h_cutoff >= cutoff.
+    """
     _check_slice(slice_, "torus")
     pair = slice_.pair
-    d = pair.d
-    h_lab = slice_.h_labels  # holds the zero mode: h_cutoff >= cutoff > 0
+    h_lab = slice_.h_labels
     # dense lookup (k_1, ..., k_d) -> H index
     mins = h_lab.min(axis=0).astype(np.int64)
-    maxs = h_lab.max(axis=0).astype(np.int64)
-    dims = (maxs - mins + 1).astype(np.int64)
+    dims = h_lab.max(axis=0).astype(np.int64) - mins + 1
     lookup = np.full(int(np.prod(dims)), -1, dtype=np.int64)
     lin = np.ravel_multi_index((h_lab.astype(np.int64) - mins).T, dims)
     lookup[lin] = np.arange(slice_.h_count)
-    proj = slice_.m_labels[:, :d].astype(np.int64)
-    inside = np.all((proj >= mins) & (proj <= maxs), axis=1)
-    j = np.nonzero(inside)[0]
-    lin_m = np.ravel_multi_index((proj[inside] - mins).T, dims)
-    k = lookup[lin_m]
-    ok = k >= 0
-    j, k = j[ok], k[ok]
-    value = 1.0
-    for L in pair.torus_periods[d:]:
-        value /= L
-    v = np.full(len(j), value)
-    j, k, v = _drop_tiny(j.astype(np.int64), k.astype(np.int64), v)
-    order = np.argsort(j, kind="stable")
+    proj = slice_.m_labels[:, :pair.d].astype(np.int64)
+    k = lookup[np.ravel_multi_index((proj - mins).T, dims)]
+    j = np.arange(slice_.m_count, dtype=np.int64)
+    v = np.full(len(j), _inverse_transverse_volume(pair))
+    j, k, v = _drop_tiny(j, k, v)
     return CoefficientTable(pair=pair, lambda_max=slice_.cutoff, slice=slice_,
-                            j_idx=j[order], k_idx=k[order], values=v[order])
+                            j_idx=j, k_idx=k, values=v)
 
 
 # --------------------------------------------------------------------------
@@ -221,11 +226,22 @@ def sphere_coefficient_value(n: int, d: int, N: int, l: int) -> float:
     return math.exp(2.0 * log_p1 - log_h - log_c0) / sphere_volume(n - d - 1)
 
 
+def _sphere_blocks(n: int, d: int, n_max: int):
+    """start, N, l and sphere_coefficient_value of every block (N, l) with
+    N <= n_max, l <= N and N - l even; (N, l) is block start[N] + l // 2."""
+    per_N = np.arange(n_max + 1) // 2 + 1
+    N = np.repeat(np.arange(n_max + 1), per_N)
+    l = N % 2 + 2 * _run_positions(per_N)
+    c = np.array([sphere_coefficient_value(n, d, Nv, lv)
+                  for Nv, lv in zip(N.tolist(), l.tolist())], dtype=float)
+    return np.cumsum(per_N) - per_N, N, l, c
+
+
 def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     """Sphere table in the equator-adapted basis.
 
-    The surviving modes (m = 0) are grouped by their (N, l) block and the
-    closed form is evaluated once per block.
+    A surviving mode (m = 0, so N - l even) takes the closed form of its
+    (N, l) block, evaluated once per block.
     """
     _check_slice(slice_, "sphere")
     pair = slice_.pair
@@ -234,10 +250,8 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     # H-modes run (l, alpha), alpha fastest: degree l starts at its first row
     k = (np.searchsorted(slice_.h_labels[:, 0], labels[j, 1])
          + labels[j, 3].astype(np.int64))
-    blocks, inverse = np.unique(labels[j, :2], axis=0, return_inverse=True)
-    block_vals = np.array([sphere_coefficient_value(pair.n, pair.d, N, l)
-                           for N, l in blocks.tolist()], dtype=float)
-    j, k, vals = _drop_tiny(j, k, block_vals[inverse.reshape(-1)])
+    start, _, _, c = _sphere_blocks(pair.n, pair.d, int(labels[:, 0].max()))
+    j, k, vals = _drop_tiny(j, k, c[start[labels[j, 0]] + labels[j, 1] // 2])
     return CoefficientTable(pair=pair, lambda_max=slice_.cutoff, slice=slice_,
                             j_idx=j, k_idx=k, values=vals)
 
@@ -246,33 +260,16 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
 # row tables
 # --------------------------------------------------------------------------
 
-def _guard(count: int, budget: int, what: str) -> int:
-    if count > budget:
-        raise ResourceGuardError(f"{what} {count} exceeds budget {budget}")
-    return count
-
-
 def _lattice_shells(scale, cutoff: float, budget: int):
     """Shells of the lattice points m with sum (scale_i m_i)^2 <= cutoff^2.
 
-    Returns the squared norms, ascending, their multiplicities and the
-    largest point count guarded.  Unit scales give exact integer norms,
-    other scales the float squared frequencies summed in coordinate order,
-    as the mode enumeration sums them.  np.unique needs memory in the point
-    count; np.bincount would need it in cutoff^2 (8e8 bytes for a 1-D
-    factor at cutoff 1e4).
+    Returns the squared norms (summed in coordinate order, as the mode
+    enumeration sums them; exact integers for unit scales), ascending,
+    their multiplicities and the largest candidate count guarded.
+    np.unique needs memory in the point count; np.bincount would need it
+    in cutoff^2 (8e8 bytes for a 1-D factor at cutoff 1e4).
     """
-    integer = all(s == 1.0 for s in scale)
-    cut2 = cutoff * cutoff * (1 + 1e-15)
-    q = np.zeros(1, dtype=np.int64 if integer else float)
-    need = 0
-    for s in scale:
-        top = int(cutoff / s + 1e-12)
-        m = np.arange(-top, top + 1, dtype=np.int64)
-        need = max(need, _guard(len(q) * len(m), budget,
-                                "factor-lattice point count"))
-        q = (q[:, None] + (m * m if integer else (s * m) ** 2)).ravel()
-        q = q[q <= cut2]
+    _, q, need = _lattice_points(scale, cutoff, budget)
     return (*np.unique(q, return_counts=True), need)
 
 
@@ -291,21 +288,17 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     cutoff = lambda_max / unit
     (a, r_h, need_h), (b, r_t, need_t) = (
         _lattice_shells(part, cutoff, budget) for part in (factor[:d], factor[d:]))
+    if uniform:  # unit scales: exact integer norms, and their sums the keys
+        a, b = a.astype(np.int64), b.astype(np.int64)
     per_a = np.searchsorted(b, cutoff * cutoff * (1 + 1e-15) - a, side="right")
     need = max(need_h, need_t, _guard(int(per_a.sum()), budget, "row count"))
     ia = np.repeat(np.arange(len(a)), per_a)
     ib = _run_positions(per_a)
-    value = 1.0
-    for L in pair.torus_periods[d:]:
-        value /= L
-    weight = (r_h[ia] * r_t[ib]) * value
+    weight = (r_h[ia] * r_t[ib]) * _inverse_transverse_volume(pair)
     a, b = a[ia], b[ib]
     q = a + b
     lam, mu = unit * np.sqrt(q), unit * np.sqrt(a)
-    if uniform:
-        key = q
-    else:
-        key = np.round(q / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
+    key = q if uniform else _float_eigenkeys(q, scale)
     order = np.lexsort((lam, key))
     return lam[order], mu[order], weight[order], key[order], need
 
@@ -315,13 +308,9 @@ def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     dim H_l(S^d) * sphere_coefficient_value(n, d, N, l)."""
     n, d, norm = pair.n, pair.d, pair.normalization
     n_max = _sphere_degree_max(n, norm, lambda_max)
-    N = np.arange(n_max + 1)
-    per_N = N // 2 + 1
-    need = _guard(int(per_N.sum()), budget, "row count")
-    N = np.repeat(N, per_N)
-    l = N % 2 + 2 * _run_positions(per_N)
-    c = np.array([sphere_coefficient_value(n, d, Nv, lv)
-                  for Nv, lv in zip(N.tolist(), l.tolist())], dtype=float)
+    # the blocks: N // 2 + 1 of each degree N <= n_max
+    need = _guard((n_max // 2 + 1) * ((n_max + 1) // 2 + 1), budget, "row count")
+    _, N, l, c = _sphere_blocks(n, d, n_max)
     keep = c > 1e-14  # the per-mode tables' exact-zero rule
     N, l = N[keep], l[keep]
     weight = _harmonic_dims(d, n_max)[l] * c[keep]
@@ -334,7 +323,7 @@ def build_table(pair: ManifoldPair, lambda_max: float, *,
     """Row table of every M-mode up to lambda_max (complete in mu).
 
     Raises ResourceGuardError, before allocating, when the factor-lattice
-    points or the rows would exceed the budget.
+    candidates or the rows would exceed the budget.
     """
     if lambda_max <= 0:
         raise ValidationError("lambda_max must be > 0")

@@ -5,11 +5,12 @@ restriction coefficients and zonal kernels), the segment-by-segment
 cosine-matrix tabulation of the bump-square g-grid, the x_1-then-R
 quadrature of the d = 2 model integral, the per-node barycentric
 Hadamard transport, the damped-ladder half-line transform, the per-mode
-forms of the jumps, doubly smoothed sums and dual trace, and the
-(N, l, m) triple-loop sphere enumeration.  All but the first two are the
-loop and damping forms the package's FFT, batched, contour-rotated,
-per-eigenspace and block-level paths replaced; they are slow and kept
-here only as references.
+forms of the jumps, doubly smoothed sums and dual trace, the meshgrid
+and lexsort torus enumeration with its volume-estimate budget check, and
+the (N, l, m) triple-loop sphere enumeration.  All but the first two are
+the loop and damping forms the package's FFT, batched, contour-rotated,
+per-eigenspace, coordinate-at-a-time and block-level paths replaced;
+they are slow and kept here only as references.
 
 Also the test-only helpers: the direct sphere plane-wave quadrature, the
 full difference spectrum, plain-CSV plot data, the brute tensor
@@ -349,6 +350,74 @@ def dual_trace_loop(table, psi, t_grid) -> np.ndarray:
     for i, t in enumerate(t_grid):
         out[i] = np.sum(w * np.exp(1j * t * lam))
     return out
+
+
+# ------------------------------------- torus enumeration, meshgrid loop
+
+def torus_count_estimate(periods, cutoff: float) -> float:
+    # volume of the frequency ellipsoid |2 pi m / L| <= cutoff
+    dim = len(periods)
+    ball = PI ** (dim / 2.0) / math.exp(math.lgamma(dim / 2.0 + 1.0))
+    vol = ball
+    for L in periods:
+        vol *= cutoff * L / (2.0 * PI)
+    return vol
+
+
+def enumerate_torus_lattice_lexsort(periods, cutoff: float, budget: int):
+    """All m in Z^dim with sum (2 pi m_i / L_i)^2 <= cutoff^2, lex-sorted."""
+    dim = len(periods)
+    est = torus_count_estimate(periods, cutoff)
+    if est > 1.2 * budget + 1000:
+        raise ResourceGuardError(
+            f"estimated mode count {est:.3g} exceeds budget {budget}")
+    scale = np.array([2.0 * PI / L for L in periods])
+    bounds = np.floor(cutoff / scale + 1e-12).astype(np.int64)
+    uniform = np.allclose(scale, scale[0], rtol=0, atol=0)
+    cut2 = cutoff * cutoff
+    chunks_lab = []
+    chunks_key = []
+    if dim == 1:
+        m = np.arange(-bounds[0], bounds[0] + 1, dtype=np.int64)
+        keep = (scale[0] * m) ** 2 <= cut2 * (1 + 1e-15)
+        chunks_lab.append(m[keep].reshape(-1, 1))
+        chunks_key.append((m[keep] ** 2))
+    else:
+        tail = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds[1:]]
+        grids = np.meshgrid(*tail, indexing="ij")
+        tail_labels = np.stack([g.ravel() for g in grids], axis=1)
+        tail_q = np.zeros(len(tail_labels))
+        for i in range(1, dim):
+            tail_q += (scale[i] * tail_labels[:, i - 1]) ** 2
+        for m1 in range(-int(bounds[0]), int(bounds[0]) + 1):
+            q = tail_q + (scale[0] * m1) ** 2
+            keep = q <= cut2 * (1 + 1e-15)
+            if not np.any(keep):
+                continue
+            lab = np.empty((int(keep.sum()), dim), dtype=np.int64)
+            lab[:, 0] = m1
+            lab[:, 1:] = tail_labels[keep]
+            chunks_lab.append(lab)
+            if uniform:
+                chunks_key.append((lab.astype(np.int64) ** 2).sum(axis=1))
+            else:
+                chunks_key.append(np.zeros(len(lab), dtype=np.int64))
+    labels = np.concatenate(chunks_lab, axis=0)
+    keys = np.concatenate(chunks_key)
+    if len(labels) > budget:
+        raise ResourceGuardError(
+            f"mode count {len(labels)} exceeds budget {budget}")
+    freqs2 = np.zeros(len(labels))
+    for i in range(dim):
+        freqs2 += (scale[i] * labels[:, i]) ** 2
+    freqs = np.sqrt(freqs2)
+    if not uniform:
+        # no exact integer key available: group by rounded squared frequency
+        keys = np.round(freqs2 / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
+    # deterministic order: frequency group, then lexicographic label
+    sort_keys = tuple(labels[:, i] for i in range(dim - 1, -1, -1)) + (keys,)
+    order = np.lexsort(sort_keys)
+    return (labels[order].astype(np.int32), freqs[order], keys[order])
 
 
 # ------------------------------------------- sphere enumeration, block loop

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-the package reads the environment only through its two documented keys."""
+"""Source hygiene: every name a package module imports is used in it, the
+package reads the environment only through its two documented keys, and
+one function raises ResourceGuardError."""
 
 import ast
 import pathlib
@@ -94,3 +95,42 @@ def test_environment_read_only_through_documented_keys():
     keys = {key for path in SRC.glob("*.py")
             for _, key in environment_reads(path.read_text())}
     assert keys <= ENV_KEYS
+
+
+def guard_raises(source: str) -> list:
+    """(line, enclosing function or None) for every raise of
+    ResourceGuardError, called or bare, by name or as an attribute."""
+    tree = ast.parse(source)
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = (exc.attr if isinstance(exc, ast.Attribute)
+                    else exc.id if isinstance(exc, ast.Name) else None)
+            if name == "ResourceGuardError":
+                out.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_guard_raise_scanner():
+    src = ("def _guard(c, b):\n    if c > b:\n"
+           "        raise ResourceGuardError('x')\n"
+           "def f():\n    def g():\n        raise errors.ResourceGuardError\n"
+           "    raise ValueError('y')\n"
+           "raise ResourceGuardError()\n")
+    assert guard_raises(src) == [(3, "_guard"), (6, "g"), (8, None)]
+
+
+def test_resource_guard_raised_only_by_guard():
+    # every resource limit goes through model_spectra._guard, which checks
+    # a count before the allocation it counts
+    raises = {(path.name, func) for path in SRC.glob("*.py")
+              for _, func in guard_raises(path.read_text())}
+    assert raises == {("model_spectra.py", "_guard")}

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kuzweyl.model_spectra import (
     ManifoldPair,
     _enumerate_sphere_ambient,
     _enumerate_sphere_sub,
+    _enumerate_torus_lattice,
     _sphere_frequency,
     enumerate_spectrum,
     harmonic_dim,
@@ -18,7 +20,11 @@ from kuzweyl.model_spectra import (
     torus_pair,
 )
 
-from oracles import difference_spectrum, enumerate_sphere_ambient_loop
+from oracles import (
+    difference_spectrum,
+    enumerate_sphere_ambient_loop,
+    enumerate_torus_lattice_lexsort,
+)
 
 
 def test_pair_validation():
@@ -163,6 +169,82 @@ def test_budget_guard():
         enumerate_spectrum(torus_pair(3, 1), 500.0, budget=10_000)
     with pytest.raises(ResourceGuardError):
         enumerate_spectrum(sphere_pair(2, 1), 400.0, budget=1_000)
+
+
+TORUS_PERIODS = {
+    "2pi": lambda dim: (2 * math.pi,) * dim,
+    "5": lambda dim: (5.0,) * dim,
+    "mixed": lambda dim: (6.0, 7.5, 5.0, 4.3)[:dim],
+    "irrational": lambda dim: (1.0, math.sqrt(2), math.e, 0.7)[:dim],
+}
+
+
+@pytest.mark.parametrize("periods", sorted(TORUS_PERIODS))
+@pytest.mark.parametrize("dim, cutoffs", [
+    (1, (0.3, 1.0, 12.5, 40.0, 200.0)),
+    (2, (0.3, 1.0, 12.5, 40.0, 120.0)),
+    (3, (0.3, 1.0, 12.5, 20.0, 35.0)),
+    (4, (0.3, 1.0, 8.0, 11.0, 14.0)),
+])
+def test_torus_enumeration_matches_lexsort_oracle(dim, cutoffs, periods):
+    # bit for bit, dtypes included; sqrt(50) is an exact shell radius
+    # (1 + 49 = 25 + 25) for 2 pi periods, and its multiple by 2 pi / 5 the
+    # same shell for periods 5
+    per = TORUS_PERIODS[periods](dim)
+    for cutoff in cutoffs + (math.sqrt(50), math.sqrt(50) * 2 * math.pi / 5):
+        got = _enumerate_torus_lattice(per, cutoff, 10**8)
+        want = enumerate_torus_lattice_lexsort(per, cutoff, 10**8)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+
+
+def _candidate_count(periods, cutoff):
+    """Largest count of (kept prefix point, next coordinate) candidates
+    when the lattice is built one coordinate at a time, from the oracle's
+    prefix lattices."""
+    counts = []
+    for i, L in enumerate(periods):
+        top = math.floor(cutoff * L / (2 * math.pi) + 1e-12)
+        prefix = (len(enumerate_torus_lattice_lexsort(periods[:i], cutoff,
+                                                      10**8)[0])
+                  if i else 1)
+        counts.append(prefix * (2 * top + 1))
+    return max(counts)
+
+
+@pytest.mark.parametrize("pair, lam, h_cut", [
+    (torus_pair(2, 1), 30.0, None),
+    (torus_pair(3, 1), 12.0, None),
+    (torus_pair(3, 2), 12.0, 60.0),  # the H lattice holds the most candidates
+    (torus_pair(3, 2, periods=(6.0, 7.5, 5.0)), 9.5, None),
+])
+def test_torus_budget_edge(pair, lam, h_cut):
+    # the budget counts lattice candidates (prefix points times the next
+    # coordinate's range), the largest of the M and H lattices: at that
+    # count the slice fits, one below it raises
+    h = lam if h_cut is None else h_cut
+    need = max(_candidate_count(pair.torus_periods, lam),
+               _candidate_count(pair.h_periods, h))
+    slc = enumerate_spectrum(pair, lam, h_cutoff=h_cut, budget=need)
+    assert max(slc.m_count, slc.h_count) < need
+    with pytest.raises(ResourceGuardError, match="candidate count"):
+        enumerate_spectrum(pair, lam, h_cutoff=h_cut, budget=need - 1)
+
+
+@pytest.mark.parametrize("pair, lam", [
+    (torus_pair(3, 1), 2000.0),  # 4001^2 candidates at the second coordinate
+    (torus_pair(2, 1), 1e6),  # 2e6 + 1 candidates at the first
+])
+def test_torus_budget_guard_before_allocating(pair, lam):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            enumerate_spectrum(pair, lam, budget=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_lambda_max_validation():

@@ -102,6 +102,21 @@ def test_torus_single_entry_and_value_independence():
     assert np.all(table.values == table.values[0])
 
 
+@pytest.mark.parametrize("periods", [None, (6.0, 7.5, 5.0),
+                                     (1.0, math.sqrt(2), math.e)])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2)])
+def test_torus_every_mode_projects_to_an_h_mode(n, d, periods):
+    # h_cutoff >= cutoff, so every M-mode has exactly one entry, against the
+    # H-mode with the labels of its first d coordinates
+    per = None if periods is None else periods[:n]
+    for lam, h_cut in ((math.sqrt(50), None), (7.3, 7.3 * (1 + 1e-15)),
+                       (9.0, 11.0)):
+        slc = enumerate_spectrum(torus_pair(n, d, per), lam, h_cutoff=h_cut)
+        table = torus_coefficients(slc)
+        assert np.array_equal(table.j_idx, np.arange(slc.m_count))
+        assert np.array_equal(slc.h_labels[table.k_idx], slc.m_labels[:, :d])
+
+
 def test_torus_sign_flip_symmetry():
     table = torus_coefficients(enumerate_spectrum(torus_pair(2, 1), 6.0))
     entries = _entry_map(table)
@@ -127,6 +142,23 @@ def test_sphere_21_selection_rule():
         N, l, m_trans = (int(v) for v in slc.m_labels[i][:3])
         if m_trans != 0:
             assert i not in paired
+
+
+@pytest.mark.parametrize("normalization", ["laplace", "degree"])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+def test_sphere_entries_match_per_entry_closed_form(n, d, normalization):
+    # one entry per m = 0 mode with a nonzero value, each equal to
+    # sphere_coefficient_value of its own (N, l)
+    slc = enumerate_spectrum(sphere_pair(n, d, normalization), 14.0)
+    table = sphere_coefficients(slc)
+    labels = slc.m_labels
+    want = np.array([sphere_coefficient_value(n, d, int(N), int(l))
+                     for N, l in labels[:, :2]])
+    kept = (labels[:, 2] == 0) & (want > 1e-14)
+    assert np.array_equal(table.j_idx, np.nonzero(kept)[0])
+    assert np.array_equal(table.values, want[kept])
+    assert np.array_equal(slc.h_labels[table.k_idx],
+                          labels[table.j_idx][:, [1, 3]])
 
 
 def test_sphere_21_highest_weight_norm_oracle():
@@ -392,7 +424,7 @@ def test_cache_hit_keeps_the_budget(tmp_path, pair):
 
 
 def test_row_budget_edge():
-    # the budget counts factor-lattice points and rows; at the row count
+    # the budget counts factor-lattice candidates and rows; at the row count
     # the build fits, one below it raises
     pair = torus_pair(2, 1)
     rows = build_table(pair, 40.0).entry_count
