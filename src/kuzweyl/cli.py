@@ -35,6 +35,7 @@ from .asymptotics import (
 from .errors import ResourceGuardError, ToleranceError, ValidationError
 from .kuznecov import (
     SumTable,
+    _write_csv,
     averaged_sharp_sum,
     dual_trace,
     kuznecov_sum,
@@ -55,8 +56,6 @@ from .oscillatory_models import (
     model_integral,
 )
 from .restriction_coeffs import load_or_build
-
-FMT = "%.17g"
 
 
 def _cache_dir(override=None):
@@ -109,15 +108,6 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) > 3 and parts[3] == "lin":
         return np.linspace(lo, hi, count)
     return np.geomspace(lo, hi, count)
-
-
-def _write_csv(path: str, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([FMT % v if isinstance(v, float) else v
-                             for v in row])
 
 
 # --------------------------------------------------------------------------

@@ -293,6 +293,17 @@ def dominating_test_function(eps: float, a: float = 1.0) -> TestFunction:
 # sum tables
 # --------------------------------------------------------------------------
 
+def _write_csv(path: str, header, rows) -> None:
+    """CSV with a header row; floats (numpy's too) at 17 significant
+    digits, which round-trip."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % v if isinstance(v, float) else v
+                             for v in row])
+
+
 @dataclass
 class SumTable:
     """Values of a windowed spectral sum on a lambda grid, with metadata."""
@@ -307,11 +318,8 @@ class SumTable:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "value"])
-            for lam, val in zip(self.lambda_grid, self.values):
-                writer.writerow([f"{lam:.17g}", f"{val:.17g}"])
+        _write_csv(path, ["lambda", "value"],
+                   zip(self.lambda_grid, self.values))
 
     def sidecar(self) -> dict:
         return {
@@ -506,12 +514,9 @@ class DualTrace:
     test: dict
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re", "im", "abs"])
-            for t, v in zip(self.t_grid, self.values):
-                writer.writerow([f"{t:.17g}", f"{v.real:.17g}",
-                                 f"{v.imag:.17g}", f"{abs(v):.17g}"])
+        _write_csv(path, ["t", "re", "im", "abs"],
+                   ((t, v.real, v.imag, abs(v))
+                    for t, v in zip(self.t_grid, self.values)))
 
 
 def dual_trace(table: Table, psi: TestFunction, t_grid) -> DualTrace:

@@ -64,7 +64,6 @@ __all__ = [
     "RowTable",
     "torus_coefficients",
     "sphere_coefficients",
-    "sphere_coefficient_value",
     "build_table",
     "load_or_build",
 ]
@@ -93,11 +92,6 @@ class CoefficientTable:
     j_idx: np.ndarray
     k_idx: np.ndarray
     values: np.ndarray
-
-    @property
-    def mu_max(self) -> float:
-        """The slice's H cutoff, never below lambda_max."""
-        return self.slice.h_cutoff
 
     @property
     def entry_count(self) -> int:
@@ -145,12 +139,6 @@ class RowTable:
     @property
     def entry_count(self) -> int:
         return len(self.weight)
-
-    def build_hash(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.lam, self.mu, self.weight, self.key):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
 
 def _drop_tiny(j, k, v):
@@ -205,35 +193,26 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
 # sphere
 # --------------------------------------------------------------------------
 
-def sphere_coefficient_value(n: int, d: int, N: int, l: int) -> float:
-    """Closed-form squared coefficient of the adapted mode (N, l, m=0).
-
-    Zero when N - l is odd; otherwise the Jacobi-polynomial value at the
-    equator, normalized in the split measure.
-    """
-    if not (0 <= l <= N):
-        raise ValidationError("need 0 <= l <= N")
-    if (N - l) % 2:
-        return 0.0
-    k = (N - l) // 2
-    A = 0.5 * (n - d - 2)
-    B = l + 0.5 * (d - 1)
-    log_p1 = lgamma(k + A + 1.0) - lgamma(k + 1.0) - lgamma(A + 1.0)
-    log_h = ((A + B + 1.0) * math.log(2.0) - math.log(2.0 * k + A + B + 1.0)
-             + lgamma(k + A + 1.0) + lgamma(k + B + 1.0)
-             - lgamma(k + 1.0) - lgamma(k + A + B + 1.0))
-    log_c0 = -(l + 0.5 * (n + 1)) * math.log(2.0)
-    return math.exp(2.0 * log_p1 - log_h - log_c0) / sphere_volume(n - d - 1)
-
-
 def _sphere_blocks(n: int, d: int, n_max: int):
-    """start, N, l and sphere_coefficient_value of every block (N, l) with
-    N <= n_max, l <= N and N - l even; (N, l) is block start[N] + l // 2."""
+    """start, N, l and the closed-form squared coefficient |c(N, l)|^2 of
+    every block (N, l) with N <= n_max, l <= N and N - l even; (N, l) is
+    block start[N] + l // 2."""
     per_N = np.arange(n_max + 1) // 2 + 1
     N = np.repeat(np.arange(n_max + 1), per_N)
     l = N % 2 + 2 * _run_positions(per_N)
-    c = np.array([sphere_coefficient_value(n, d, Nv, lv)
-                  for Nv, lv in zip(N.tolist(), l.tolist())], dtype=float)
+    k = (N - l) // 2
+    A, B = 0.5 * (n - d - 2), l + 0.5 * (d - 1)
+    # every Gamma argument is a half-integer m / 2, 1 <= m <= 2 n_max + n:
+    # lg[m] = lgamma(m / 2), and the pole at m = 0 is never read
+    lg = np.array([math.inf] + [lgamma(0.5 * m)
+                                for m in range(1, 2 * n_max + n + 1)])
+    lg_kA, lg_k = lg[2 * k + n - d], lg[2 * k + 2]
+    log_p1 = lg_kA - lg_k - lg[n - d]
+    log_h = ((A + B + 1.0) * math.log(2.0) - np.log(2.0 * k + A + B + 1.0)
+             + lg_kA + lg[2 * k + 2 * l + d + 1]
+             - lg_k - lg[2 * k + 2 * l + n - 1])
+    log_c0 = -(l + 0.5 * (n + 1)) * math.log(2.0)
+    c = np.exp(2.0 * log_p1 - log_h - log_c0) / sphere_volume(n - d - 1)
     return np.cumsum(per_N) - per_N, N, l, c
 
 
@@ -305,7 +284,7 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
 
 def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     """One row per block (N, l), l <= N with N - l even, weight
-    dim H_l(S^d) * sphere_coefficient_value(n, d, N, l)."""
+    dim H_l(S^d) |c(N, l)|^2."""
     n, d, norm = pair.n, pair.d, pair.normalization
     n_max = _sphere_degree_max(n, norm, lambda_max)
     # the blocks: N // 2 + 1 of each degree N <= n_max

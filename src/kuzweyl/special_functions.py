@@ -39,7 +39,6 @@ __all__ = [
     "RegularizedLimit",
     "regularized_pairing",
     "fourier_halfline_power",
-    "halfline_power_gamma_rhs",
 ]
 
 
@@ -317,14 +316,6 @@ def regularized_pairing(f: Callable, support, reg: RegularizedPower,
         raise NonConvergenceError(
             f"extrapolation residuals not decreasing: {tail.tolist()}")
     return result
-
-
-def halfline_power_gamma_rhs(beta: float, sigma: float) -> complex:
-    """i exp(i beta pi/2) Gamma(beta+1) (sigma + i0)^(-beta-1) for sigma > 0."""
-    if sigma <= 0:
-        raise ValidationError("sigma must be > 0")
-    return 1j * np.exp(1j * beta * pi / 2.0) * math.exp(lgamma(beta + 1.0)) \
-        * sigma ** (-beta - 1.0)
 
 
 def fourier_halfline_power(beta: float, sigma: float) -> complex:

@@ -1,28 +1,32 @@
 """Reference implementations the tests compare the package against.
 
-Legendre and Gegenbauer recurrences (oracles for the closed-form
-restriction coefficients and zonal kernels), the segment-by-segment
-cosine-matrix tabulation of the bump-square g-grid, the x_1-then-R
-quadrature of the d = 2 model integral, the per-node barycentric
-Hadamard transport, the damped-ladder half-line transform, the per-mode
-forms of the jumps, doubly smoothed sums and dual trace, the meshgrid
-and lexsort torus enumeration with its volume-estimate budget check, and
-the (N, l, m) triple-loop sphere enumeration.  All but the first two are
-the loop and damping forms the package's FFT, batched, contour-rotated,
-per-eigenspace, coordinate-at-a-time and block-level paths replaced;
-they are slow and kept here only as references.
+Independent forms: the Legendre and Gegenbauer recurrences (oracles for
+the closed-form restriction coefficients and zonal kernels) and the
+30-digit mpmath integral of the first Hadamard transport coefficient.
 
-Also the test-only helpers: the direct sphere plane-wave quadrature, the
-full difference spectrum, plain-CSV plot data, the brute tensor
-quadrature of an oscillatory integral with its stationary-phase error
-probe, and the per-mode Parseval row sums of a coefficient table.
+Replaced forms, slow and kept here only as references: the per-block
+closed form of the sphere restriction coefficients (replaced by one
+lgamma table), the segment-by-segment cosine-matrix tabulation of the
+bump-square g-grid (FFT), the x_1-then-R quadrature of the d = 2 model
+integral (batched polar), the damped-ladder half-line transform (contour
+rotation), the per-mode forms of the jumps, doubly smoothed sums and dual
+trace (per-eigenspace), the meshgrid and lexsort torus enumeration with
+its volume-estimate budget check (coordinate at a time), and the
+(N, l, m) triple-loop sphere enumeration (block level).
+
+Also the test-only helpers: the Gamma closed form of the half-line
+transform, the rank of the full model-phase Hessian, the direct sphere
+plane-wave quadrature, the full difference spectrum, plain-CSV plot data,
+the brute tensor quadrature of an oscillatory integral with its
+stationary-phase error probe, and the per-mode Parseval row sums of a
+coefficient table.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
-from kuzweyl.cli import _write_csv
 from kuzweyl.errors import ResourceGuardError, ValidationError
 from kuzweyl.kuznecov import (
     DualTrace,
@@ -30,6 +34,7 @@ from kuzweyl.kuznecov import (
     TestFunction,
     _bump,
     _entry_weights,
+    _write_csv,
 )
 from kuzweyl.model_spectra import (
     SpectrumSlice,
@@ -40,11 +45,8 @@ from kuzweyl.model_spectra import (
 from kuzweyl.oscillatory_models import (
     ModelCutoff,
     PhaseProblem,
-    _ChebBasis,
-    _cot_ratio,
     _fourier_on_support,
     _graded_phase_breakpoints,
-    _sinc_ratio,
     stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
@@ -132,6 +134,31 @@ def gegenbauer(N: int, alpha: float, x):
     return c1 if c1.ndim else float(c1)
 
 
+# ------------------------------------ sphere restriction coefficient, per block
+
+def sphere_coefficient_value(n: int, d: int, N: int, l: int) -> float:
+    """Closed-form squared coefficient of the adapted mode (N, l, m=0),
+    one block at a time.
+
+    Zero when N - l is odd; otherwise the Jacobi-polynomial value at the
+    equator, normalized in the split measure.
+    """
+    if not (0 <= l <= N):
+        raise ValidationError("need 0 <= l <= N")
+    if (N - l) % 2:
+        return 0.0
+    k = (N - l) // 2
+    A = 0.5 * (n - d - 2)
+    B = l + 0.5 * (d - 1)
+    lg = math.lgamma
+    log_p1 = lg(k + A + 1.0) - lg(k + 1.0) - lg(A + 1.0)
+    log_h = ((A + B + 1.0) * math.log(2.0) - math.log(2.0 * k + A + B + 1.0)
+             + lg(k + A + 1.0) + lg(k + B + 1.0)
+             - lg(k + 1.0) - lg(k + A + B + 1.0))
+    log_c0 = -(l + 0.5 * (n + 1)) * math.log(2.0)
+    return math.exp(2.0 * log_p1 - log_h - log_c0) / sphere_volume(n - d - 1)
+
+
 # --------------------------------------------- bump-square g-grid, cos loop
 
 def bump_g_grid_loop(a: float, xmax: float):
@@ -217,64 +244,27 @@ def model_integral_d2_loop(n: int, lam: float, cutoff: ModelCutoff = None,
     return sphere_volume(n - 3) * 2.0 * complex(total)
 
 
-# ------------------------------------------- Hadamard transport, node loops
+# -------------------------------------- Hadamard transport, mpmath integral
 
-def _barycentric_eval(basis: _ChebBasis, fvals, vq):
-    """Barycentric evaluation at points of [0, hi], one node at a time."""
-    xq = 2.0 * np.asarray(vq, dtype=float) / basis.hi - 1.0
-    num = np.zeros(len(xq))
-    den = np.zeros(len(xq))
-    exact = np.full(len(xq), -1, dtype=np.int64)
-    for j, xj in enumerate(basis.x):
-        diff = xq - xj
-        hit = np.abs(diff) < 1e-15
-        exact[hit] = j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = basis._bw[j] / diff
-        num += np.where(hit, 0.0, t * fvals[j])
-        den += np.where(hit, 0.0, t)
-    out = num / den
-    has = exact >= 0
-    out[has] = fvals[exact[has]]
-    return out
+def hadamard_w1_mpmath(n: int, r: float, dps: int = 30) -> float:
+    """W_1 of the round S^n at radius r from its integral definition,
+    W_1(r) = Theta^{-1/2}(r) int_0^1 (Theta^{1/2} Delta W_0)(s r) ds, at
+    dps digits: mp.quad over s, with W_0 = (r / sin r)^{(n-1)/2} =
+    Theta^{-1/2} differentiated by mp.diffs and
+    Delta = d^2/dr^2 + (n - 1) cot r d/dr."""
+    with mpmath.workdps(dps):
+        p = mpmath.mpf(n - 1) / 2
+        rr = mpmath.mpf(r)
 
+        def w0(t):
+            return (t / mpmath.sin(t)) ** p
 
-def hadamard_w_loop(n: int, j_max: int, r_grid):
-    """W_0 .. W_{j_max} of the round S^n on r_grid, transporting node by
-    node with the same basis, mapping and filter floors as the package."""
-    r_grid = np.asarray(r_grid, dtype=float)
-    pi2 = PI * PI
-    v_need = 1.0 - math.sqrt(max(0.0, 1.0 - float(r_grid.max()) ** 2 / pi2))
-    basis = _ChebBasis(220, min(0.93, v_need + 0.04))
-    v = basis.v
-    u_nodes = pi2 * v * (2.0 - v)
-    dudv = 2.0 * pi2 * (1.0 - v)
-    floors = [1e-14, 1e-12, 1e-11, 1e-10]
+        def integrand(s):
+            t = s * rr
+            _, d1, d2 = mpmath.diffs(w0, t, 2)
+            return (d2 + (n - 1) * mpmath.cot(t) * d1) / w0(t)
 
-    def ddu(fvals, floor):
-        return basis.derivative(fvals, floor) / dudv
-
-    def v_of_u(uq):
-        return 1.0 - np.sqrt(np.maximum(0.0, 1.0 - uq / pi2))
-
-    theta_nodes = _sinc_ratio(u_nodes) ** (n - 1)
-    V = [theta_nodes ** -0.5]
-    s_nodes, s_weights = composite_gauss_legendre(np.linspace(0, 1, 11),
-                                                  order=14)
-    for j in range(j_max):
-        dV = ddu(V[j], floors[j])
-        d2V = ddu(dV, floors[j])
-        lapV = (4.0 * u_nodes * d2V + 2.0 * dV
-                + 2.0 * (n - 1) * _cot_ratio(u_nodes) * dV)
-        g = np.sqrt(theta_nodes) * lapV
-        Wnext = np.empty(basis.npts)
-        for i, ui in enumerate(u_nodes):
-            g_at = _barycentric_eval(basis, g, v_of_u((s_nodes ** 2) * ui))
-            Wnext[i] = (theta_nodes[i] ** -0.5
-                        * float(np.sum(s_weights * (s_nodes ** j) * g_at)))
-        V.append(basis.filter(Wnext, floors[j + 1]))
-    vq = v_of_u(r_grid ** 2)
-    return [_barycentric_eval(basis, Vj, vq) for Vj in V]
+        return float(w0(rr) * mpmath.quad(integrand, [0, 1]))
 
 
 # ------------------------------------------ half-line transform, damped ladder
@@ -464,6 +454,32 @@ def enumerate_sphere_ambient_loop(n: int, d: int, normalization: str,
 
 
 # ------------------------------------------------------- test-only helpers
+
+def halfline_power_gamma_rhs(beta: float, sigma: float) -> complex:
+    """i exp(i beta pi/2) Gamma(beta+1) (sigma + i0)^(-beta-1) for sigma > 0."""
+    if sigma <= 0:
+        raise ValidationError("sigma must be > 0")
+    return (1j * np.exp(1j * beta * PI / 2.0) * math.exp(math.lgamma(beta + 1.0))
+            * sigma ** (-beta - 1.0))
+
+
+def full_model_hessian_rank(n: int, d: int, y_d: float):
+    """Rank of the full model-phase Hessian in (y, x', x'') at the critical
+    point x' = x'' = 0, y' = 0: 2d-2 when y_d = 0, n+d-2 otherwise."""
+    dim = n + d - 1  # y (d) + x' (d-1) + x'' (n-d)
+    H = np.zeros((dim, dim))
+    for j in range(d - 1):
+        iy, ix = j, d + j
+        H[iy, ix] = H[ix, iy] = 1.0
+    for j in range(d - 1):
+        ix = d + j
+        H[ix, ix] = -y_d
+    for j in range(n - d):
+        ix = 2 * d - 1 + j
+        H[ix, ix] = -y_d
+    rank = int(np.linalg.matrix_rank(H, tol=1e-12))
+    return H, rank
+
 
 def sphere_plane_wave_integral(n: int, r: float):
     """Both sides of int_{S^{n-1}} exp(2 pi i r <xi, w>) dS(w), |xi| = 1.

@@ -48,11 +48,14 @@ from kuzweyl.special_functions import (
     RegularizedPower,
     fourier_halfline_power,
     gauss_legendre,
-    halfline_power_gamma_rhs,
     regularized_pairing,
 )
 
-from oracles import assoc_legendre, parseval_row_sums
+from oracles import (
+    assoc_legendre,
+    halfline_power_gamma_rhs,
+    parseval_row_sums,
+)
 
 PI = math.pi
 BIG_BUDGET = 40_000_000

@@ -123,6 +123,19 @@ def test_hadamard_command(tmp_path):
     assert open(out).read().startswith("r,W0,W1")
 
 
+def test_hadamard_command_beyond_supported_radius(tmp_path, monkeypatch,
+                                                  capsys):
+    # the command's sphere grid ends at pi - 0.1; with the supported radius
+    # set below that, the radius guard's ValidationError exits with code 1
+    monkeypatch.setattr("kuzweyl.oscillatory_models.SPHERE_R_MAX", 2.0)
+    out = tmp_path / "had.csv"
+    rc = main(["hadamard", "--metric", "sphere:3", "--points", "8",
+               "--out", str(out)])
+    assert rc == 1
+    assert "conjugate point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_experiment_passes(tmp_path):
     cfg = _write_config(tmp_path)
     report = run_experiment(cfg, cache_dir=str(tmp_path / "cache"),

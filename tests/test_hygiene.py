@@ -1,13 +1,15 @@
 """Source hygiene: every name a package module imports is used in it, the
-package reads the environment only through its two documented keys, and
-one function raises ResourceGuardError."""
+package reads the environment only through its two documented keys, one
+function raises ResourceGuardError, and every public function or class is
+used beyond its definition."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kuzweyl"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kuzweyl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ENV_KEYS = {"KUZWEYL_CACHE_DIR", "KUZWEYL_OUTPUT_DIR"}
 
@@ -134,3 +136,60 @@ def test_resource_guard_raised_only_by_guard():
     raises = {(path.name, func) for path in SRC.glob("*.py")
               for _, func in guard_raises(path.read_text())}
     assert raises == {("model_spectra.py", "_guard")}
+
+
+def unreferenced_public(modules: dict, others) -> list:
+    """(module, name) for every public module-level function or class in
+    `modules` (file name -> source) that no source, of `modules` or of
+    `others`, refers to beyond its definition.
+
+    A reference is a loaded name, an attribute, an imported name or a
+    string constant (a name looked up with getattr); the strings of an
+    `__all__` list are not references.
+    """
+    used = set()
+    for source in [*modules.values(), *others]:
+        tree = ast.parse(source)
+        listed = {id(e) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)
+                  for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in listed):
+                used.add(node.value)
+    return sorted((name, node.name) for name, source in modules.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in used)
+
+
+def test_unreferenced_public_scanner():
+    modules = {
+        "a.py": ("__all__ = ['used', 'unused', 'Orphan']\n"
+                 "def used():\n    pass\ndef by_name():\n    pass\n"
+                 "def unused():\n    pass\nclass Orphan:\n    pass\n"
+                 "def helper():\n    pass\nclass Result:\n    pass\n"
+                 "def _private():\n    pass\n"
+                 "def api():\n    helper()\n    return Result()\n"),
+        "b.py": "from .a import used\nx = 1\n",
+        "__init__.py": "from .a import api\nfrom .b import x\n",
+    }
+    others = ["import a\nf = getattr(a, 'by_name')\n"]
+    assert unreferenced_public(modules, others) == [("a.py", "Orphan"),
+                                                    ("a.py", "unused")]
+
+
+def test_every_public_name_is_used():
+    # a public function or class serves the package, the package root's
+    # exports or the benchmark; a test-only helper belongs in tests/oracles.py
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    bench = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    assert unreferenced_public(modules, bench) == []

@@ -254,7 +254,7 @@ def test_zero_mode_only_below_first_eigenvalue(torus21_table):
 def test_sharp_c_zero_counts_everything(torus21_table):
     # window covering every cached H-frequency at c = 0 counts every pair:
     # sum over lambda_j <= lambda of the restricted norms
-    eps = torus21_table.mu_max - 1.0
+    eps = torus21_table.slice.h_cutoff - 1.0
     assert eps > float(np.max(torus21_table.mu))
     st = sharp_sum(torus21_table, 0.0, eps, np.array([20.0]))
     lam = torus21_table.lam

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from kuzweyl.errors import AccuracyError, ResourceGuardError, ValidationError
 from kuzweyl.kuznecov import make_test_function, shifted_bump_window
@@ -10,11 +11,11 @@ from kuzweyl.oscillatory_models import (
     ModelCutoff,
     PhaseProblem,
     RadialMetric,
+    SPHERE_R_MAX,
     _graded_phase_breakpoints,
     _model_integral_once,
     _plane_wave_factor_closed,
     double_bessel,
-    full_model_hessian_rank,
     hadamard_transport,
     hessian_model,
     model_integral,
@@ -31,8 +32,9 @@ from kuzweyl.special_functions import (
 
 from oracles import (
     brute_oscillatory_integral,
+    full_model_hessian_rank,
     gegenbauer,
-    hadamard_w_loop,
+    hadamard_w1_mpmath,
     model_integral_d2_loop,
     stationary_phase_error_probe,
 )
@@ -462,18 +464,59 @@ def test_hadamard_higher_order_residuals_moderate_range():
         assert out.transport_residuals[2] < 1e-8
 
 
-def test_hadamard_transport_matches_node_loop():
-    for n, rmax in ((2, 2.6), (3, PI - 0.1), (5, 2.4)):
-        r = np.linspace(0.05, rmax, 50)
-        out = hadamard_transport(RadialMetric("sphere", n), 3, r)
-        ref = hadamard_w_loop(n, 3, r)
-        for got, want in zip(out.W, ref):
-            assert np.max(np.abs(got - want)) <= 1e-10
+def test_hadamard_w0_matches_closed_form():
+    r = np.linspace(0.05, PI - 0.1, 80)
+    for n in (2, 3, 4, 5, 7):
+        out = hadamard_transport(RadialMetric("sphere", n), 0, r)
+        want = (r / np.sin(r)) ** ((n - 1) / 2.0)
+        assert np.max(np.abs(out.W[0] / want - 1.0)) <= 1e-13
+
+
+def test_hadamard_sphere3_chain_to_rounding():
+    # W_j = W_0 / j! on S^3, pointwise relative to W_0, up to the supported
+    # radius
+    for r_max in (PI - 0.1, SPHERE_R_MAX):
+        r = np.linspace(0.05, r_max, 80)
+        out = hadamard_transport("sphere:3", 3, r)
+        for j in range(4):
+            assert np.all(np.abs(out.W[j] - out.W[0] / math.factorial(j))
+                          <= 1e-11 * out.W[0])
+
+
+def test_hadamard_odd_spheres_shifted_series_terminates():
+    # on odd S^n the Hadamard series of Delta + c, c = ((n-1)/2)^2, ends
+    # before j = (n-1)/2: its coefficients
+    # sum_{i<=j} (-c)^i / i! W_{j-i} vanish from there on
+    r = np.linspace(0.05, PI - 0.1, 80)
+    for n in (3, 5, 7):
+        W = hadamard_transport(RadialMetric("sphere", n), 3, r).W
+        c = ((n - 1) / 2.0) ** 2
+        for j in range((n - 1) // 2, 4):
+            shifted = sum((-c) ** i / math.factorial(i) * W[j - i]
+                          for i in range(j + 1))
+            assert np.max(np.abs(shifted)) <= 1e-10 * np.max(np.abs(W[j]))
+
+
+def test_hadamard_w1_matches_mpmath_even_spheres():
+    r = np.array([0.5, 1.5, 2.5, 3.0])
+    for n in (2, 4):
+        got = hadamard_transport(RadialMetric("sphere", n), 1, r).W[1]
+        want = np.array([hadamard_w1_mpmath(n, rv) for rv in r])
+        assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_hadamard_guards():
     with pytest.raises(ValidationError):
         hadamard_transport("sphere:3", 1, np.linspace(0.1, 3.2, 10))
+    # beyond the supported radius, short of the conjugate point
+    for grid in ([1.0, 3.14], [3.135], [SPHERE_R_MAX + 1e-9]):
+        with pytest.raises(ValidationError, match="conjugate point"):
+            hadamard_transport("sphere:3", 2, grid)
+    # the flat metric has no conjugate point
+    assert hadamard_transport("flat:3", 1, [5.0]).W[0][0] == 1.0
+    for metric in ("sphere:3", "flat:3"):
+        with pytest.raises(ValidationError, match="nonempty"):
+            hadamard_transport(metric, 1, [])
     with pytest.raises(ValidationError):
         hadamard_transport("sphere:3", 5, np.linspace(0.1, 1.0, 10))
     with pytest.raises(ValidationError):

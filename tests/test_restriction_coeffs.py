@@ -19,9 +19,9 @@ from kuzweyl.errors import (
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
 from kuzweyl.restriction_coeffs import (
     CoefficientTable,
+    _sphere_blocks,
     build_table,
     load_or_build,
-    sphere_coefficient_value,
     sphere_coefficients,
     torus_coefficients,
 )
@@ -35,6 +35,7 @@ from oracles import (
     assoc_legendre_normalized,
     gegenbauer,
     parseval_row_sums,
+    sphere_coefficient_value,
 )
 
 PI = math.pi
@@ -147,18 +148,37 @@ def test_sphere_21_selection_rule():
 @pytest.mark.parametrize("normalization", ["laplace", "degree"])
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
 def test_sphere_entries_match_per_entry_closed_form(n, d, normalization):
-    # one entry per m = 0 mode with a nonzero value, each equal to
-    # sphere_coefficient_value of its own (N, l)
+    # one entry per m = 0 mode with a nonzero value, each equal to the
+    # closed form of its own (N, l) block (the blocks' own oracle is
+    # test_sphere_blocks_match_per_block_closed_form)
     slc = enumerate_spectrum(sphere_pair(n, d, normalization), 14.0)
     table = sphere_coefficients(slc)
     labels = slc.m_labels
-    want = np.array([sphere_coefficient_value(n, d, int(N), int(l))
-                     for N, l in labels[:, :2]])
+    start, _, _, c = _sphere_blocks(n, d, int(labels[:, 0].max()))
+    # an m = 0 mode has N - l even, so this is its own block
+    want = c[start[labels[:, 0]] + labels[:, 1] // 2]
     kept = (labels[:, 2] == 0) & (want > 1e-14)
     assert np.array_equal(table.j_idx, np.nonzero(kept)[0])
     assert np.array_equal(table.values, want[kept])
     assert np.array_equal(slc.h_labels[table.k_idx],
                           labels[table.j_idx][:, [1, 3]])
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3),
+                                  (5, 2)])
+def test_sphere_blocks_match_per_block_closed_form(n, d):
+    # the tabulated-lgamma blocks against the per-block closed form: every
+    # block up to N = 40, every 97th block and all 501 blocks of N = 1000
+    start, N, l, c = _sphere_blocks(n, d, 1000)
+    assert np.all((N - l) % 2 == 0) and np.all((0 <= l) & (l <= N))
+    assert np.array_equal(start[N] + l // 2, np.arange(len(N)))
+    pick = np.unique(np.concatenate([np.nonzero(N <= 40)[0],
+                                     np.arange(0, len(N), 97),
+                                     np.nonzero(N == 1000)[0]]))
+    want = np.array([sphere_coefficient_value(n, d, int(N[i]), int(l[i]))
+                     for i in pick])
+    assert np.all(want > 0.0)
+    assert_allclose(c[pick], want, rtol=1e-14, atol=0)
 
 
 def test_sphere_21_highest_weight_norm_oracle():
@@ -276,7 +296,7 @@ def test_per_mode_builders_reject_h_cutoff_below_cutoff(pair, build):
         build(enumerate_spectrum(pair, 12.0, h_cutoff=11.0))
     tight = build(enumerate_spectrum(pair, 12.0))
     wide = build(enumerate_spectrum(pair, 12.0, h_cutoff=24.0))
-    assert tight.mu_max == 12.0
+    assert tight.slice.h_cutoff == 12.0
     assert wide.slice.h_count > tight.slice.h_count
     for name in ("lam", "mu", "weight", "key"):
         assert np.array_equal(getattr(tight, name), getattr(wide, name))
@@ -286,7 +306,6 @@ def test_per_mode_builders_reject_h_cutoff_below_cutoff(pair, build):
 # --------------------------------------------------------------------- cache
 
 def _assert_same_rows(a, b):
-    assert a.build_hash() == b.build_hash()
     for name in ("lam", "mu", "weight", "key"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
         assert getattr(a, name).dtype == getattr(b, name).dtype

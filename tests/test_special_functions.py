@@ -14,7 +14,6 @@ from kuzweyl.special_functions import (
     composite_gauss_legendre,
     fourier_halfline_power,
     gauss_legendre,
-    halfline_power_gamma_rhs,
     regularized_pairing,
     sphere_volume,
 )
@@ -24,6 +23,7 @@ from oracles import (
     assoc_legendre_normalized,
     fourier_halfline_power_damped,
     gegenbauer,
+    halfline_power_gamma_rhs,
     sphere_plane_wave_integral,
 )
 
