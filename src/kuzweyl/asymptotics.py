@@ -60,8 +60,12 @@ class FitReport:
 class CoefficientPrediction:
     """Predicted leading coefficient (up to the universal constant).
 
-    `value` is complex; comparisons use the real part, which is >= 0 for
-    nonnegative windows.
+    `value` is complex.  For a nonnegative window the pairing
+    int psi_hat(s) (s + i0)^(-alpha) ds, alpha = (n - d)/2, has the phase
+    e^(-i pi alpha/2): e^(i pi alpha/2) value is real and positive, while
+    the real part that comparisons use is >= 0 only for alpha = 1/2
+    (mod 2).  It vanishes at alpha = 1, e.g. (3,1), and is negative at
+    alpha = 3/2, e.g. (5,2).
     """
 
     value: complex

@@ -21,6 +21,7 @@ every term up to lambda_max; a grid beyond it raises TruncationRiskError.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -109,6 +110,19 @@ _PRODUCT_BLOCK = 1 << 18  # grid x eigenspace kernel values per block
 _G1_FIRST = 255.0
 
 
+@functools.lru_cache(maxsize=1)
+def _g1_table(n_fft: int) -> np.ndarray:
+    """g_1 on y_k = k/_G1_PER_Y, up to the alias-free top P - _G1_TAIL, by
+    one real FFT of length n_fft (see TestFunction); read-only, and shared
+    by every bump-square window whose request rounds up to this length."""
+    du = 2.0 * pi * _G1_PER_Y / n_fft
+    # irfft pads the bump samples on [0, 1] with zeros up to n_fft/2 + 1
+    g1 = np.fft.irfft(_bump(np.arange(int(1.0 / du) + 1) * du), n_fft)
+    table = g1[:n_fft - int(_G1_TAIL * _G1_PER_Y)].copy()
+    table.flags.writeable = False
+    return table
+
+
 def _smooth_plateau(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
@@ -148,6 +162,8 @@ class TestFunction:
     alias sum_{p != 0} g_1(y + pP).  |g_1(y)| < 1e-16 for y >= _G1_TAIL
     (g_1(0) = 0.19), so the alias stays below that on y <= P - _G1_TAIL,
     all of which is kept for later requests; g is 0 beyond _G1_TAIL.
+    g_1 depends on neither a nor scale, so the FFT is one module-level
+    table per length (`_g1_table`); each window keeps its own scaled copy.
     """
 
     def __init__(self, kind: str, a: float, scale: float = 1.0):
@@ -191,12 +207,7 @@ class TestFunction:
         n = int(k_need + _G1_TAIL * _G1_PER_Y) + 3
         # L = m 2^k with 8 <= m <= 16: a fast FFT length at most 1/8 above n
         q = 1 << (n.bit_length() - 4)
-        n_fft = -(-n // q) * q
-        du = 2.0 * pi * _G1_PER_Y / n_fft
-        # irfft pads the bump samples on [0, 1] with zeros up to n_fft/2 + 1
-        g1 = np.fft.irfft(_bump(np.arange(int(1.0 / du) + 1) * du), n_fft)
-        keep = n_fft - int(_G1_TAIL * _G1_PER_Y)
-        self._g_grid = (0.5 * self.a * _G1_PER_Y) * g1[:keep]
+        self._g_grid = (0.5 * self.a * _G1_PER_Y) * _g1_table(-(-n // q) * q)
 
     def _g_eval(self, x: np.ndarray) -> np.ndarray:
         ax = np.abs(x).ravel()

@@ -282,6 +282,10 @@ def regularized_pairing(f: Callable, support, reg: RegularizedPower,
     the damping schedule with two Richardson stages (eliminating the eps
     and eps^2 error terms); non-convergence is reported if the remaining
     residuals fail to decrease monotonically over the last 3 steps.
+
+    The rules of the schedule share most of their panels, so f and u are
+    called once each, on the sorted union of the rules' nodes (they must
+    act pointwise); each rule's sum then reads its own nodes' values.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
@@ -290,14 +294,20 @@ def regularized_pairing(f: Callable, support, reg: RegularizedPower,
         raise ValidationError("sign must be +1 or -1")
     u = base if base is not None else (lambda s: s)
     zeros = _find_zeros(u, lo, hi)
-    rule_order = 24
+    rules = [composite_gauss_legendre(_graded_breakpoints(lo, hi, zeros, eps),
+                                      order=24)
+             for eps in DEFAULT_DAMPING_SCHEDULE]
+    nodes, where = np.unique(np.concatenate([x for x, _ in rules]),
+                             return_inverse=True)
+    f_all = np.asarray(f(nodes), dtype=complex)
+    u_all = np.asarray(u(nodes), dtype=complex)
     vals = []
-    for eps in DEFAULT_DAMPING_SCHEDULE:
-        bks = _graded_breakpoints(lo, hi, zeros, eps)
-        x, w = composite_gauss_legendre(bks, order=rule_order)
-        fx = np.asarray(f(x), dtype=complex)
-        ux = np.asarray(u(x), dtype=complex)
-        integrand = fx * np.exp(-reg.alpha * np.log(ux + 1j * sign * eps))
+    start = 0
+    for eps, (_, w) in zip(DEFAULT_DAMPING_SCHEDULE, rules):
+        idx = where[start:start + len(w)]
+        start += len(w)
+        integrand = f_all[idx] * np.exp(
+            -reg.alpha * np.log(u_all[idx] + 1j * sign * eps))
         vals.append(complex(np.sum(w * integrand)))
     vals = np.array(vals)
     r1 = 2.0 * vals[1:] - vals[:-1]

@@ -1,18 +1,20 @@
 """Reference implementations the tests compare the package against.
 
 Independent forms: the Legendre and Gegenbauer recurrences (oracles for
-the closed-form restriction coefficients and zonal kernels) and the
-30-digit mpmath integral of the first Hadamard transport coefficient.
+the closed-form restriction coefficients and zonal kernels), the
+30-digit mpmath integral of the first Hadamard transport coefficient and
+the x-space mpmath integral of a window's regularized pairing.
 
 Replaced forms, slow and kept here only as references: the per-block
 closed form of the sphere restriction coefficients (replaced by one
 lgamma table), the segment-by-segment cosine-matrix tabulation of the
-bump-square g-grid (FFT), the x_1-then-R quadrature of the d = 2 model
-integral (batched polar), the damped-ladder half-line transform (contour
-rotation), the per-mode forms of the jumps, doubly smoothed sums and dual
-trace (per-eigenspace), the meshgrid and lexsort torus enumeration with
-its volume-estimate budget check (coordinate at a time), and the
-(N, l, m) triple-loop sphere enumeration (block level).
+bump-square g-grid (FFT), the per-eps evaluation of the regularized
+pairing (one evaluation per distinct node), the x_1-then-R quadrature of
+the d = 2 model integral (batched polar), the damped-ladder half-line
+transform (contour rotation), the per-mode forms of the jumps, doubly
+smoothed sums and dual trace (per-eigenspace), the meshgrid and lexsort
+torus enumeration with its volume-estimate budget check (coordinate at a
+time), and the (N, l, m) triple-loop sphere enumeration (block level).
 
 Also the test-only helpers: the Gamma closed form of the half-line
 transform, the rank of the full model-phase Hessian, the direct sphere
@@ -27,7 +29,7 @@ import math
 import mpmath
 import numpy as np
 
-from kuzweyl.errors import ResourceGuardError, ValidationError
+from kuzweyl.errors import NonConvergenceError, ResourceGuardError, ValidationError
 from kuzweyl.kuznecov import (
     DualTrace,
     SumTable,
@@ -50,6 +52,11 @@ from kuzweyl.oscillatory_models import (
     stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
+    DEFAULT_DAMPING_SCHEDULE,
+    RegularizedLimit,
+    RegularizedPower,
+    _find_zeros,
+    _graded_breakpoints,
     bessel_j_scaled,
     composite_gauss_legendre,
     oscillatory_quadrature,
@@ -265,6 +272,65 @@ def hadamard_w1_mpmath(n: int, r: float, dps: int = 30) -> float:
             return (d2 + (n - 1) * mpmath.cot(t) * d1) / w0(t)
 
         return float(w0(rr) * mpmath.quad(integrand, [0, 1]))
+
+
+# ----------------------------------------- regularized pairing, per-eps loop
+
+def regularized_pairing_loop(f, support, reg: RegularizedPower,
+                             sign: int = +1, base=None) -> RegularizedLimit:
+    """regularized_pairing with f and u evaluated afresh on each rule of
+    the damping schedule: one composite rule per eps, summed as it is
+    built."""
+    lo, hi = float(support[0]), float(support[1])
+    if not lo < hi:
+        raise ValidationError("empty support interval")
+    if sign not in (+1, -1):
+        raise ValidationError("sign must be +1 or -1")
+    u = base if base is not None else (lambda s: s)
+    zeros = _find_zeros(u, lo, hi)
+    rule_order = 24
+    vals = []
+    for eps in DEFAULT_DAMPING_SCHEDULE:
+        bks = _graded_breakpoints(lo, hi, zeros, eps)
+        x, w = composite_gauss_legendre(bks, order=rule_order)
+        fx = np.asarray(f(x), dtype=complex)
+        ux = np.asarray(u(x), dtype=complex)
+        integrand = fx * np.exp(-reg.alpha * np.log(ux + 1j * sign * eps))
+        vals.append(complex(np.sum(w * integrand)))
+    vals = np.array(vals)
+    r1 = 2.0 * vals[1:] - vals[:-1]
+    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
+    resid = np.abs(np.diff(r2))
+    value = complex(r2[-1])
+    floor = 1e-13 * max(1.0, abs(value))
+    tail = resid[-3:]
+    monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
+    at_floor = bool(np.all(tail <= floor))
+    converged = monotone or at_floor
+    result = RegularizedLimit(value=value, residuals=tuple(float(r) for r in resid),
+                              converged=converged,
+                              error_estimate=float(resid[-1]))
+    if not converged:
+        raise NonConvergenceError(
+            f"extrapolation residuals not decreasing: {tail.tolist()}")
+    return result
+
+
+# ---------------------------------------- pairing, x-space mpmath integral
+
+def pairing_xspace_mpmath(psi: TestFunction, alpha: float) -> float:
+    """(2pi/Gamma(alpha)) int_0^inf psi(t) t^(alpha-1) dt, which equals
+    e^(i pi alpha/2) int psi_hat(s) (s + i0)^(-alpha) ds for even psi
+    (int_0^inf e^(ist) t^(alpha-1) dt = Gamma(alpha) e^(i pi alpha/2)
+    (s + i0)^(-alpha)).  mpmath tanh-sinh on dyadic panels [2^k, 2^(k+1)]/a
+    up to 2^11/a, beyond which the bump-square psi is 0 to double
+    precision; psi itself is the package's x-space evaluation."""
+    a = psi.a
+    pts = [0.0] + [2.0 ** k / a for k in range(-2, 12)]
+    with mpmath.workdps(15):
+        integral = mpmath.quad(
+            lambda t: float(psi.psi(float(t))) * t ** (alpha - 1.0), pts)
+    return 2.0 * PI / math.gamma(alpha) * float(integral)
 
 
 # ------------------------------------------ half-line transform, damped ladder

@@ -1,3 +1,4 @@
+import functools
 import math
 import tempfile
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kuzweyl import kuznecov
 from kuzweyl.errors import TruncationRiskError, ValidationError
 from kuzweyl.kuznecov import (
     DualTrace,
@@ -155,7 +157,9 @@ def test_bumpsquare_grid_growth():
     assert b.psi(-3e6) == 0.0 and b._g_grid is capped
 
 
-def test_dominating_window_then_large_sum_is_one_fft(monkeypatch):
+def _count_ffts(monkeypatch) -> list:
+    """Record the length of every irfft, starting from an empty g_1 table
+    store (a fresh cache in place of the module's)."""
     calls = []
     irfft = np.fft.irfft
 
@@ -164,9 +168,38 @@ def test_dominating_window_then_large_sum_is_one_fft(monkeypatch):
         return irfft(values, n)
 
     monkeypatch.setattr(np.fft, "irfft", counted)
+    monkeypatch.setattr(kuznecov, "_g1_table", functools.lru_cache(maxsize=1)(
+        kuznecov._g1_table.__wrapped__))
+    return calls
+
+
+def test_dominating_window_then_large_sum_is_one_fft(monkeypatch):
+    calls = _count_ffts(monkeypatch)
     psi = dominating_test_function(0.5)
     psi.psi(311.0)
     assert len(calls) == 1, calls
+
+
+def test_bumpsquare_windows_share_one_fft_per_length(monkeypatch):
+    calls = _count_ffts(monkeypatch)
+    loop = bump_g_grid_loop(1.0, 120.0)
+    n = 120 * 512 + 1
+    grids = {}
+    # y = a x / 2 at x = 311 is 47 and 156 for a = 0.3 and 1, below the
+    # first tabulation's 255, and 389 for a = 2.5: two lengths in all
+    for a in (0.3, 1.0, 2.5):
+        b = make_test_function("bumpsquare", a)
+        b.psi(311.0)
+        grids[a] = b._g_grid
+        # g for radius a at x_k = k/(512 a) is a times g for a = 1 at k/512
+        assert np.max(np.abs(b._g_grid[:n] / a - loop[:n])) <= 1e-16
+    assert len(calls) == len(set(calls)) == 2, calls
+    assert not kuznecov._g1_table(calls[-1]).flags.writeable
+    # a table rebuilt after another length was asked for is the same table
+    again = make_test_function("bumpsquare", 1.0)
+    again.psi(311.0)
+    assert len(calls) == 3 and calls[2] == calls[0]
+    assert np.array_equal(again._g_grid, grids[1.0])
 
 
 def test_bumpsquare_grid_memory():
