@@ -9,18 +9,15 @@ where it cancels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .kuznecov import SumTable, _window_of
-from .special_functions import (
-    RegularizedPower,
-    regularized_pairing,
-    sphere_volume,
-)
+from .kuznecov import FourierWindow, SumTable, TestFunction, _window_of
+from .special_functions import regularized_pairing, sphere_volume
 
 __all__ = [
     "FitReport",
@@ -60,12 +57,12 @@ class FitReport:
 class CoefficientPrediction:
     """Predicted leading coefficient (up to the universal constant).
 
-    `value` is complex.  For a nonnegative window the pairing
-    int psi_hat(s) (s + i0)^(-alpha) ds, alpha = (n - d)/2, has the phase
-    e^(-i pi alpha/2): e^(i pi alpha/2) value is real and positive, while
-    the real part that comparisons use is >= 0 only for alpha = 1/2
-    (mod 2).  It vanishes at alpha = 1, e.g. (3,1), and is negative at
-    alpha = 3/2, e.g. (5,2).
+    `value` is the complex pairing the formula computes.  For the edge
+    formulas (FlatRegularized, SphereGlobal) and a nonnegative window, the
+    pairing int psi_hat(s) (s + i0)^(-alpha) ds, alpha = (n - d)/2, has the
+    phase e^(-i pi alpha/2), so `real` is Re(e^(i pi alpha/2) value): the
+    coefficient, positive for every pair.  The subcritical value is real,
+    and `real` is its real part.
     """
 
     value: complex
@@ -74,7 +71,10 @@ class CoefficientPrediction:
 
     @property
     def real(self) -> float:
-        return float(self.value.real)
+        if self.formula == "SubcriticalC":
+            return float(self.value.real)
+        alpha = 0.5 * (self.inputs["n"] - self.inputs["d"])
+        return float((cmath.exp(0.5j * math.pi * alpha) * self.value).real)
 
     def to_json(self) -> dict:
         return {
@@ -137,10 +137,12 @@ def sphere_leading_coefficient(n: int, d: int, psi) -> CoefficientPrediction:
     lo, hi = win.support
     if lo <= -math.pi or hi >= math.pi:
         raise ValidationError("psi_hat support must lie inside (-pi, pi)")
-    limit = regularized_pairing(win.psi_hat, (lo, hi),
-                                RegularizedPower(alpha=0.5 * (n - d)), sign=+1,
-                                base=np.sin)
-    return CoefficientPrediction(value=limit.value, formula="SphereGlobal",
+    alpha = 0.5 * (n - d)
+    # (sin s + i0)^(-alpha) = (s + i0)^(-alpha) (s / sin s)^alpha on (-pi, pi)
+    value = regularized_pairing(
+        lambda s: win.psi_hat(s) * np.sinc(s / math.pi) ** -alpha, (lo, hi),
+        alpha)
+    return CoefficientPrediction(value=value, formula="SphereGlobal",
                                  inputs={"n": n, "d": d,
                                          "psi": win.descriptor()})
 
@@ -153,22 +155,25 @@ def flat_leading_coefficient(n: int, d: int, psi,
     Meaningful only in ratios (the universal constant is left at 1).
     """
     win = _window_of(psi)
-    limit = regularized_pairing(win.psi_hat, win.support,
-                                RegularizedPower(alpha=0.5 * (n - d)), sign=+1)
+    pairing = regularized_pairing(win.psi_hat, win.support, 0.5 * (n - d))
     vol = float(vol_H) if vol_H is not None else (2.0 * math.pi) ** d
-    value = limit.value * vol * sphere_volume(d - 1)
+    value = pairing * vol * sphere_volume(d - 1)
     return CoefficientPrediction(value=value, formula="FlatRegularized",
                                  inputs={"n": n, "d": d, "vol_H": vol})
 
 
 def subcritical_coefficient(n: int, d: int, c: float, psi,
                             vol_H: float = None) -> CoefficientPrediction:
-    """Bulk-window coefficient psi_hat(0) c^(d-1) (1-c^2)^((n-d-2)/2) Vol(H)."""
+    """Bulk-window coefficient psi_hat(0) c^(d-1) (1-c^2)^((n-d-2)/2) Vol(H).
+
+    Reads psi_hat only at 0, so it also takes the sharp kind (2 eps there).
+    """
     if not 0.0 < c < 1.0:
         raise ValidationError("need 0 < c < 1")
-    win = _window_of(psi)
+    if not isinstance(psi, (TestFunction, FourierWindow)):
+        raise ValidationError("psi must be a TestFunction or FourierWindow")
     vol = float(vol_H) if vol_H is not None else (2.0 * math.pi) ** d
-    ph0 = float(np.atleast_1d(win.psi_hat(np.array([0.0])))[0])
+    ph0 = float(psi.psi_hat(0.0))
     value = ph0 * c ** (d - 1) * (1.0 - c * c) ** (0.5 * (n - d - 2)) * vol
     return CoefficientPrediction(value=complex(value), formula="SubcriticalC",
                                  inputs={"n": n, "d": d, "c": c, "vol_H": vol})

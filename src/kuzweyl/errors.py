@@ -25,10 +25,6 @@ class AccuracyError(ToleranceError):
         self.achieved = achieved
 
 
-class NonConvergenceError(ToleranceError):
-    """Extrapolation residuals failed to decrease."""
-
-
 class ResourceGuardError(RuntimeError):
     """A computation would exceed the configured resource budget."""
 

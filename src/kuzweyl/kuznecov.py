@@ -189,6 +189,11 @@ class TestFunction:
         return (-self.a, self.a)
 
     def as_window(self) -> FourierWindow:
+        """psi_hat on its compact support; the indicator's 2 sin(eps s)/s
+        has none, so the sharp kind is rejected rather than truncated."""
+        if self.kind == "sharp":
+            raise ValidationError(
+                "the sharp window's psi_hat has no compact support")
         return FourierWindow(psi_hat_fn=lambda s: self.psi_hat(s),
                              support=self.psi_hat_support)
 

@@ -2,11 +2,10 @@
 
 Everything here is implemented from scratch (recurrences, series, plain
 quadrature); no external math library beyond numpy array arithmetic.  The
-module also hosts the regularized-distribution machinery for boundary
-values (u(s) +- i0)^(-alpha), evaluated by a damping schedule with
-Richardson extrapolation, and the half-line transform of t^beta, whose
-[1, inf) piece is rotated onto t = 1 + iu/sigma, where it decays like
-e^{-u} and needs no damping.
+module also hosts the pairing of a window with the boundary value
+(s + i0)^(-alpha), taken as the exact finite part at s = 0, and the
+half-line transform of t^beta, whose [1, inf) piece is rotated onto
+t = 1 + iu/sigma, where it decays like e^{-u} and needs no damping.
 
 Fourier convention used throughout the package:
 
@@ -25,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "QuadratureRule",
@@ -35,8 +34,6 @@ __all__ = [
     "bessel_j",
     "bessel_j_scaled",
     "sphere_volume",
-    "RegularizedPower",
-    "RegularizedLimit",
     "regularized_pairing",
     "fourier_halfline_power",
 ]
@@ -210,122 +207,54 @@ def sphere_volume(q: int) -> float:
 
 
 # --------------------------------------------------------------------------
-# Regularized (u(s) +- i0)^(-alpha) pairings
+# Regularized (s + i0)^(-alpha) pairings
 # --------------------------------------------------------------------------
 
-DEFAULT_DAMPING_SCHEDULE = tuple(2.0 ** (-k) for k in range(4, 15))
+_PAIRING_ALPHAS = (0.5, 1.0, 1.5)
+_PAIRING_PANELS = 16  # Gauss-Legendre panels of order 24 per side of s = 0
 
 
-@dataclass(frozen=True)
-class RegularizedPower:
-    """The distribution (s +- i0)^(-alpha); its i0 limit is taken on
-    DEFAULT_DAMPING_SCHEDULE."""
+def regularized_pairing(f: Callable, support, alpha: float) -> complex:
+    """int f(s) (s + i0)^(-alpha) ds over the support, for alpha in
+    _PAIRING_ALPHAS, as the exact finite part at s = 0.
 
-    alpha: float
+    f must act pointwise and be smooth on each side of 0 (a kink at 0, as
+    in the Fejer triangle, is allowed).  Away from 0 the integral is one
+    composite rule of f(s) (s + 0j)^(-alpha).  Otherwise each side [0, b]
+    (b = hi, and b = -lo with f(-s)) is
 
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValidationError("exponent alpha must be > 0")
+        FP int_0^b f(s) s^(-alpha) ds
+            = 2 b^(1-alpha) int_0^1 v^(1-2alpha) (f(b v^2) - f(0)) dv
+              + f(0) b^(1-alpha)/(1-alpha)     (f(0) log b at alpha = 1),
 
-
-@dataclass(frozen=True)
-class RegularizedLimit:
-    """Extrapolated i0 limit with its convergence diagnostics."""
-
-    value: complex
-    residuals: tuple
-    converged: bool
-    error_estimate: float
-
-
-def _find_zeros(u: Callable, lo: float, hi: float) -> list[float]:
-    grid = np.linspace(lo, hi, 4097)
-    vals = np.asarray(u(grid), dtype=float)
-    zeros = [float(g) for g in grid[vals == 0.0]]
-    sgn = np.sign(vals)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-        a, b = grid[i], grid[i + 1]
-        fa = vals[i]
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = float(u(np.asarray([m]))[0])
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        zeros.append(0.5 * (a + b))
-    return sorted(zeros)
-
-
-def _graded_breakpoints(lo: float, hi: float, zeros: list[float], eps: float):
-    # uniform baseline resolving the test function, dyadic grading around
-    # each zero of the base function resolving the i0-regularized singularity
-    pts = set(np.linspace(lo, hi, 17))
-    for z in zeros:
-        scale = eps
-        while scale < (hi - lo):
-            for p in (z - scale, z + scale):
-                if lo < p < hi:
-                    pts.add(p)
-            scale *= 2.0
-        if lo < z < hi:
-            pts.add(z)
-    return np.array(sorted(pts))
-
-
-def regularized_pairing(f: Callable, support, reg: RegularizedPower,
-                        sign: int = +1, base: Callable = None) -> RegularizedLimit:
-    """lim_{eps->0+} int f(s) (u(s) + i*sign*eps)^(-alpha) ds over the support.
-
-    u defaults to the identity; pass base=np.sin for the sine-power
-    regularization.  Principal branch throughout.  The limit is taken on
-    the damping schedule with two Richardson stages (eliminating the eps
-    and eps^2 error terms); non-convergence is reported if the remaining
-    residuals fail to decrease monotonically over the last 3 steps.
-
-    The rules of the schedule share most of their panels, so f and u are
-    called once each, on the sorted union of the rules' nodes (they must
-    act pointwise); each rule's sum then reads its own nodes' values.
+    whose v-integrand is smooth (f(b v^2) - f(0) = O(v^2)).  The negative
+    side carries the phase e^(-i pi alpha) of (s + i0)^(-alpha) there, and
+    at alpha = 1 the delta term -i pi f(0) of (s + i0)^(-1) is added.
+    f is called once, on the sorted nodes of both sides and 0.
     """
     lo, hi = float(support[0]), float(support[1])
     if not lo < hi:
         raise ValidationError("empty support interval")
-    if sign not in (+1, -1):
-        raise ValidationError("sign must be +1 or -1")
-    u = base if base is not None else (lambda s: s)
-    zeros = _find_zeros(u, lo, hi)
-    rules = [composite_gauss_legendre(_graded_breakpoints(lo, hi, zeros, eps),
-                                      order=24)
-             for eps in DEFAULT_DAMPING_SCHEDULE]
-    nodes, where = np.unique(np.concatenate([x for x, _ in rules]),
-                             return_inverse=True)
-    f_all = np.asarray(f(nodes), dtype=complex)
-    u_all = np.asarray(u(nodes), dtype=complex)
-    vals = []
-    start = 0
-    for eps, (_, w) in zip(DEFAULT_DAMPING_SCHEDULE, rules):
-        idx = where[start:start + len(w)]
-        start += len(w)
-        integrand = f_all[idx] * np.exp(
-            -reg.alpha * np.log(u_all[idx] + 1j * sign * eps))
-        vals.append(complex(np.sum(w * integrand)))
-    vals = np.array(vals)
-    r1 = 2.0 * vals[1:] - vals[:-1]
-    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-    resid = np.abs(np.diff(r2))
-    value = complex(r2[-1])
-    floor = 1e-13 * max(1.0, abs(value))
-    tail = resid[-3:]
-    monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
-    at_floor = bool(np.all(tail <= floor))
-    converged = monotone or at_floor
-    result = RegularizedLimit(value=value, residuals=tuple(float(r) for r in resid),
-                              converged=converged,
-                              error_estimate=float(resid[-1]))
-    if not converged:
-        raise NonConvergenceError(
-            f"extrapolation residuals not decreasing: {tail.tolist()}")
-    return result
+    if alpha not in _PAIRING_ALPHAS:
+        raise ValidationError(f"alpha must be one of {_PAIRING_ALPHAS}")
+    if lo >= 0.0 or hi <= 0.0:
+        x, w = composite_gauss_legendre(
+            np.linspace(lo, hi, 2 * _PAIRING_PANELS + 1), order=24)
+        return complex(np.sum(w * np.asarray(f(x)) * (x + 0j) ** -alpha))
+    v, w = composite_gauss_legendre(np.linspace(0.0, 1.0, _PAIRING_PANELS + 1),
+                                    order=24)
+    k = len(v)
+    vals = np.asarray(f(np.concatenate([lo * v[::-1] ** 2, [0.0],
+                                        hi * v ** 2])))
+    f0 = vals[k]
+    total = -1j * pi * f0 if alpha == 1.0 else 0.0
+    for b, fb, phase in ((hi, vals[k + 1:], 1.0),
+                         (-lo, vals[k - 1::-1], np.exp(-1j * pi * alpha))):
+        edge = math.log(b) if alpha == 1.0 else b ** (1.0 - alpha) / (1.0 - alpha)
+        side = 2.0 * b ** (1.0 - alpha) * np.sum(
+            w * v ** (1.0 - 2.0 * alpha) * (fb - f0))
+        total += phase * (side + f0 * edge)
+    return complex(total)
 
 
 def fourier_halfline_power(beta: float, sigma: float) -> complex:

@@ -3,14 +3,15 @@
 Independent forms: the Legendre and Gegenbauer recurrences (oracles for
 the closed-form restriction coefficients and zonal kernels), the
 30-digit mpmath integral of the first Hadamard transport coefficient and
-the x-space mpmath integral of a window's regularized pairing.
+the x-space mpmath integral of a window's regularized pairing (the
+package takes its finite part at s = 0, the oracle needs no
+regularization).
 
 Replaced forms, slow and kept here only as references: the per-block
 closed form of the sphere restriction coefficients (replaced by one
 lgamma table), the segment-by-segment cosine-matrix tabulation of the
-bump-square g-grid (FFT), the per-eps evaluation of the regularized
-pairing (one evaluation per distinct node), the x_1-then-R quadrature of
-the d = 2 model integral (batched polar), the damped-ladder half-line
+bump-square g-grid (FFT), the x_1-then-R quadrature of the d = 2 model
+integral (batched polar), the damped-ladder half-line
 transform (contour rotation), the per-mode forms of the jumps, doubly
 smoothed sums and dual trace (per-eigenspace), the meshgrid and lexsort
 torus enumeration with its volume-estimate budget check (coordinate at a
@@ -29,7 +30,7 @@ import math
 import mpmath
 import numpy as np
 
-from kuzweyl.errors import NonConvergenceError, ResourceGuardError, ValidationError
+from kuzweyl.errors import ResourceGuardError, ValidationError
 from kuzweyl.kuznecov import (
     DualTrace,
     SumTable,
@@ -52,11 +53,6 @@ from kuzweyl.oscillatory_models import (
     stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
-    DEFAULT_DAMPING_SCHEDULE,
-    RegularizedLimit,
-    RegularizedPower,
-    _find_zeros,
-    _graded_breakpoints,
     bessel_j_scaled,
     composite_gauss_legendre,
     oscillatory_quadrature,
@@ -272,48 +268,6 @@ def hadamard_w1_mpmath(n: int, r: float, dps: int = 30) -> float:
             return (d2 + (n - 1) * mpmath.cot(t) * d1) / w0(t)
 
         return float(w0(rr) * mpmath.quad(integrand, [0, 1]))
-
-
-# ----------------------------------------- regularized pairing, per-eps loop
-
-def regularized_pairing_loop(f, support, reg: RegularizedPower,
-                             sign: int = +1, base=None) -> RegularizedLimit:
-    """regularized_pairing with f and u evaluated afresh on each rule of
-    the damping schedule: one composite rule per eps, summed as it is
-    built."""
-    lo, hi = float(support[0]), float(support[1])
-    if not lo < hi:
-        raise ValidationError("empty support interval")
-    if sign not in (+1, -1):
-        raise ValidationError("sign must be +1 or -1")
-    u = base if base is not None else (lambda s: s)
-    zeros = _find_zeros(u, lo, hi)
-    rule_order = 24
-    vals = []
-    for eps in DEFAULT_DAMPING_SCHEDULE:
-        bks = _graded_breakpoints(lo, hi, zeros, eps)
-        x, w = composite_gauss_legendre(bks, order=rule_order)
-        fx = np.asarray(f(x), dtype=complex)
-        ux = np.asarray(u(x), dtype=complex)
-        integrand = fx * np.exp(-reg.alpha * np.log(ux + 1j * sign * eps))
-        vals.append(complex(np.sum(w * integrand)))
-    vals = np.array(vals)
-    r1 = 2.0 * vals[1:] - vals[:-1]
-    r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-    resid = np.abs(np.diff(r2))
-    value = complex(r2[-1])
-    floor = 1e-13 * max(1.0, abs(value))
-    tail = resid[-3:]
-    monotone = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
-    at_floor = bool(np.all(tail <= floor))
-    converged = monotone or at_floor
-    result = RegularizedLimit(value=value, residuals=tuple(float(r) for r in resid),
-                              converged=converged,
-                              error_estimate=float(resid[-1]))
-    if not converged:
-        raise NonConvergenceError(
-            f"extrapolation residuals not decreasing: {tail.tolist()}")
-    return result
 
 
 # ---------------------------------------- pairing, x-space mpmath integral

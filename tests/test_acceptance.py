@@ -14,12 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from kuzweyl.asymptotics import (
-    fit_growth,
-    flat_leading_coefficient,
-    jump_bound_check,
-    predicted_exponent,
-)
+from kuzweyl.asymptotics import flat_leading_coefficient, jump_bound_check
 from kuzweyl.kuznecov import (
     averaged_sharp_sum,
     dominating_test_function,
@@ -44,12 +39,7 @@ from kuzweyl.restriction_coeffs import (
     sphere_coefficients,
     torus_coefficients,
 )
-from kuzweyl.special_functions import (
-    RegularizedPower,
-    fourier_halfline_power,
-    gauss_legendre,
-    regularized_pairing,
-)
+from kuzweyl.special_functions import fourier_halfline_power, gauss_legendre
 
 from oracles import (
     assoc_legendre,
@@ -157,11 +147,16 @@ def torus31():
     bulk = kuznecov_sum(table, 0.5, psi_bulk, grid)
     c_a = kuznecov_sum(table, 0.3, psi_small, grid)
     c_b = kuznecov_sum(table, 0.6, psi_small, grid)
+    smooth1 = kuznecov_sum(table, 1.0, psi_bulk, grid)
+    smooth2 = kuznecov_sum(table, 1.0, make_test_function("bumpsquare", 1.0),
+                           grid)
     out = {
         "grid": grid,
         "sharp_avg": sharp_avg.values,
         "sharp_plain": sharp_plain.values,
         "bulk": bulk.values,
+        "smooth1": smooth1.values,
+        "smooth2": smooth2.values,
         "c03": c_a.values,
         "c06": c_b.values,
         "oracle_lams": grid[[0, 7, 13]],
@@ -291,12 +286,15 @@ def test_criterion_4_jump_bounds_and_sandwich(torus21, sphere21):
           f" sandwich holds -> PASS")
 
 
-def test_criterion_5_coefficient_ratio_law(torus21, torus32):
+def test_criterion_5_coefficient_ratio_law(torus21, torus31, torus32):
+    # (3,1) has alpha = (n - d)/2 = 1, where both pairings are imaginary:
+    # the ratio reads the rotated coefficients, CoefficientPrediction.real
     psi1 = make_test_function("fejer", 1.0)
     psi2 = make_test_function("bumpsquare", 1.0)
     reports = {}
     for name, data, (n, d), power in (
             ("torus(2,1)", torus21, (2, 1), 1.5),
+            ("torus(3,1)", torus31, (3, 1), 2.0),
             ("torus(3,2)", torus32, (3, 2), 2.5)):
         fitted = (_fixed_coeff(data["grid"], data["smooth1"], power)
                   / _fixed_coeff(data["grid"], data["smooth2"], power))

@@ -97,11 +97,13 @@ def test_sphere_coefficient_smooth_window_matches_quadrature():
 
 def test_sphere_coefficient_nd2_sign_structure():
     # n - d = 2: the negative side enters with (-i)^2 = -1, so for an even
-    # window the value is p.v.-free: -i pi times the window at 0
-    b = make_test_function("bumpsquare", 1.0)
-    pred = sphere_leading_coefficient(3, 1, b)
-    expected = -1j * PI * b.psi_hat(0.0)
-    assert abs(pred.value - expected) < 1e-7
+    # window the value is p.v.-free: -i pi times the window at 0 (the even
+    # factor (s/sin s)^alpha is 1 there); measured <= 1e-16
+    for win in (make_test_function("bumpsquare", 1.0),
+                shifted_bump_window(-2.0, 2.0)):
+        pred = sphere_leading_coefficient(3, 1, win)
+        expected = -1j * PI * win.psi_hat(0.0)
+        assert abs(pred.value - expected) < 1e-12
 
 
 def test_sphere_coefficient_positivity():
@@ -109,6 +111,34 @@ def test_sphere_coefficient_positivity():
                 make_test_function("bumpsquare", 0.8)):
         pred = sphere_leading_coefficient(2, 1, psi)
         assert pred.real >= -1e-10
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)])
+def test_edge_coefficient_real_is_rotated_pairing(n, d):
+    # value keeps the raw pairing, whose phase is e^{-i pi alpha/2} for a
+    # nonnegative window; real rotates it back.  Re(value) is 0 at (3,1)
+    # and negative at (4,1) and (5,2).
+    alpha = 0.5 * (n - d)
+    for psi in (make_test_function("fejer", 1.0),
+                make_test_function("bumpsquare", 1.0)):
+        for coef in (flat_leading_coefficient, sphere_leading_coefficient):
+            pred = coef(n, d, psi)
+            rotated = np.exp(0.5j * PI * alpha) * pred.value
+            assert abs(rotated.imag) < 1e-9 * abs(rotated)
+            assert pred.real == pytest.approx(rotated.real, rel=1e-15)
+            assert pred.real > 0.0
+
+
+def test_edge_coefficients_reject_sharp_window():
+    # the indicator's psi_hat 2 sin(eps s)/s has no compact support, so it
+    # cannot be paired on (-eps, eps); the bulk formula reads only psi_hat(0)
+    sharp = make_test_function("sharp", 0.5)
+    with pytest.raises(ValidationError):
+        flat_leading_coefficient(2, 1, sharp)
+    with pytest.raises(ValidationError):
+        sphere_leading_coefficient(2, 1, sharp)
+    pred = subcritical_coefficient(3, 1, 0.5, sharp, vol_H=1.0)
+    assert pred.real == pytest.approx(2 * 0.5)
 
 
 def test_sphere_coefficient_support_guard():
@@ -127,9 +157,9 @@ def test_flat_coefficient_integrable_case_direct():
     u, w = composite_gauss_legendre(np.linspace(0, 1, 21), order=14)
     one_sided = float(np.sum(w * psi.psi_hat(u * u) * 2.0))  # int f s^-1/2 ds
     direct = (1.0 + np.exp(-1j * PI / 2)) * one_sided * 2.0  # * Vol(S^0)
-    # the triangle window has a kink at the singular point, which limits the
-    # i0-damping extrapolation to ~eps^{3/2}; smooth windows reach 1e-8
-    assert abs(pred.value - direct) < 3e-6
+    # the triangle is linear on each side of its kink at the singular
+    # point, so the finite part at s = 0 is exact up to rounding
+    assert abs(pred.value - direct) < 1e-10
     assert pred.real >= 0.0
 
 
@@ -139,7 +169,7 @@ def test_flat_coefficient_fejer_closed_form():
         pred = flat_leading_coefficient(2, 1, make_test_function("fejer", a),
                                         vol_H=1.0)
         expected = (1.0 - 1j) * (4.0 / 3.0) * math.sqrt(a) * 2.0
-        assert abs(pred.value - expected) < 3e-6
+        assert abs(pred.value - expected) < 1e-10
 
 
 def test_flat_coefficient_window_off_zero():

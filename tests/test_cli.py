@@ -105,6 +105,13 @@ def test_coefficient_command(capsys):
     assert doc["value_re"] == pytest.approx(2 * math.pi)
 
 
+def test_coefficient_command_rejects_sharp_edge_window(capsys):
+    rc = main(["coefficient", "--formula", "flat", "--n", "2", "--d", "1",
+               "--psi", "sharp:eps=0.5"])
+    assert rc == 1
+    assert "compact support" in capsys.readouterr().err
+
+
 def test_double_bessel_command(tmp_path):
     out = str(tmp_path / "db.csv")
     rc = main(["double-bessel", "--n", "3", "--d", "2", "--grid",

@@ -1,7 +1,7 @@
-"""Source hygiene: every name a package module imports is used in it, the
-package reads the environment only through its two documented keys, one
-function raises ResourceGuardError, and every public function or class is
-used beyond its definition."""
+"""Source hygiene: every name a package or test module imports is used in
+it, the package reads the environment only through its two documented
+keys, one function raises ResourceGuardError, and every public function
+or class is used beyond its definition."""
 
 import ast
 import pathlib
@@ -11,6 +11,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kuzweyl"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 ENV_KEYS = {"KUZWEYL_CACHE_DIR", "KUZWEYL_OUTPUT_DIR"}
 
 
@@ -49,7 +50,9 @@ def test_scanner_flags_unused_and_keeps_used():
     assert unused_imports(src) == [(2, "math")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

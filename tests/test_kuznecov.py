@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 from kuzweyl import kuznecov
 from kuzweyl.errors import TruncationRiskError, ValidationError
 from kuzweyl.kuznecov import (
-    DualTrace,
-    FourierWindow,
-    SumTable,
     _entry_weights,
     averaged_sharp_sum,
     dominating_test_function,

@@ -24,7 +24,6 @@ from kuzweyl.oscillatory_models import (
     stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
-    RegularizedPower,
     composite_gauss_legendre,
     regularized_pairing,
     sphere_volume,
@@ -168,9 +167,8 @@ def test_model_integral_window_ratio_matches_pairing():
     v1 = model_integral(n, d, lam, window=w1).value
     v2 = model_integral(n, d, lam, window=w2).value
     got = (v1 / v2).real
-    reg = RegularizedPower(alpha=1.0)
-    p1 = regularized_pairing(w1.psi_hat, (-0.3, 0.3), reg).value
-    p2 = regularized_pairing(w2.psi_hat, (-0.3, 0.3), reg).value
+    p1 = regularized_pairing(w1.psi_hat, (-0.3, 0.3), 1.0)
+    p2 = regularized_pairing(w2.psi_hat, (-0.3, 0.3), 1.0)
     expected = (p1 / p2).real
     assert abs(v1 / v2 - expected) / abs(expected) < 0.05
 
@@ -275,6 +273,9 @@ def test_model_integral_validation():
         model_integral(3, 3, 50.0)
     with pytest.raises(ValidationError):
         model_integral(5, 3, 50.0)  # d > 2 unsupported at desk scale
+    with pytest.raises(ValidationError):
+        # the indicator's psi_hat is not compactly supported
+        model_integral(3, 1, 50.0, window=make_test_function("sharp", 0.5))
 
 
 # --------------------------------------------------------- stationary phase

@@ -18,7 +18,6 @@ from kuzweyl.errors import (
 )
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
 from kuzweyl.restriction_coeffs import (
-    CoefficientTable,
     _sphere_blocks,
     build_table,
     load_or_build,

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 from kuzweyl.errors import ValidationError
-from kuzweyl.kuznecov import make_test_function, shifted_bump_window
+from kuzweyl.kuznecov import make_test_function
 from kuzweyl.special_functions import (
-    RegularizedPower,
     bessel_j,
     bessel_j_scaled,
     composite_gauss_legendre,
@@ -26,7 +24,6 @@ from oracles import (
     gegenbauer,
     halfline_power_gamma_rhs,
     pairing_xspace_mpmath,
-    regularized_pairing_loop,
     sphere_plane_wave_integral,
 )
 
@@ -269,7 +266,9 @@ def _even_bump(s):
 
 
 def test_pairing_smooth_support_away_from_zero():
-    # f supported in (1, 2): no regularization needed, plain quadrature oracle
+    # f supported in (1, 2): no regularization needed, plain quadrature
+    # oracle; on the mirrored support (-2, -1), (s + i0)^(-1/2) is
+    # e^{-i pi/2} |s|^(-1/2)
     def f(s):
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
@@ -280,9 +279,10 @@ def test_pairing_smooth_support_away_from_zero():
 
     x, w = composite_gauss_legendre(np.linspace(1, 2, 21), order=14)
     oracle = float(np.sum(w * f(x) * x ** -0.5))
-    got = regularized_pairing(f, (1.0, 2.0), RegularizedPower(alpha=0.5))
-    assert got.value.real == pytest.approx(oracle, abs=1e-10)
-    assert abs(got.value.imag) < 1e-10
+    got = regularized_pairing(f, (1.0, 2.0), 0.5)
+    assert abs(got - oracle) < 1e-10
+    mirrored = regularized_pairing(lambda s: f(-s), (-2.0, -1.0), 0.5)
+    assert abs(mirrored - (-1j) * oracle) < 1e-10
 
 
 def test_pairing_even_bump_one_sided_decomposition():
@@ -290,18 +290,16 @@ def test_pairing_even_bump_one_sided_decomposition():
     # one-sided I+ = int_0^1 f s^{-1/2} ds = 1.5264292363979489 (frozen
     # 30-digit tanh-sinh quadrature of the analytic one-sided integral)
     i_plus = 1.5264292363979489
-    got = regularized_pairing(_even_bump, (-1.0, 1.0),
-                              RegularizedPower(alpha=0.5))
+    got = regularized_pairing(_even_bump, (-1.0, 1.0), 0.5)
     expected = (1.0 + np.exp(-1j * PI / 2)) * i_plus
-    assert abs(got.value - expected) < 1e-9
+    assert abs(got - expected) < 1e-9
 
 
 def test_pairing_alpha_one_delta_term():
     # (s + i0)^{-1} = p.v. 1/s - i pi delta; for an even bump the p.v. part
     # vanishes and the value is -i pi f(0)
-    got = regularized_pairing(_even_bump, (-1.0, 1.0),
-                              RegularizedPower(alpha=1.0))
-    assert abs(got.value - (-1j * PI * _even_bump(np.array([0.0]))[0])) < 1e-8
+    got = regularized_pairing(_even_bump, (-1.0, 1.0), 1.0)
+    assert abs(got - (-1j * PI * _even_bump(np.array([0.0]))[0])) < 1e-8
 
 
 def test_pairing_alpha_three_halves_finite_part():
@@ -309,110 +307,66 @@ def test_pairing_alpha_three_halves_finite_part():
     # = -2.7707571192131608 (frozen high-precision value); even f doubles it
     # with the phase e^{-3 i pi/2} = +i on the negative side
     fp = -2.7707571192131608
-    got = regularized_pairing(_even_bump, (-1.0, 1.0),
-                              RegularizedPower(alpha=1.5))
+    got = regularized_pairing(_even_bump, (-1.0, 1.0), 1.5)
     expected = (1.0 + np.exp(-1.5j * PI)) * fp
-    assert abs(got.value - expected) < 1e-7
-
-
-def test_pairing_signs_are_conjugate():
-    reg = RegularizedPower(alpha=0.5)
-    plus = regularized_pairing(_even_bump, (-1.0, 1.0), reg, sign=+1)
-    minus = regularized_pairing(_even_bump, (-1.0, 1.0), reg, sign=-1)
-    assert abs(plus.value - np.conj(minus.value)) < 10 * plus.error_estimate + 1e-12
-
-
-_PAIRING_WINDOWS = {
-    "fejer": lambda: make_test_function("fejer", 1.0).as_window(),
-    "bumpsquare": lambda: make_test_function("bumpsquare", 1.0).as_window(),
-    "shifted_bump": lambda: shifted_bump_window(-0.3, 0.7),
-}
-
-
-@pytest.mark.parametrize("window", sorted(_PAIRING_WINDOWS))
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_pairing_matches_per_eps_loop_bitwise(window, alpha, sign):
-    # one evaluation per distinct node: each rule reads the same values, so
-    # its sum, and everything after it, is the per-eps loop's bit for bit
-    win = _PAIRING_WINDOWS[window]()
-    reg = RegularizedPower(alpha=alpha)
-    got = regularized_pairing(win.psi_hat, win.support, reg, sign=sign)
-    ref = regularized_pairing_loop(win.psi_hat, win.support, reg, sign=sign)
-    assert got.value == ref.value
-    assert got.residuals == ref.residuals
-    assert got.error_estimate == ref.error_estimate
-    assert got.converged == ref.converged
-
-
-@pytest.mark.parametrize("window", sorted(_PAIRING_WINDOWS))
-def test_pairing_sine_base_matches_per_eps_loop_bitwise(window):
-    win = _PAIRING_WINDOWS[window]()
-    reg = RegularizedPower(alpha=1.0)
-    got = regularized_pairing(win.psi_hat, win.support, reg, base=np.sin)
-    ref = regularized_pairing_loop(win.psi_hat, win.support, reg, base=np.sin)
-    assert (got.value, got.residuals, got.error_estimate) == (
-        ref.value, ref.residuals, ref.error_estimate)
+    assert abs(got - expected) < 1e-7
 
 
 def test_pairing_evaluates_each_node_once():
-    f_calls, u_calls = [], []
+    calls = []
 
     def f(s):
-        f_calls.append(np.array(s))
+        calls.append(np.array(s))
         return _even_bump(s)
 
-    def u(s):
-        u_calls.append(np.array(s))
-        return s
+    regularized_pairing(f, (-1.0, 1.0), 0.5)
+    assert len(calls) == 1
+    nodes = calls[0]
+    # 16 panels of 24 nodes on each side of 0, and 0 itself
+    assert len(nodes) == 2 * 16 * 24 + 1 and np.all(np.diff(nodes) > 0)
+    assert nodes[16 * 24] == 0.0
 
-    regularized_pairing(f, (-1.0, 1.0), RegularizedPower(alpha=0.5), base=u)
-    assert len(f_calls) == 1
-    nodes = f_calls[0]
-    # 11 rules of 7,392 nodes in all share 1,392 distinct ones
-    assert len(nodes) == 1392 and np.all(np.diff(nodes) > 0)
-    # besides the zero search on its 4097-point grid (0 is a grid point,
-    # so no bisection), u is called once, on the same nodes
-    assert len(u_calls) == 2 and len(u_calls[0]) == 4097
-    assert np.array_equal(u_calls[1], nodes)
+
+def test_pairing_rejects_unsupported_alpha():
+    # (s + i0)^(-2) paired with the Fejer kink diverges; only the exponents
+    # (n - d)/2 of the pairs n - d <= 3 are supported
+    for alpha in (2.0, 0.0, -0.5):
+        with pytest.raises(ValidationError):
+            regularized_pairing(_even_bump, (-1.0, 1.0), alpha)
+
+
+def test_pairing_rejects_empty_support():
+    with pytest.raises(ValidationError):
+        regularized_pairing(_even_bump, (1.0, 1.0), 0.5)
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
-@pytest.mark.parametrize("alpha, tol", [(0.5, 1e-6), (1.0, 2.5e-4),
-                                        (1.5, 6.5e-2)])
-def test_pairing_fejer_closed_form(a, alpha, tol):
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_pairing_fejer_closed_form(a, alpha):
     # P = int_{-a}^{a} (1 - |s|/a) (s + i0)^(-alpha) ds
     #   = (1 + e^{-i pi alpha}) a^(1-alpha) / ((1 - alpha)(2 - alpha)),
-    # -i pi at alpha = 1.  The kink of psi_hat at 0 slows the damping limit
-    # to eps^(2 - alpha); measured errors at a = 1 (half of them at a = 2):
-    # 4.1e-7, 1.13e-4 and 3.16e-2 (0.56 % relative, reported error_estimate
-    # 1.3e-2).  Tolerances: about 2x the measured errors.
+    # -i pi at alpha = 1.  psi_hat is linear on each side of its kink at 0,
+    # so the finite part is exact up to rounding; measured <= 9e-13.
     win = make_test_function("fejer", a)
-    got = regularized_pairing(win.psi_hat, win.psi_hat_support,
-                              RegularizedPower(alpha=alpha))
+    got = regularized_pairing(win.psi_hat, win.psi_hat_support, alpha)
     if alpha == 1.0:
         exact = -1j * PI
     else:
         exact = ((1.0 + np.exp(-1j * PI * alpha)) * a ** (1.0 - alpha)
                  / ((1.0 - alpha) * (2.0 - alpha)))
-    assert abs(got.value - exact) <= tol
+    assert abs(got - exact) <= 1e-11
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_pairing_bumpsquare_matches_xspace_integral(alpha):
     # e^{i pi alpha/2} P = (2pi/Gamma(alpha)) int_0^inf psi(t) t^(alpha-1) dt
-    # for psi >= 0 even; measured at a = 1: 7.4e-12, 6.8e-12 and 2.7e-11.
-    # Tolerance 3e-10: over 10x the largest.
-    psi = make_test_function("bumpsquare", 1.0)
-    got = regularized_pairing(psi.psi_hat, psi.psi_hat_support,
-                              RegularizedPower(alpha=alpha))
-    rotated = np.exp(0.5j * PI * alpha) * got.value
-    assert abs(rotated - pairing_xspace_mpmath(psi, alpha)) <= 3e-10
-
-
-def test_regularized_power_validation():
-    with pytest.raises(ValidationError):
-        RegularizedPower(alpha=-0.5)
+    # for psi >= 0 even; measured <= 3.4e-11 over these a and alpha.
+    # Tolerance 3e-10: over 8x the largest.
+    for a in (0.5, 1.0, 2.5):
+        psi = make_test_function("bumpsquare", a)
+        got = regularized_pairing(psi.psi_hat, psi.psi_hat_support, alpha)
+        rotated = np.exp(0.5j * PI * alpha) * got
+        assert abs(rotated - pairing_xspace_mpmath(psi, alpha)) <= 3e-10, a
 
 
 def test_halfline_gamma_identity_single():
