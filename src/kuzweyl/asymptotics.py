@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kuznecov import FourierWindow, SumTable, TestFunction, _window_of
+from .kuznecov import SumTable, _window_of
 from .special_functions import regularized_pairing, sphere_volume
 
 __all__ = [
@@ -170,10 +170,8 @@ def subcritical_coefficient(n: int, d: int, c: float, psi,
     """
     if not 0.0 < c < 1.0:
         raise ValidationError("need 0 < c < 1")
-    if not isinstance(psi, (TestFunction, FourierWindow)):
-        raise ValidationError("psi must be a TestFunction or FourierWindow")
     vol = float(vol_H) if vol_H is not None else (2.0 * math.pi) ** d
-    ph0 = float(psi.psi_hat(0.0))
+    ph0 = float(_window_of(psi).psi_hat(0.0))
     value = ph0 * c ** (d - 1) * (1.0 - c * c) ** (0.5 * (n - d - 2)) * vol
     return CoefficientPrediction(value=complex(value), formula="SubcriticalC",
                                  inputs={"n": n, "d": d, "c": c, "vol_H": vol})

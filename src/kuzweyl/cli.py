@@ -40,7 +40,6 @@ from .kuznecov import (
     dual_trace,
     kuznecov_sum,
     make_test_function,
-    sharp_sum,
 )
 from .model_spectra import (
     MODE_BUDGET_DEFAULT,
@@ -84,13 +83,25 @@ def _parse_pair(text: str) -> ManifoldPair:
     raise ValidationError(f"unknown pair kind {kind!r}")
 
 
+def _number(cast, text: str, spec: str):
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValidationError(f"bad number {text!r} in {spec!r}") from exc
+
+
 def _parse_psi(text: str):
-    """Parse 'fejer:a=1', 'bumpsquare:a=0.5', 'sharp:eps=0.5'."""
+    """Parse 'fejer:a=1', 'bumpsquare:a=0.5,scale=2', 'sharp:eps=0.5'."""
     kind, _, rest = text.partition(":")
+    keys = ("eps", "a") if kind == "sharp" else ("a", "scale")
     params = {}
     for item in filter(None, rest.split(",")):
         key, _, val = item.partition("=")
-        params[key.strip()] = float(val)
+        key = key.strip()
+        if key not in keys:
+            raise ValidationError(f"unknown parameter {key!r} in {text!r} "
+                                  f"(want {' or '.join(keys)})")
+        params[key] = _number(float, val, text)
     if kind == "sharp":
         return make_test_function("sharp", params.get("eps", params.get("a", 0.5)))
     return make_test_function(kind, params.get("a", 1.0),
@@ -102,7 +113,8 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) < 3:
         raise ValidationError(f"bad grid spec {text!r} (want lo:hi:count)")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _number(float, parts[0], text), _number(float, parts[1], text)
+    count = _number(int, parts[2], text)
     if not (0 < lo < hi and count >= 2):
         raise ValidationError(f"bad grid spec {text!r}")
     if len(parts) > 3 and parts[3] == "lin":
@@ -144,10 +156,7 @@ def _cmd_sums(args) -> int:
     psi = _parse_psi(args.psi)
     table = load_or_build(pair, float(grid[-1]), _cache_dir(args.cache_dir),
                           budget=args.budget)
-    if psi.kind == "sharp":
-        st = sharp_sum(table, args.c, psi.a, grid)
-    else:
-        st = kuznecov_sum(table, args.c, psi, grid)
+    st = kuznecov_sum(table, args.c, psi, grid)
     out = args.out or os.path.join(_out_dir(), "sums.csv")
     st.write(out)
     print(f"wrote {out} ({st.variant}, c={args.c})")
@@ -230,8 +239,7 @@ def _cmd_hadamard(args) -> int:
 def _cmd_trace(args) -> int:
     pair = _parse_pair(args.pair)
     psi = _parse_psi(args.psi)
-    tgrid = _parse_grid(args.tgrid) if ":" in args.tgrid else None
-    grid = np.linspace(0.0, 8.0, 257) if tgrid is None else tgrid
+    grid = _parse_grid(args.tgrid)
     table = load_or_build(pair, args.lmax, _cache_dir(args.cache_dir),
                           budget=args.budget)
     tr = dual_trace(table, psi, grid)
@@ -285,22 +293,20 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
     t0 = time.time()
 
     if variant == "sharp":
-        eps = _cfg_get(cfg, "sums", "epsilon", float, required=True)
+        psi = make_test_function(
+            "sharp", _cfg_get(cfg, "sums", "epsilon", float, required=True))
         jitter = _cfg_get(cfg, "sums", "jitter", float, default=0.0)
-        psi_desc = {"kind": "sharp", "eps": eps}
     else:
         psi = _parse_psi(_cfg_get(cfg, "sums", "psi", required=True))
-        psi_desc = psi.descriptor()
+        jitter = 0.0
     table = load_or_build(pair, float(grid[-1]), _cache_dir(cache_dir),
                           budget=budget)
     build_time = time.time() - t0
 
-    if variant != "sharp":
-        st = kuznecov_sum(table, c, psi, grid)
-    elif jitter > 0:
-        st = averaged_sharp_sum(table, c, eps, grid, jitter=jitter)
+    if jitter > 0:
+        st = averaged_sharp_sum(table, c, psi.a, grid, jitter=jitter)
     else:
-        st = sharp_sum(table, c, eps, grid)
+        st = kuznecov_sum(table, c, psi, grid)
     sums_csv = os.path.join(out_base, f"{name}-sums.csv")
     st.write(sums_csv)
 
@@ -318,7 +324,7 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
         "name": name,
         "pair": pair.to_dict(),
         "c": c,
-        "test": psi_desc,
+        "test": psi.descriptor(),
         "variant": st.variant,
         "fitted_exponent": report.exponent,
         "predicted_exponent": predicted,

@@ -7,15 +7,19 @@ psi and compactly supported psi_hat:
   * fejer(a):        psi_hat triangular on [-a, a], psi(x) = (a/2pi) sinc^2(ax/2)
   * bumpsquare(a):   psi = g^2 with ghat a smooth bump on [-a/2, a/2], so
                      psi >= 0 and psi_hat = (ghat * ghat)/2pi lives on [-a, a];
-                     g is tabulated by one real FFT (see TestFunction)
+                     both are a-free profiles scaled by a: one g_1 table by
+                     one real FFT, and B = bump * bump (see TestFunction)
   * sharp(eps):      psi = indicator of [-eps, eps] (sharp-sharp sums only)
 
-Sums evaluate the cached double sum exactly, over the rows of a RowTable
-(one per eigenvalue pair) or the entries of a per-mode CoefficientTable;
-the contribution beyond mu_k > c*lambda_j + 10a is reported as
-`tail_fraction` metadata.  No sum is truncated in mu: a restricted M-mode
-meets one H-mode, with mu_k <= lambda_j, so a table up to lambda_max holds
-every term up to lambda_max; a grid beyond it raises TruncationRiskError.
+Windows are immutable values; `support` is psi_hat's compact support (the
+sharp kind has none and raises).  Sums evaluate the cached double sum
+exactly, over the rows of a RowTable (one per eigenvalue pair) or the
+entries of a per-mode CoefficientTable; the contribution beyond
+mu_k > c*lambda_j + 10a is reported as `tail_fraction` metadata.  No sum
+is truncated in mu: a restricted M-mode meets one H-mode, with
+mu_k <= lambda_j (so `tail_fraction` is 0 at c = 1), and a table up to
+lambda_max holds every term up to lambda_max; a grid beyond it raises
+TruncationRiskError.
 """
 
 from __future__ import annotations
@@ -82,12 +86,10 @@ class FourierWindow:
         return {"kind": "window", "support": list(self.support)}
 
 
-def _window_of(psi) -> FourierWindow:
-    """psi as a FourierWindow: a TestFunction becomes its as_window()."""
-    if isinstance(psi, FourierWindow):
+def _window_of(psi):
+    """psi, checked to be a window (the sharp kind's `support` raises)."""
+    if isinstance(psi, (TestFunction, FourierWindow)):
         return psi
-    if isinstance(psi, TestFunction):
-        return psi.as_window()
     raise ValidationError("psi must be a TestFunction or FourierWindow")
 
 
@@ -102,37 +104,21 @@ def _bump(u):
 
 _G1_PER_Y = 1024  # bump-square g_1 grid points per unit y
 _G1_TAIL = 1024.0  # |g_1(y)| < 1e-16 beyond (1.1e-16 at 1000, 2e-17 at 1100)
+_G1_FFT = 10 << 17  # period P = 1280 in y, kept below P - _G1_TAIL = 256
 _EVAL_BLOCK = 1 << 15  # psi arguments interpolated per block
 _PRODUCT_BLOCK = 1 << 18  # grid x eigenspace kernel values per block
-# every tabulation reaches at least this y, so the dominating window's
-# minimum on [0, eps] and a first sum up to |x| = 510/a share one FFT; with
-# the _G1_TAIL margin that FFT has 10 * 2^17 points (y = 256 would need 11)
-_G1_FIRST = 255.0
 
 
 @functools.lru_cache(maxsize=1)
-def _g1_table(n_fft: int) -> np.ndarray:
-    """g_1 on y_k = k/_G1_PER_Y, up to the alias-free top P - _G1_TAIL, by
-    one real FFT of length n_fft (see TestFunction); read-only, and shared
-    by every bump-square window whose request rounds up to this length."""
-    du = 2.0 * pi * _G1_PER_Y / n_fft
-    # irfft pads the bump samples on [0, 1] with zeros up to n_fft/2 + 1
-    g1 = np.fft.irfft(_bump(np.arange(int(1.0 / du) + 1) * du), n_fft)
-    table = g1[:n_fft - int(_G1_TAIL * _G1_PER_Y)].copy()
+def _g1_table() -> np.ndarray:
+    """g_1 on y_k = k/_G1_PER_Y for y < 256 (see TestFunction); read-only,
+    shared by every bump-square window."""
+    du = 2.0 * pi * _G1_PER_Y / _G1_FFT
+    # irfft pads the bump samples on [0, 1] with zeros up to _G1_FFT/2 + 1
+    g1 = np.fft.irfft(_bump(np.arange(int(1.0 / du) + 1) * du), _G1_FFT)
+    table = _G1_PER_Y * g1[:_G1_FFT - int(_G1_TAIL * _G1_PER_Y)]
     table.flags.writeable = False
     return table
-
-
-def _smooth_plateau(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    a = np.zeros_like(t)
-    pos = t > 0
-    a[pos] = np.exp(-1.0 / t[pos])
-    b = np.zeros_like(t)
-    neg = t < 1
-    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    return a / (a + b)
 
 
 def shifted_bump_window(lo: float, hi: float) -> FourierWindow:
@@ -147,6 +133,7 @@ def shifted_bump_window(lo: float, hi: float) -> FourierWindow:
     return FourierWindow(psi_hat_fn=fn, support=(lo, hi))
 
 
+@dataclass(frozen=True)
 class TestFunction:
     """Nonnegative window psi with compactly supported psi_hat.
 
@@ -155,72 +142,49 @@ class TestFunction:
     counts exact coincidences).  `scale` multiplies psi and psi_hat jointly
     (used by the dominating-function construction).
 
-    Bump-square: g(x) = (a/2) g_1(a x/2), g_1(y) = (1/2pi) int_{-1}^{1}
-    bump(u) exp(iuy) du.  The trapezoid rule on u_j = j du is exactly the
-    P-periodised g_1, P = 2pi/du (Poisson summation), so one real FFT of
-    length 1024 P gives g_1 on y_k = k/1024 (x-step 1/(512 a)) up to the
-    alias sum_{p != 0} g_1(y + pP).  |g_1(y)| < 1e-16 for y >= _G1_TAIL
-    (g_1(0) = 0.19), so the alias stays below that on y <= P - _G1_TAIL,
-    all of which is kept for later requests; g is 0 beyond _G1_TAIL.
-    g_1 depends on neither a nor scale, so the FFT is one module-level
-    table per length (`_g1_table`); each window keeps its own scaled copy.
+    Bump-square: two a-free profiles scaled by a, g(x) = (a/2) g_1(a x/2)
+    with g_1(y) = (1/2pi) int_{-1}^{1} bump(u) exp(iuy) du, psi = g^2, and
+    psi_hat(s) = (a/4pi) B(2s/a), B = bump * bump.  The trapezoid rule on
+    u_j = j du is exactly the P-periodised g_1, P = 2pi/du (Poisson
+    summation), so one real FFT of length 1024 P gives g_1 on y_k = k/1024
+    with alias sum_{p != 0} g_1(y + pP) < 1e-16 on y <= P - _G1_TAIL
+    (g_1(0) = 0.19).  P = 1280 keeps y < 256; beyond, |g_1| <= 1.8e-9 and
+    psi < 8.6e-17 psi(0) is taken as 0.
     """
 
-    def __init__(self, kind: str, a: float, scale: float = 1.0):
-        if kind not in ("fejer", "bumpsquare", "sharp"):
-            raise ValidationError(f"unknown test-function kind {kind!r}")
-        if a < 0 or (a == 0 and kind != "sharp"):
-            raise ValidationError("support radius must be > 0 (>= 0 for sharp)")
-        self.kind = kind
-        self.a = float(a)
-        self.scale = float(scale)
-        self._g_grid: Optional[np.ndarray] = None
+    kind: str
+    a: float
+    scale: float = 1.0
 
-    # -- descriptors ------------------------------------------------------
+    def __post_init__(self):
+        if self.kind not in ("fejer", "bumpsquare", "sharp"):
+            raise ValidationError(f"unknown test-function kind {self.kind!r}")
+        if self.a < 0 or (self.a == 0 and self.kind != "sharp"):
+            raise ValidationError("support radius must be > 0 (>= 0 for sharp)")
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "scale", float(self.scale))
 
     def descriptor(self) -> dict:
+        if self.kind == "sharp":
+            return {"kind": "sharp", "eps": self.a}
         return {"kind": self.kind, "a": self.a, "scale": self.scale}
 
-    def __repr__(self):
-        return f"TestFunction({self.kind}, a={self.a}, scale={self.scale})"
-
     @property
-    def psi_hat_support(self) -> tuple:
-        return (-self.a, self.a)
-
-    def as_window(self) -> FourierWindow:
-        """psi_hat on its compact support; the indicator's 2 sin(eps s)/s
-        has none, so the sharp kind is rejected rather than truncated."""
+    def support(self) -> tuple:
+        """psi_hat's compact support; the indicator's 2 sin(eps s)/s has
+        none, so the sharp kind is rejected rather than truncated."""
         if self.kind == "sharp":
             raise ValidationError(
                 "the sharp window's psi_hat has no compact support")
-        return FourierWindow(psi_hat_fn=lambda s: self.psi_hat(s),
-                             support=self.psi_hat_support)
-
-    # -- bump-square internals ---------------------------------------------
-
-    def _ghat(self, s):
-        """Smooth bump on [-a/2, a/2], peak 1."""
-        return _bump(2.0 * np.asarray(s, dtype=float) / self.a)
-
-    def _ensure_g_grid(self, xmax: float) -> None:
-        """Tabulate g on x_k = k/(512 a) up to xmax, and at least up to
-        y = a x / 2 = _G1_FIRST (see the class doc)."""
-        k_need = min(max(0.5 * self.a * xmax, _G1_FIRST), _G1_TAIL) * _G1_PER_Y
-        if self._g_grid is not None and k_need <= len(self._g_grid) - 2:
-            return
-        n = int(k_need + _G1_TAIL * _G1_PER_Y) + 3
-        # L = m 2^k with 8 <= m <= 16: a fast FFT length at most 1/8 above n
-        q = 1 << (n.bit_length() - 4)
-        self._g_grid = (0.5 * self.a * _G1_PER_Y) * _g1_table(-(-n // q) * q)
+        return (-self.a, self.a)
 
     def _g_eval(self, x: np.ndarray) -> np.ndarray:
+        """g(x) = (a/2) g_1(a|x|/2), 0 beyond the g_1 table."""
+        grid = _g1_table()
         ax = np.abs(x).ravel()
-        self._ensure_g_grid(float(ax.max()) if ax.size else 1.0)
-        grid = self._g_grid
         out = np.zeros_like(ax)
         # 4-point cubic (Catmull-Rom) interpolation on the uniform grid, in
-        # blocks so that the temporaries stay small for large tables; g is
+        # blocks so that the temporaries stay small for large tables; g_1 is
         # even, so node -1 of the stencil is node 1
         for lo in range(0, len(ax), _EVAL_BLOCK):
             t = (0.5 * self.a * _G1_PER_Y) * ax[lo:lo + _EVAL_BLOCK]
@@ -235,9 +199,7 @@ class TestFunction:
                 + f * f * (pm1 - 2.5 * p0 + 2.0 * p1 - 0.5 * p2)
                 + f * f * f * (1.5 * (p0 - p1) + 0.5 * (p2 - pm1))
             )
-        return out.reshape(np.shape(x))
-
-    # -- evaluation ---------------------------------------------------------
+        return (0.5 * self.a) * out.reshape(np.shape(x))
 
     def psi(self, x):
         x = np.asarray(x, dtype=float)
@@ -265,21 +227,16 @@ class TestFunction:
             out = np.where(s == 0.0, 2.0 * self.a, 2.0 * np.sin(self.a * s)
                            / np.where(s == 0.0, 1.0, s))
         else:
-            # (ghat * ghat)(s) / 2pi on the overlap interval
+            # (a/4pi) B(t), t = 2|s|/a: the integrand of B = bump * bump is
+            # symmetric about v = t/2, so B = 2 int_{t/2}^{1} bump(v)
+            # bump(t - v) dv, here by 12 Gauss-Legendre panels of order 16
             out = np.zeros_like(s)
-            half = 0.5 * self.a
             m = np.abs(s) < self.a
-            if np.any(m):
-                sm = s[m]
-                nodes, weights = composite_gauss_legendre(
-                    np.linspace(-1.0, 1.0, 25), order=16)
-                lo = np.maximum(-half, sm - half)
-                hi = np.minimum(half, sm + half)
-                mid = 0.5 * (lo + hi)
-                rad = 0.5 * (hi - lo)
-                u = mid[:, None] + rad[:, None] * nodes[None, :]
-                vals = self._ghat(u) * self._ghat(sm[:, None] - u)
-                out[m] = (vals @ weights) * rad / (2.0 * pi)
+            x, w = composite_gauss_legendre(np.linspace(0.0, 1.0, 13), order=16)
+            t = np.abs(2.0 * s[m] / self.a)[:, None]
+            v = 0.5 * t + (1.0 - 0.5 * t) * x
+            out[m] = ((self.a / (2.0 * pi)) * (1.0 - 0.5 * t[:, 0])
+                      * ((_bump(v) * _bump(t - v)) @ w))
         out = out * self.scale
         return float(out[0]) if scalar else out
 
@@ -295,14 +252,12 @@ def dominating_test_function(eps: float, a: float = 1.0) -> TestFunction:
     Square construction scaled so min over [-eps, eps] is exactly 1; needs
     the first zero of psi beyond eps.
     """
-    psi = TestFunction("bumpsquare", a)
-    grid = np.linspace(0.0, eps, 512)
-    m = float(np.min(psi.psi(grid)))
+    m = float(np.min(TestFunction("bumpsquare", a).psi(
+        np.linspace(0.0, eps, 512))))
     if m <= 0.0:
         raise ValidationError(
             f"bump-square window with a={a} vanishes inside [-{eps}, {eps}]")
-    psi.scale = 1.0 / m
-    return psi
+    return TestFunction("bumpsquare", a, scale=1.0 / m)
 
 
 # --------------------------------------------------------------------------
@@ -380,11 +335,13 @@ def _cumulate(lam, w, grid):
 
 
 def kuznecov_sum(table: Table, c: float, psi: TestFunction,
-                 lambda_grid, variant: str = "smooth-sharp") -> SumTable:
+                 lambda_grid) -> SumTable:
     """N^c(lambda) = sum_{lambda_j <= lambda} sum_k psi(c lambda_j - mu_k) |coeff|^2.
 
     The argument order c*lambda_j - mu_k is fixed; entries are cumulated in
-    M-frequency order so the grid values come from one pass.
+    M-frequency order so the grid values come from one pass.  The variant
+    is "sharp-sharp" for the sharp kind, else "smooth-sharp".  Tables hold
+    mu_k <= lambda_j, so `tail_fraction` is 0 for every c = 1 sum.
     """
     if not 0.0 <= c <= 1.0:
         raise ValidationError("need 0 <= c <= 1")
@@ -394,6 +351,7 @@ def kuznecov_sum(table: Table, c: float, psi: TestFunction,
     tail_mask = mu > c * lam + 10.0 * psi.a
     tail = float(np.sum(np.abs(w[tail_mask]))) if len(w) else 0.0
     meta = {"tail_fraction": tail / total if total > 0 else 0.0}
+    variant = "sharp-sharp" if psi.kind == "sharp" else "smooth-sharp"
     return SumTable(pair=table.pair.to_dict(), c=c, test=psi.descriptor(),
                     rho=None, lambda_grid=grid, values=vals, variant=variant,
                     metadata=meta)
@@ -401,13 +359,9 @@ def kuznecov_sum(table: Table, c: float, psi: TestFunction,
 
 def sharp_sum(table: Table, c: float, eps: float,
               lambda_grid) -> SumTable:
-    """Sharp-sharp variant: indicator window |c lambda_j - mu_k| <= eps."""
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
-    out = kuznecov_sum(table, c, TestFunction("sharp", a=eps), lambda_grid,
-                       variant="sharp-sharp")
-    out.test = {"kind": "sharp", "eps": eps}
-    return out
+    """Sharp-sharp variant: indicator window |c lambda_j - mu_k| <= eps
+    (eps >= 0, as the sharp TestFunction checks)."""
+    return kuznecov_sum(table, c, TestFunction("sharp", a=eps), lambda_grid)
 
 
 def averaged_sharp_sum(table: Table, c: float, eps: float,

@@ -189,17 +189,18 @@ def _guard(count: int, budget: int, what: str) -> int:
 # torus enumeration
 # --------------------------------------------------------------------------
 
-def _lattice_points(scale, cutoff: float, budget: int):
+def _lattice_points(scale, cutoff: float, budget: int, *, labels: bool):
     """All m in Z^dim with sum (scale_i m_i)^2 <= cutoff^2.
 
     Built one coordinate at a time: each step pairs the points kept so far
     with the candidates of the next coordinate, and keeps the pairs inside.
-    Returns the int32 labels in lexicographic order, their squared norms
-    summed in coordinate order, and the largest candidate count, which is
-    what the budget guards.
+    Returns the int32 labels in lexicographic order (None unless `labels`:
+    the row tables read only the norms), their squared norms summed in
+    coordinate order, and the largest candidate count, which is what the
+    budget guards.
     """
     cut2 = cutoff * cutoff * (1 + 1e-15)
-    labels = np.zeros((1, 0), dtype=np.int32)
+    points = np.zeros((1, 0), dtype=np.int32) if labels else None
     q = np.zeros(1)
     need = 0
     for s in scale:
@@ -208,9 +209,12 @@ def _lattice_points(scale, cutoff: float, budget: int):
         need = max(need, _guard(len(q) * len(m), budget,
                                 "lattice candidate count"))
         q = q[:, None] + (s * m) ** 2
-        row, col = np.nonzero(q <= cut2)
-        q, labels = q[row, col], np.hstack((labels[row], m[col, None]))
-    return labels, q, need
+        inside = q <= cut2
+        if labels:
+            row, col = np.nonzero(inside)
+            points = np.hstack((points[row], m[col, None]))
+        q = q[inside]  # row-major, the order of np.nonzero
+    return points, q, need
 
 
 def _float_eigenkeys(q, scale) -> np.ndarray:
@@ -223,7 +227,7 @@ def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
     """All m in Z^dim with sum (2 pi m_i / L_i)^2 <= cutoff^2, ordered by
     eigenkey (|m|^2 for equal periods), then lexicographically."""
     scale = np.array([2.0 * pi / L for L in periods])
-    labels, q, _ = _lattice_points(scale, cutoff, budget)
+    labels, q, _ = _lattice_points(scale, cutoff, budget, labels=True)
     if np.all(scale == scale[0]):
         keys = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
     else:

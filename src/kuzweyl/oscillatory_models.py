@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AccuracyError, ValidationError
-from .kuznecov import _bump, _smooth_plateau, _window_of
+from .kuznecov import _bump, _window_of
 from .special_functions import (
     bessel_j_scaled,
     composite_gauss_legendre,
@@ -156,6 +156,18 @@ def double_bessel(n: int, d: int, lam: float, r: float,
 # --------------------------------------------------------------------------
 # model blow-down integral
 # --------------------------------------------------------------------------
+
+def _smooth_plateau(t):
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
+    t = np.asarray(t, dtype=float)
+    a = np.zeros_like(t)
+    pos = t > 0
+    a[pos] = np.exp(-1.0 / t[pos])
+    b = np.zeros_like(t)
+    neg = t < 1
+    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    return a / (a + b)
+
 
 @dataclass(frozen=True)
 class ModelCutoff:

@@ -248,7 +248,7 @@ def _lattice_shells(scale, cutoff: float, budget: int):
     np.unique needs memory in the point count; np.bincount would need it
     in cutoff^2 (8e8 bytes for a 1-D factor at cutoff 1e4).
     """
-    _, q, need = _lattice_points(scale, cutoff, budget)
+    _, q, need = _lattice_points(scale, cutoff, budget, labels=False)
     return (*np.unique(q, return_counts=True), need)
 
 

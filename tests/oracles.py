@@ -10,7 +10,9 @@ regularization).
 Replaced forms, slow and kept here only as references: the per-block
 closed form of the sphere restriction coefficients (replaced by one
 lgamma table), the segment-by-segment cosine-matrix tabulation of the
-bump-square g-grid (FFT), the x_1-then-R quadrature of the d = 2 model
+bump-square g-grid (one FFT of the a-free g_1), the u-convolution of the
+bump-square psi_hat over the whole overlap (the mirror-symmetric profile
+bump * bump), the x_1-then-R quadrature of the d = 2 model
 integral (batched polar), the damped-ladder half-line
 transform (contour rotation), the per-mode forms of the jumps, doubly
 smoothed sums and dual trace (per-eigenspace), the meshgrid and lexsort
@@ -192,6 +194,27 @@ def bump_g_grid_loop(a: float, xmax: float):
         if float(np.max(np.abs(vals))) < 1e-12 * peak:
             break
     return grid
+
+
+def bump_psi_hat_u_convolution(a: float, s):
+    """psi_hat of the bump-square window with radius a as the convolution
+    (ghat * ghat)(s)/2pi, ghat(u) = bump(2u/a), over the whole overlap
+    interval of u by 24 Gauss-Legendre panels of order 16 per argument."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros_like(s)
+    half = 0.5 * a
+    m = np.abs(s) < a
+    sm = s[m]
+    nodes, weights = composite_gauss_legendre(np.linspace(-1.0, 1.0, 25),
+                                              order=16)
+    lo = np.maximum(-half, sm - half)
+    hi = np.minimum(half, sm + half)
+    mid = 0.5 * (lo + hi)
+    rad = 0.5 * (hi - lo)
+    u = mid[:, None] + rad[:, None] * nodes[None, :]
+    vals = _bump(2.0 * u / a) * _bump(2.0 * (sm[:, None] - u) / a)
+    out[m] = (vals @ weights) * rad / (2.0 * PI)
+    return out
 
 
 def bump_g_direct(a: float, x):

@@ -124,6 +124,7 @@ def torus21():
         "smooth_dom": smooth_dom.values,
         "tails": (smooth1.metadata["tail_fraction"],
                   smooth2.metadata["tail_fraction"]),
+        "mu_excess": float(np.max(table.mu - table.lam)),
         "jump_lams": lams_j,
         "jumps": jumps,
         "oracle_lams": grid[[0, 11, 23]],
@@ -189,6 +190,7 @@ def torus32():
         "smooth2": smooth2.values,
         "tails": (smooth1.metadata["tail_fraction"],
                   smooth2.metadata["tail_fraction"]),
+        "mu_excess": float(np.max(table.mu - table.lam)),
         "oracle_lams": grid[[0, 7, 13]],
         "oracle_counts": _brute_sharp_count_3d(162, 1.0, 0.5,
                                                grid[[0, 7, 13]], d=2),
@@ -420,8 +422,14 @@ def test_criterion_11_positivity_and_support(torus21, torus32, sphere21):
         _fixed_coeff(sphere21["grid"], sphere21["sharp"], 1.5),
     ]
     assert all(c >= 0.0 for c in coeffs)
+    # the far tail mu_k > lambda_j + 10a of a c = 1 sum is empty because
+    # every row has mu_k <= lambda_j (the tables are complete in mu): the
+    # tail check rests on that fact, checked here on both tables
+    excess = max(torus21["mu_excess"], torus32["mu_excess"])
+    assert excess <= 0.0
     tails = list(torus21["tails"]) + list(torus32["tails"])
     assert all(t < 1e-6 for t in tails)
     print(f"\nACCEPTANCE 11 (positivity and support): fitted c=1 "
-          f"coefficients all >= 0 (min {min(coeffs):.4g}); far-tail "
-          f"fractions {max(tails):.2e} < 1e-6 -> PASS")
+          f"coefficients all >= 0 (min {min(coeffs):.4g}); max(mu - lambda) "
+          f"= {excess:.3g} <= 0, so the far-tail fractions "
+          f"{max(tails):.2e} < 1e-6 -> PASS")

@@ -228,6 +228,50 @@ def test_pair_spec_validation():
     assert main(["spectrum", "--pair", "torus", "--lmax", "3"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sums", "--psi", "fejer:a=x", "--lgrid", "10:60:10"],
+    ["sums", "--psi", "fejer:a=1", "--lgrid", "1:10:x"],
+    ["sums", "--psi", "fejer:b=3", "--lgrid", "10:60:10"],
+    ["trace", "--psi", "fejer:a=1", "--lmax", "10", "--tgrid", "5"],
+], ids=["psi-number", "grid-count", "psi-key", "tgrid"])
+def test_malformed_input_is_a_validation_error(argv, tmp_path, capsys):
+    # each once ended in a traceback (bad numbers) or was silently replaced
+    # (an unknown key by a = 1, a colon-free t grid by linspace(0, 8, 257))
+    rc = main([argv[0], "--pair", "torus:2,1", *argv[1:],
+               *(["--c", "1.0"] if argv[0] == "sums" else []),
+               "--cache-dir", str(tmp_path / "cache"),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("validation error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sharp_sums_sidecar_and_report(tmp_path, capsys):
+    # the variant and descriptor come from the sharp window itself; these
+    # are the bytes `sums` and `run` wrote when sharp_sum relabelled them
+    out = tmp_path / "sums.csv"
+    assert main(["sums", "--pair", "torus:2,1", "--c", "1.0", "--psi",
+                 "sharp:eps=0.5", "--lgrid", "10:60:10", "--cache-dir",
+                 str(tmp_path / "cache"), "--out", str(out)]) == 0
+    assert "(sharp-sharp, c=1.0)" in capsys.readouterr().out
+    sidecar = (
+        '{\n  "c": 1.0,\n  "metadata": {\n    "tail_fraction": 0.0\n  },\n'
+        '  "pair": {\n    "d": 1,\n    "kind": "torus",\n    "n": 2,\n'
+        '    "torus_periods": [\n      6.283185307179586,\n'
+        '      6.283185307179586\n    ]\n  },\n  "rho": null,\n'
+        '  "test": {\n    "eps": 0.5,\n    "kind": "sharp"\n  },\n'
+        '  "variant": "sharp-sharp"\n}')
+    assert (tmp_path / "sums.csv.json").read_text() == sidecar
+    report = run_experiment(_write_config(tmp_path),
+                            cache_dir=str(tmp_path / "cache"),
+                            out_dir=str(tmp_path / "out"))
+    assert (tmp_path / "out" / "smoke-sums.csv.json").read_text() == sidecar
+    text = (tmp_path / "out" / "smoke-report.json").read_text()
+    assert ('  "test": {\n    "eps": 0.5,\n    "kind": "sharp"\n  },\n'
+            '  "variant": "sharp-sharp",\n  "verdict": "PASS"\n}') in text
+    assert report["variant"] == "sharp-sharp"
+
+
 def test_shipped_config_fixtures_parse():
     import configparser
     import glob

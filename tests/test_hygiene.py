@@ -1,9 +1,12 @@
 """Source hygiene: every name a package or test module imports is used in
 it, the package reads the environment only through its two documented
-keys, one function raises ResourceGuardError, and every public function
-or class is used beyond its definition."""
+keys, one function raises ResourceGuardError, every public function
+or class is used beyond its definition, and every entry point the
+benchmark's tracer wraps exists where it looks for it."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -196,3 +199,28 @@ def test_every_public_name_is_used():
     modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
     bench = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
     assert unreferenced_public(modules, bench) == []
+
+
+def trace_targets(source: str) -> list:
+    """The (module, attr) keys of the RULES dict in a tracer's source."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "RULES"
+                        for t in node.targets)):
+            return [tuple(e.value for e in key.elts) for key in node.value.keys]
+    return []
+
+
+def test_trace_targets_resolve():
+    # the benchmark's tracer wraps each target by name; a method is taken
+    # from its class's own __dict__, so it must be defined in the class body
+    targets = trace_targets((ROOT / "perfbench" / "spans.py").read_text())
+    assert ("kuznecov", "TestFunction.psi") in targets
+    for mod_name, attr in targets:
+        module = importlib.import_module(f"kuzweyl.{mod_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert inspect.isfunction(
+                vars(getattr(module, cls_name)).get(meth)), attr
+        else:
+            assert callable(getattr(module, attr, None)), attr

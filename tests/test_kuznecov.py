@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tempfile
@@ -40,6 +41,7 @@ from oracles import (
     assoc_legendre,
     bump_g_direct,
     bump_g_grid_loop,
+    bump_psi_hat_u_convolution,
     doubly_smoothed_loop,
     dual_trace_loop,
     eigenvalue_jumps_argsort,
@@ -106,12 +108,20 @@ def test_bumpsquare_grid_matches_direct_transform(a):
 
 
 def test_bumpsquare_fft_grid_matches_cosine_loop():
-    # at a = 1 the FFT grid step 1/512 is the loop's step a/512
-    b = make_test_function("bumpsquare", 1.0)
-    b.psi(120.0)
+    # at a = 1, g(x) = g_1(x/2)/2 and the table step 1/1024 in y is the
+    # loop's step a/512 in x
     n = 120 * 512 + 1
     loop = bump_g_grid_loop(1.0, 120.0)
-    assert np.max(np.abs(b._g_grid[:n] - loop[:n])) <= 1e-16
+    assert np.max(np.abs(0.5 * kuznecov._g1_table()[:n] - loop[:n])) <= 1e-16
+
+
+def test_bumpsquare_psi_hat_matches_u_convolution():
+    # the mirror-symmetric profile B = bump * bump against the convolution
+    # over the whole overlap in u; measured <= 1.4e-16
+    for a in (0.3, 1.0, 2.5):
+        s = np.linspace(-1.1 * a, 1.1 * a, 301)
+        got = make_test_function("bumpsquare", a).psi_hat(s)
+        assert np.max(np.abs(got - bump_psi_hat_u_convolution(a, s))) <= 1e-15
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
@@ -122,7 +132,7 @@ def test_bumpsquare_psi_matches_direct_quadrature(a):
     got = b.psi(x)
     assert np.max(np.abs(got - bump_g_direct(a, x) ** 2)) <= 1e-13
     # the FFT's alias is largest just below the top of the kept range
-    top = (len(b._g_grid) - 2) / (512 * a)
+    top = (len(kuznecov._g1_table()) - 2) / (512 * a)
     xt = top - np.array([1e-3, 0.3, 1.7])
     assert np.max(np.abs(b.psi(xt) - bump_g_direct(a, xt) ** 2)) <= 1e-13
     assert np.max(np.abs(b._g_eval(xt) - bump_g_direct(a, xt))) <= 1e-15
@@ -136,22 +146,6 @@ def test_bumpsquare_g_even_stencil_at_zero(a):
     b = make_test_function("bumpsquare", a)
     x = np.array([0.0, 1e-4, 1e-3])
     assert np.max(np.abs(b._g_eval(x) - bump_g_direct(a, x))) <= 1e-15
-
-
-def test_bumpsquare_grid_growth():
-    b = make_test_function("bumpsquare", 1.0)
-    b.psi(100.0)
-    first = b._g_grid
-    b.psi(np.array([-50.0, (len(first) - 2) / 512]))
-    assert b._g_grid is first
-    b.psi(816.0)
-    assert b._g_grid is not first and len(b._g_grid) > len(first)
-    assert np.max(np.abs(b._g_grid[:len(first)] - first)) <= 1e-16
-    # beyond y = a x / 2 = 1024, |g| < 1e-16: psi is 0 there and the grid
-    # stops growing
-    assert b.psi(1e6) == 0.0
-    capped = b._g_grid
-    assert b.psi(-3e6) == 0.0 and b._g_grid is capped
 
 
 def _count_ffts(monkeypatch) -> list:
@@ -177,26 +171,38 @@ def test_dominating_window_then_large_sum_is_one_fft(monkeypatch):
     assert len(calls) == 1, calls
 
 
+def test_bumpsquare_grid_growth(monkeypatch):
+    # the g_1 table is fixed: evaluating farther out neither grows nor
+    # rebuilds it, and psi is 0 beyond its end
+    calls = _count_ffts(monkeypatch)
+    b = make_test_function("bumpsquare", 1.0)
+    b.psi(100.0)
+    first = kuznecov._g1_table()
+    assert b.psi(500.0) > 0.0 and kuznecov._g1_table() is first
+    # beyond y = a x / 2 = 256, |g| < 1e-16 psi(0): psi is 0 there
+    assert b.psi(1e6) == 0.0 and b.psi(-3e6) == 0.0
+    assert kuznecov._g1_table() is first and len(calls) == 1, calls
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.scale = 2.0
+
+
 def test_bumpsquare_windows_share_one_fft_per_length(monkeypatch):
     calls = _count_ffts(monkeypatch)
     loop = bump_g_grid_loop(1.0, 120.0)
     n = 120 * 512 + 1
-    grids = {}
-    # y = a x / 2 at x = 311 is 47 and 156 for a = 0.3 and 1, below the
-    # first tabulation's 255, and 389 for a = 2.5: two lengths in all
+    x = np.linspace(-816.0, 816.0, 4001)
     for a in (0.3, 1.0, 2.5):
         b = make_test_function("bumpsquare", a)
-        b.psi(311.0)
-        grids[a] = b._g_grid
+        values = b.psi(x)
+        # the table ends below y = a|x|/2 = 256, where psi < 1e-16 psi(0)
+        beyond = 0.5 * a * np.abs(x) >= 256.0
+        assert np.all(values[beyond] == 0.0) and np.all(values[~beyond] > 0.0)
         # g for radius a at x_k = k/(512 a) is a times g for a = 1 at k/512
-        assert np.max(np.abs(b._g_grid[:n] / a - loop[:n])) <= 1e-16
-    assert len(calls) == len(set(calls)) == 2, calls
-    assert not kuznecov._g1_table(calls[-1]).flags.writeable
-    # a table rebuilt after another length was asked for is the same table
-    again = make_test_function("bumpsquare", 1.0)
-    again.psi(311.0)
-    assert len(calls) == 3 and calls[2] == calls[0]
-    assert np.array_equal(again._g_grid, grids[1.0])
+        xk = np.arange(n) / (512 * a)
+        assert np.max(np.abs(b._g_eval(xk) / a - loop[:n])) <= 1e-15
+    # one table length, one irfft, for every window
+    assert calls == [10 << 17]
+    assert not kuznecov._g1_table().flags.writeable
 
 
 def test_bumpsquare_grid_memory():

@@ -348,7 +348,7 @@ def test_pairing_fejer_closed_form(a, alpha):
     # -i pi at alpha = 1.  psi_hat is linear on each side of its kink at 0,
     # so the finite part is exact up to rounding; measured <= 9e-13.
     win = make_test_function("fejer", a)
-    got = regularized_pairing(win.psi_hat, win.psi_hat_support, alpha)
+    got = regularized_pairing(win.psi_hat, win.support, alpha)
     if alpha == 1.0:
         exact = -1j * PI
     else:
@@ -364,7 +364,7 @@ def test_pairing_bumpsquare_matches_xspace_integral(alpha):
     # Tolerance 3e-10: over 8x the largest.
     for a in (0.5, 1.0, 2.5):
         psi = make_test_function("bumpsquare", a)
-        got = regularized_pairing(psi.psi_hat, psi.psi_hat_support, alpha)
+        got = regularized_pairing(psi.psi_hat, psi.support, alpha)
         rotated = np.exp(0.5j * PI * alpha) * got
         assert abs(rotated - pairing_xspace_mpmath(psi, alpha)) <= 3e-10, a
 
