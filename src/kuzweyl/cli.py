@@ -360,8 +360,16 @@ def _cmd_run(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValidationError (exit 1): argparse's own
+    exit 2 is the code of a numerical-tolerance failure here."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kuzweyl",
         description="Kuznecov-Weyl spectral sums on model geometries")
     parser.add_argument("--version", action="version", version=__version__)
@@ -375,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--lmax", type=float, required=True)
     p.add_argument("--out")
-    common(p)
+    p.add_argument("--budget", type=int, default=MODE_BUDGET_DEFAULT)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("coeffs", help="build or load a coefficient table")
@@ -449,9 +457,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

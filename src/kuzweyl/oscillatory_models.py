@@ -33,7 +33,6 @@ import numpy as np
 from .errors import AccuracyError, ValidationError
 from .kuznecov import _bump, _window_of
 from .special_functions import (
-    bessel_j_scaled,
     composite_gauss_legendre,
     oscillatory_quadrature,
     sphere_volume,
@@ -98,31 +97,37 @@ _CHUNK = 1 << 18
 
 
 def _plane_wave_factor_closed(q: int, z):
-    """int_{S^{q-1}} e^{i<x, w>} dS(w) at |x| = z, elementwise over z."""
+    """int_{S^{q-1}} e^{i<x, w>} dS(w) at |x| = z, elementwise over z.
+
+    q = 1 and q = 3 are the closed forms 2 cos z and 4 pi sinc z.  Every
+    other q takes the Poisson integral
+
+        P_q(z) = 2 |S^{q-2}| int_0^{pi/2} cos(z cos t) sin^{q-2} t dt
+
+    with M >= max z / 2 + 24 + q nodes, M a multiple of 8.  For even q the
+    integrand is even and pi-periodic, so the M-node midpoint rule errs only
+    by aliased Bessel terms of order >= 4M - q > 2z + 96, below rounding.
+    For odd q, x = cos t leaves cos(zx) (1 - x^2)^{(q-3)/2} on [0, 1], whose
+    polynomial weight one M-node Gauss-Legendre rule absorbs.
+    """
     z = np.abs(np.asarray(z, dtype=float))
     if q == 1:
         return 2.0 * np.cos(z)
     if q == 3:
         return 4.0 * pi * np.sinc(z / pi)
     flat = z.ravel()
-    out = np.empty_like(flat)
-    if q == 2:
-        # 2 pi J_0(z) = 4 int_0^{pi/2} cos(z cos t) dt; the M-node midpoint
-        # rule on this even, periodic integrand errs only by the aliased
-        # J_{4M}(z), J_{8M}(z), ..., below rounding with 4M >= 2z + 96
-        nodes = int(math.ceil(0.5 * flat.max(initial=0.0))) + 24
-        ct = np.cos(0.5 * pi * (np.arange(nodes) + 0.5) / nodes)
-        step = max(1, _CHUNK // nodes)
-        for i in range(0, len(flat), step):
-            out[i:i + step] = (np.cos(np.outer(flat[i:i + step], ct)).sum(axis=1)
-                               * (2.0 * pi / nodes))
+    nodes = 8 * math.ceil((0.5 * flat.max(initial=0.0) + 24 + q) / 8)
+    if q % 2 == 0:
+        t = 0.5 * pi * (np.arange(nodes) + 0.5) / nodes
+        x, w = np.cos(t), np.sin(t) ** (q - 2) * (0.5 * pi / nodes)
     else:
-        # bessel_j's Schlaefli rule holds about 18 (nu + max z) nodes a row
-        nu = (q - 2) / 2.0
-        step = max(1, _CHUNK // int(18.0 * (nu + flat.max(initial=0.0)) + 64))
-        for i in range(0, len(flat), step):
-            out[i:i + step] = ((2.0 * pi) ** (q / 2.0)
-                               * bessel_j_scaled(nu, flat[i:i + step]))
+        x, w = composite_gauss_legendre([0.0, 1.0], order=nodes)
+        w = w * (1.0 - x * x) ** ((q - 3) // 2)
+    w = 2.0 * sphere_volume(q - 2) * w
+    out = np.empty_like(flat)
+    step = max(1, _CHUNK // nodes)
+    for i in range(0, len(flat), step):
+        out[i:i + step] = np.cos(np.outer(flat[i:i + step], x)) @ w
     return out.reshape(z.shape)
 
 

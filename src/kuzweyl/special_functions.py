@@ -1,11 +1,12 @@
-"""Self-contained special-function and quadrature kernel.
+"""Self-contained quadrature kernel and the special values built on it.
 
-Everything here is implemented from scratch (recurrences, series, plain
-quadrature); no external math library beyond numpy array arithmetic.  The
-module also hosts the pairing of a window with the boundary value
+Everything here is implemented from scratch on numpy arrays: Gauss-Legendre
+rules, sphere volumes, the pairing of a window with the boundary value
 (s + i0)^(-alpha), taken as the exact finite part at s = 0, and the
 half-line transform of t^beta, whose [1, inf) piece is rotated onto
-t = 1 + iu/sigma, where it decays like e^{-u} and needs no damping.
+t = 1 + iu/sigma, where it decays like e^{-u} and needs no damping.  The
+plane-wave sphere factors need no Bessel function: oscillatory_models
+evaluates them as Poisson integrals with these rules.
 
 Fourier convention used throughout the package:
 
@@ -31,8 +32,6 @@ __all__ = [
     "gauss_legendre",
     "composite_gauss_legendre",
     "oscillatory_quadrature",
-    "bessel_j",
-    "bessel_j_scaled",
     "sphere_volume",
     "regularized_pairing",
     "fourier_halfline_power",
@@ -102,97 +101,6 @@ def oscillatory_quadrature(a: float, b: float, phase_span: float,
     cycles = abs(phase_span) / (2.0 * pi)
     panels = max(min_panels, int(math.ceil(3.0 * cycles)) + 2)
     return composite_gauss_legendre(np.linspace(a, b, panels + 1), order=order)
-
-
-# --------------------------------------------------------------------------
-# Bessel J
-# --------------------------------------------------------------------------
-
-_BESSEL_SERIES_CUT = 12.0
-_BESSEL_NU_MAX = 200.0
-_BESSEL_X_MAX = 5000.0
-
-
-def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    if nu == 0.0:
-        out[~pos] = 1.0
-    if np.any(pos):
-        xp = x[pos]
-        h = 0.5 * xp
-        t = np.exp(nu * np.log(h) - lgamma(nu + 1.0))
-        acc = t.copy()
-        q = h * h
-        for k in range(120):
-            t = -t * q / ((k + 1.0) * (nu + k + 1.0))
-            acc += t
-            if np.max(np.abs(t)) < 1e-18 * max(1e-300, np.max(np.abs(acc))):
-                break
-        out[pos] = acc
-    return out
-
-
-def _bessel_integral(nu: float, x: np.ndarray) -> np.ndarray:
-    # Schlaefli: J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
-    #                      - sin(nu pi)/pi int_0^inf exp(-nu t - x sinh t) dt
-    xmax = float(np.max(x))
-    tt, ww = oscillatory_quadrature(0.0, pi, (nu + xmax) * pi, order=12)
-    main = np.cos(nu * tt[None, :] - x[:, None] * np.sin(tt)[None, :]) @ ww / pi
-    snp = math.sin(pi * (nu - round(nu))) * (-1.0) ** (round(nu) % 2)
-    if abs(snp) > 1e-16:
-        xmin = float(np.min(x))
-        T = math.asinh(50.0 / max(xmin, 1.0))
-        uu, wu = composite_gauss_legendre(np.linspace(0.0, T, 9), order=16)
-        expo = np.exp(-nu * uu[None, :] - x[:, None] * np.sinh(uu)[None, :])
-        main = main - (snp / pi) * (expo @ wu)
-    return main
-
-
-def bessel_j(nu: float, x):
-    """Bessel J_nu(x) for nu >= 0, x >= 0.
-
-    Ascending series for small x, Schlaefli integral representation for
-    large x.  Absolute accuracy ~1e-12 for x <= 200, nu <= 30.
-    """
-    if nu < 0.0 or nu > _BESSEL_NU_MAX:
-        raise ValidationError(f"order nu={nu} outside supported [0, {_BESSEL_NU_MAX}]")
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if np.any(xa < 0.0) or np.any(xa > _BESSEL_X_MAX):
-        raise ValidationError(f"argument outside supported [0, {_BESSEL_X_MAX}]")
-    out = np.empty_like(xa)
-    small = xa <= _BESSEL_SERIES_CUT
-    if np.any(small):
-        out[small] = _bessel_series(nu, xa[small])
-    if np.any(~small):
-        out[~small] = _bessel_integral(nu, xa[~small])
-    return float(out[0]) if scalar else out
-
-
-def bessel_j_scaled(nu: float, x):
-    """J_nu(x) / x^nu, finite at x = 0 (value 1 / (2^nu Gamma(nu+1)))."""
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    out = np.empty_like(xa)
-    tiny = xa < 0.25
-    if np.any(tiny):
-        xt = xa[tiny]
-        t = np.full_like(xt, math.exp(-nu * math.log(2.0) - lgamma(nu + 1.0)))
-        acc = t.copy()
-        q = 0.25 * xt * xt
-        for k in range(30):
-            t = -t * q / ((k + 1.0) * (nu + k + 1.0))
-            acc += t
-            if np.max(np.abs(t)) < 1e-20:
-                break
-        out[tiny] = acc
-    if np.any(~tiny):
-        xb = xa[~tiny]
-        out[~tiny] = bessel_j(nu, xb) / xb ** nu
-    return float(out[0]) if scalar else out
 
 
 # --------------------------------------------------------------------------

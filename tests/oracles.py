@@ -21,10 +21,10 @@ time), and the (N, l, m) triple-loop sphere enumeration (block level).
 
 Also the test-only helpers: the Gamma closed form of the half-line
 transform, the rank of the full model-phase Hessian, the direct sphere
-plane-wave quadrature, the full difference spectrum, plain-CSV plot data,
-the brute tensor quadrature of an oscillatory integral with its
-stationary-phase error probe, and the per-mode Parseval row sums of a
-coefficient table.
+plane-wave quadrature with its mpmath Bessel closed form, the full
+difference spectrum, plain-CSV plot data, the brute tensor quadrature of
+an oscillatory integral with its stationary-phase error probe, and the
+per-mode Parseval row sums of a coefficient table.
 """
 
 import math
@@ -55,7 +55,6 @@ from kuzweyl.oscillatory_models import (
     stationary_phase_leading,
 )
 from kuzweyl.special_functions import (
-    bessel_j_scaled,
     composite_gauss_legendre,
     oscillatory_quadrature,
     sphere_volume,
@@ -540,8 +539,10 @@ def sphere_plane_wave_integral(n: int, r: float):
     tt, ww = oscillatory_quadrature(0.0, PI, z * PI, order=14)
     integrand = np.cos(z * np.cos(tt)) * np.sin(tt) ** (n - 2)
     direct = sphere_volume(n - 2) * float(integrand @ ww)
-    nu = (n - 2) / 2.0
-    bessel = (2.0 * PI) ** (n / 2.0) * bessel_j_scaled(nu, z)
+    nu = mpmath.mpf(n - 2) / 2
+    scaled = (mpmath.besselj(nu, z) / mpmath.mpf(z) ** nu if z
+              else 1 / (2 ** nu * mpmath.gamma(nu + 1)))
+    bessel = float((2 * mpmath.pi) ** (mpmath.mpf(n) / 2) * scaled)
     return direct, bessel
 
 

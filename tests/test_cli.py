@@ -246,6 +246,31 @@ def test_malformed_input_is_a_validation_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["spectrum", "--lmax", "5"],
+    ["spectrum", "--pair", "torus:2,1", "--lmax", "5", "--cache-dir", "x"],
+    ["fit", "--in", "x.csv", "--window", "1:2", "--bogus"],
+    ["hadamard", "--metric", "sphere:3", "--jmax", "one"],
+    ["nosuch"],
+], ids=["no-command", "missing-flag", "spectrum-cache-dir", "unknown-flag",
+        "bad-int", "unknown-command"])
+def test_usage_error_is_a_validation_error(argv, capsys):
+    # argparse would exit 2, the code of a numerical-tolerance failure
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("validation error: kuzweyl")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["spectrum", "--help"]],
+                         ids=["help", "version", "spectrum-help"])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "--cache-dir" not in capsys.readouterr().out
+
+
 def test_sharp_sums_sidecar_and_report(tmp_path, capsys):
     # the variant and descriptor come from the sharp window itself; these
     # are the bytes `sums` and `run` wrote when sharp_sum relabelled them

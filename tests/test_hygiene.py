@@ -2,7 +2,8 @@
 it, the package reads the environment only through its two documented
 keys, one function raises ResourceGuardError, every public function
 or class is used beyond its definition, and every entry point the
-benchmark's tracer wraps exists where it looks for it."""
+benchmark's tracer wraps exists where it looks for it, and every package
+attribute the benchmark's workloads read exists."""
 
 import ast
 import importlib
@@ -224,3 +225,30 @@ def test_trace_targets_resolve():
                 vars(getattr(module, cls_name)).get(meth)), attr
         else:
             assert callable(getattr(module, attr, None)), attr
+
+
+def module_attribute_refs(source: str) -> list:
+    """(module, attr) for every attribute the source reads off a module it
+    imports as `import kuzweyl.<module> as <alias>`."""
+    tree = ast.parse(source)
+    alias = {a.asname: a.name.split(".", 1)[1]
+             for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names
+             if a.asname and a.name.startswith("kuzweyl.")}
+    return sorted({(alias[n.value.id], n.attr) for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id in alias})
+
+
+def test_benchmark_workload_names_resolve():
+    # the benchmark calls the package by these names and changes only in
+    # its own revisions, so deleting or renaming one breaks the benchmark,
+    # which no other test runs
+    refs = module_attribute_refs(
+        (ROOT / "perfbench" / "workloads.py").read_text())
+    assert {mod for mod, _ in refs} == {
+        "asymptotics", "cli", "kuznecov", "model_spectra",
+        "oscillatory_models", "restriction_coeffs", "special_functions"}
+    missing = [f"{mod}.{attr}" for mod, attr in refs
+               if not hasattr(importlib.import_module(f"kuzweyl.{mod}"), attr)]
+    assert missing == []

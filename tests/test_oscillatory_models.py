@@ -108,8 +108,8 @@ def test_double_bessel_window_branch():
 def test_plane_wave_factor_closed_batch_against_mpmath():
     import mpmath
 
-    for q, zmax in ((1, 400.0), (2, 400.0), (3, 400.0), (4, 200.0), (5, 200.0)):
-        z = np.concatenate([np.linspace(0.0, 1.0, 6), np.geomspace(1.5, zmax, 30)])
+    for q in range(1, 8):
+        z = np.concatenate([np.linspace(0.0, 1.0, 6), np.geomspace(1.5, 400.0, 30)])
         got = _plane_wave_factor_closed(q, z.reshape(6, 6))
         assert got.shape == (6, 6)
         nu = (q - 2) / 2.0

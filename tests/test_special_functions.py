@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from kuzweyl.errors import ValidationError
 from kuzweyl.kuznecov import make_test_function
 from kuzweyl.special_functions import (
-    bessel_j,
-    bessel_j_scaled,
     composite_gauss_legendre,
     fourier_halfline_power,
     gauss_legendre,
@@ -150,70 +148,6 @@ def test_gegenbauer_large_degree_reference():
     t = 0.8
     assert gegenbauer(15, 1.0, math.cos(t)) == pytest.approx(
         math.sin(16 * t) / math.sin(t), rel=1e-12)
-
-
-# -------------------------------------------------------------------- bessel
-
-def test_bessel_at_zero():
-    assert bessel_j(0.0, 0.0) == 1.0
-    assert bessel_j(2.0, 0.0) == 0.0
-
-
-def test_bessel_half_integer_closed_form():
-    x = 1.0
-    assert bessel_j(0.5, x) == pytest.approx(
-        math.sqrt(2 / (PI * x)) * math.sin(x), abs=1e-13)
-
-
-def test_bessel_reference_values():
-    # frozen mpmath.besselj references
-    refs = {
-        (0.0, 1.0): 0.76519768655796655,
-        (2.0, 7.3): -0.26559491188343691,
-        (5.0, 40.0): 0.12257346597711779,
-        (12.5, 130.0): -0.068383701131669779,
-        (30.0, 200.0): -0.052122279029882832,
-        (3.3, 17.0): 0.066747890224106266,
-    }
-    for (nu, x), ref in refs.items():
-        assert bessel_j(nu, x) == pytest.approx(ref, abs=1e-11)
-
-
-def test_bessel_first_zero_bisection():
-    # locate the first positive zero of J_0 by bisection on the series branch
-    lo, hi = 2.3, 2.5
-    flo = bessel_j(0.0, lo)
-    assert flo > 0 and bessel_j(0.0, hi) < 0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if flo * bessel_j(0.0, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    assert abs(0.5 * (lo + hi) - 2.404825557695773) < 1e-9
-
-
-def test_bessel_recurrence_grid():
-    x = np.linspace(0.5, 50.0, 34)
-    for nu in range(1, 11):
-        lhs = bessel_j(nu - 1.0, x) + bessel_j(nu + 1.0, x)
-        rhs = 2.0 * nu / x * bessel_j(float(nu), x)
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-
-def test_bessel_range_errors():
-    with pytest.raises(ValidationError):
-        bessel_j(-1.0, 2.0)
-    with pytest.raises(ValidationError):
-        bessel_j(2.0, 1e7)
-
-
-def test_bessel_scaled_small_argument():
-    nu = 1.5
-    assert bessel_j_scaled(nu, 0.0) == pytest.approx(
-        1.0 / (2 ** nu * math.gamma(nu + 1)), rel=1e-14)
-    assert bessel_j_scaled(nu, 3.0) == pytest.approx(
-        bessel_j(nu, 3.0) / 3.0 ** nu, rel=1e-12)
 
 
 # --------------------------------------------------------- plane-wave factor
