@@ -123,9 +123,13 @@ def _sphere_frequency(degree, n: int, normalization: str):
 
 
 def _sphere_degree_max(pair_n: int, normalization: str, cutoff: float) -> int:
-    N = 0
-    while float(_sphere_frequency(N + 1, pair_n, normalization)) <= cutoff:
-        N += 1
+    """Largest degree N >= 0 with frequency <= cutoff (0 if none has): the
+    closed-form root, then one correction step each way for rounding."""
+    h = 0.5 * (pair_n - 1)
+    root = math.hypot(h, cutoff) - h if normalization == "laplace" else cutoff - h
+    N = max(int(root), 0)
+    N += float(_sphere_frequency(N + 1, pair_n, normalization)) <= cutoff
+    N -= N > 0 and float(_sphere_frequency(N, pair_n, normalization)) > cutoff
     return N
 
 
@@ -189,32 +193,28 @@ def _guard(count: int, budget: int, what: str) -> int:
 # torus enumeration
 # --------------------------------------------------------------------------
 
-def _lattice_points(scale, cutoff: float, budget: int, *, labels: bool):
+def _lattice_points(scale, cutoff: float, budget: int):
     """All m in Z^dim with sum (scale_i m_i)^2 <= cutoff^2.
 
     Built one coordinate at a time: each step pairs the points kept so far
     with the candidates of the next coordinate, and keeps the pairs inside.
-    Returns the int32 labels in lexicographic order (None unless `labels`:
-    the row tables read only the norms), their squared norms summed in
-    coordinate order, and the largest candidate count, which is what the
-    budget guards.
+    The budget guards each step's candidate count before the step allocates
+    anything.  Returns the int32 labels in lexicographic order and their
+    squared norms summed in coordinate order.
     """
     cut2 = cutoff * cutoff * (1 + 1e-15)
-    points = np.zeros((1, 0), dtype=np.int32) if labels else None
+    points = np.zeros((1, 0), dtype=np.int32)
     q = np.zeros(1)
-    need = 0
     for s in scale:
         top = int(cutoff / s + 1e-12)
+        _guard(len(q) * (2 * top + 1), budget, "lattice candidate count")
         m = np.arange(-top, top + 1, dtype=np.int32)
-        need = max(need, _guard(len(q) * len(m), budget,
-                                "lattice candidate count"))
         q = q[:, None] + (s * m) ** 2
         inside = q <= cut2
-        if labels:
-            row, col = np.nonzero(inside)
-            points = np.hstack((points[row], m[col, None]))
+        row, col = np.nonzero(inside)
+        points = np.hstack((points[row], m[col, None]))
         q = q[inside]  # row-major, the order of np.nonzero
-    return points, q, need
+    return points, q
 
 
 def _float_eigenkeys(q, scale) -> np.ndarray:
@@ -227,7 +227,7 @@ def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
     """All m in Z^dim with sum (2 pi m_i / L_i)^2 <= cutoff^2, ordered by
     eigenkey (|m|^2 for equal periods), then lexicographically."""
     scale = np.array([2.0 * pi / L for L in periods])
-    labels, q, _ = _lattice_points(scale, cutoff, budget, labels=True)
+    labels, q = _lattice_points(scale, cutoff, budget)
     if np.all(scale == scale[0]):
         keys = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
     else:

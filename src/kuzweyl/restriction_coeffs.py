@@ -51,7 +51,6 @@ from .model_spectra import (
     _float_eigenkeys,
     _guard,
     _harmonic_dims,
-    _lattice_points,
     _run_positions,
     _sphere_degree_max,
     _sphere_frequency,
@@ -68,7 +67,7 @@ __all__ = [
     "load_or_build",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -124,8 +123,8 @@ class RowTable:
     M-eigenkey `key` (the same keys as SpectrumSlice.m_eigenkeys), so each
     eigenspace is one run of rows.  Torus rows are the shell pairs (A, B)
     of the factor lattices, sphere rows the blocks (N, l).  `need` is the
-    largest count the build checked against its budget (factor-lattice
-    candidates or rows); a cache hit checks it again.
+    largest count the build checked against its budget (a coordinate's
+    range, shell pairs or rows); a cache hit checks it again.
     """
 
     pair: ManifoldPair
@@ -239,17 +238,31 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
 # row tables
 # --------------------------------------------------------------------------
 
-def _lattice_shells(scale, cutoff: float, budget: int):
-    """Shells of the lattice points m with sum (scale_i m_i)^2 <= cutoff^2.
+def _shell_pairs(a, b, cut2: float, budget: int):
+    """Index pairs (i, j), i major, of the shells a[i] + b[j] <= cut2 (b
+    ascending) and their count, guarded before they are allocated."""
+    per_a = np.searchsorted(b, cut2 - a, side="right")
+    count = _guard(int(per_a.sum()), budget, "shell pair count")
+    return np.repeat(np.arange(len(a)), per_a), _run_positions(per_a), count
 
-    Returns the squared norms (summed in coordinate order, as the mode
-    enumeration sums them; exact integers for unit scales), ascending,
-    their multiplicities and the largest candidate count guarded.
-    np.unique needs memory in the point count; np.bincount would need it
-    in cutoff^2 (8e8 bytes for a 1-D factor at cutoff 1e4).
-    """
-    _, q, need = _lattice_points(scale, cutoff, budget, labels=False)
-    return (*np.unique(q, return_counts=True), need)
+
+def _lattice_shells(scale, cutoff: float, budget: int):
+    """Shells of the lattice points m with sum (scale_i m_i)^2 <= cutoff^2:
+    the squared norms (summed in coordinate order, as the mode enumeration
+    sums them; exact integers for unit scales), ascending, their
+    multiplicities and the largest count guarded.  Built from shells, one
+    coordinate at a time: the shells so far pair with the squares (s m)^2,
+    m >= 0, of the next coordinate (m != 0 twice), and equal sums merge."""
+    cut2 = cutoff * cutoff * (1 + 1e-15)
+    q, r, need = np.zeros(1), np.ones(1, dtype=np.int64), 0
+    for s in scale:
+        top = _guard(int(cutoff / s + 1e-12) + 1, budget, "lattice range")
+        sq = (s * np.arange(top)) ** 2
+        ia, im, count = _shell_pairs(q, sq, cut2, budget)
+        need = max(need, top, count)
+        q, inv = np.unique(q[ia] + sq[im], return_inverse=True)
+        r = np.bincount(inv, weights=r[ia] * ((im > 0) + 1)).astype(np.int64)
+    return q, r, need
 
 
 def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
@@ -269,16 +282,14 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
         _lattice_shells(part, cutoff, budget) for part in (factor[:d], factor[d:]))
     if uniform:  # unit scales: exact integer norms, and their sums the keys
         a, b = a.astype(np.int64), b.astype(np.int64)
-    per_a = np.searchsorted(b, cutoff * cutoff * (1 + 1e-15) - a, side="right")
-    need = max(need_h, need_t, _guard(int(per_a.sum()), budget, "row count"))
-    ia = np.repeat(np.arange(len(a)), per_a)
-    ib = _run_positions(per_a)
+    ia, ib, pairs = _shell_pairs(a, b, cutoff * cutoff * (1 + 1e-15), budget)
     weight = (r_h[ia] * r_t[ib]) * _inverse_transverse_volume(pair)
     a, b = a[ia], b[ib]
     q = a + b
     lam, mu = unit * np.sqrt(q), unit * np.sqrt(a)
     key = q if uniform else _float_eigenkeys(q, scale)
     order = np.lexsort((lam, key))
+    need = max(need_h, need_t, pairs)
     return lam[order], mu[order], weight[order], key[order], need
 
 
@@ -301,8 +312,8 @@ def build_table(pair: ManifoldPair, lambda_max: float, *,
                 budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
     """Row table of every M-mode up to lambda_max (complete in mu).
 
-    Raises ResourceGuardError, before allocating, when the factor-lattice
-    candidates or the rows would exceed the budget.
+    Raises ResourceGuardError, before allocating, when a coordinate's range,
+    the shell pairs of a step or the rows would exceed the budget.
     """
     if lambda_max <= 0:
         raise ValidationError("lambda_max must be > 0")

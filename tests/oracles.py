@@ -17,12 +17,14 @@ integral (batched polar), the damped-ladder half-line
 transform (contour rotation), the per-mode forms of the jumps, doubly
 smoothed sums and dual trace (per-eigenspace), the meshgrid and lexsort
 torus enumeration with its volume-estimate budget check (coordinate at a
-time), and the (N, l, m) triple-loop sphere enumeration (block level).
+time), the (N, l, m) triple-loop sphere enumeration (block level) and
+the degree-by-degree search for the top sphere degree (closed-form root).
 
 Also the test-only helpers: the Gamma closed form of the half-line
 transform, the rank of the full model-phase Hessian, the direct sphere
 plane-wave quadrature with its mpmath Bessel closed form, the full
-difference spectrum, plain-CSV plot data, the brute tensor quadrature of
+difference spectrum, the lattice shell counts r_k(B) by the sum over
+one coordinate, plain-CSV plot data, the brute tensor quadrature of
 an oscillatory integral with its stationary-phase error probe, and the
 per-mode Parseval row sums of a coefficient table.
 """
@@ -43,7 +45,6 @@ from kuzweyl.kuznecov import (
 )
 from kuzweyl.model_spectra import (
     SpectrumSlice,
-    _sphere_degree_max,
     _sphere_frequency,
     harmonic_dim,
 )
@@ -452,13 +453,34 @@ def enumerate_torus_lattice_lexsort(periods, cutoff: float, budget: int):
     return (labels[order].astype(np.int32), freqs[order], keys[order])
 
 
+def lattice_shell_counts(k: int, B_max: int) -> np.ndarray:
+    """r_k(B), the number of m in Z^k with |m|^2 = B, for 0 <= B <= B_max,
+    in exact int64 by r_(j+1)(B) = sum over m of r_j(B - m^2)."""
+    r = np.zeros(B_max + 1, dtype=np.int64)
+    r[0] = 1
+    for _ in range(k):
+        nxt = r.copy()
+        for m in range(1, math.isqrt(B_max) + 1):
+            nxt[m * m:] += 2 * r[:B_max + 1 - m * m]
+        r = nxt
+    return r
+
+
 # ------------------------------------------- sphere enumeration, block loop
+
+def sphere_degree_max_loop(n: int, normalization: str, cutoff: float) -> int:
+    """Largest degree N >= 0 with frequency <= cutoff, one degree at a time."""
+    N = 0
+    while float(_sphere_frequency(N + 1, n, normalization)) <= cutoff:
+        N += 1
+    return N
+
 
 def enumerate_sphere_ambient_loop(n: int, d: int, normalization: str,
                                   cutoff: float, budget: int):
     """Adapted-basis labels (N, l, m, alpha, beta) for degrees up to cutoff,
     filled block by block in a Python loop over (N, l, m)."""
-    n_max = _sphere_degree_max(n, normalization, cutoff)
+    n_max = sphere_degree_max_loop(n, normalization, cutoff)
     q_trans = n - d - 1
     total = sum(harmonic_dim(n, N) for N in range(n_max + 1))
     if total > budget:

@@ -2,15 +2,19 @@
 it, the package reads the environment only through its two documented
 keys, one function raises ResourceGuardError, every public function
 or class is used beyond its definition, and every entry point the
-benchmark's tracer wraps exists where it looks for it, and every package
-attribute the benchmark's workloads read exists."""
+benchmark's tracer wraps exists where it looks for it, every package
+attribute the benchmark's workloads read exists, and the cache schema
+number the README states is the package's."""
 
 import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
+
+from kuzweyl.restriction_coeffs import SCHEMA_VERSION
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kuzweyl"
@@ -252,3 +256,10 @@ def test_benchmark_workload_names_resolve():
     missing = [f"{mod}.{attr}" for mod, attr in refs
                if not hasattr(importlib.import_module(f"kuzweyl.{mod}"), attr)]
     assert missing == []
+
+
+def test_readme_states_the_cache_schema_version():
+    # a schema bump makes every cache file stale; the README must say so
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"schema\s+version\s+\((\d+)\)", readme) == [
+        str(SCHEMA_VERSION)]

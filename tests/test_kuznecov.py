@@ -501,13 +501,13 @@ def test_dual_trace_torus_period_peak(torus21_table):
 # ----------------------------------------------- per-eigenspace reduction
 
 # small pairs: ambient dimension -> lambda_max keeping the tables a few
-# thousand entries
-_LAMBDA_TOP = {2: 20.0, 3: 9.0, 4: 5.0}
+# thousand entries (n = 5: up to about 6e5, for the row tables' n - d >= 3)
+_LAMBDA_TOP = {2: 20.0, 3: 9.0, 4: 5.0, 5: 8.0}
 
 
 @st.composite
-def _small_pairs(draw):
-    n = draw(st.integers(2, 4))
+def _small_pairs(draw, n_max=4):
+    n = draw(st.integers(2, n_max))
     d = draw(st.integers(1, n - 1))
     kind = draw(st.sampled_from(["torus-uniform", "torus-periods", "sphere"]))
     if kind == "sphere":
@@ -588,7 +588,7 @@ _c_eps = st.one_of(
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=_small_pairs(), c_eps=_c_eps, window=_windows)
+@given(case=_small_pairs(n_max=5), c_eps=_c_eps, window=_windows)
 def test_row_table_matches_per_mode_table(case, c_eps, window):
     pair, lam_top = case
     c, eps = c_eps

@@ -13,17 +13,21 @@ from kuzweyl.model_spectra import (
     _enumerate_sphere_ambient,
     _enumerate_sphere_sub,
     _enumerate_torus_lattice,
+    _lattice_points,
+    _sphere_degree_max,
     _sphere_frequency,
     enumerate_spectrum,
     harmonic_dim,
     sphere_pair,
     torus_pair,
 )
+from kuzweyl.restriction_coeffs import _lattice_shells
 
 from oracles import (
     difference_spectrum,
     enumerate_sphere_ambient_loop,
     enumerate_torus_lattice_lexsort,
+    sphere_degree_max_loop,
 )
 
 
@@ -179,13 +183,16 @@ TORUS_PERIODS = {
 }
 
 
-@pytest.mark.parametrize("periods", sorted(TORUS_PERIODS))
-@pytest.mark.parametrize("dim, cutoffs", [
+TORUS_CUTOFFS = [
     (1, (0.3, 1.0, 12.5, 40.0, 200.0)),
     (2, (0.3, 1.0, 12.5, 40.0, 120.0)),
     (3, (0.3, 1.0, 12.5, 20.0, 35.0)),
     (4, (0.3, 1.0, 8.0, 11.0, 14.0)),
-])
+]
+
+
+@pytest.mark.parametrize("periods", sorted(TORUS_PERIODS))
+@pytest.mark.parametrize("dim, cutoffs", TORUS_CUTOFFS)
 def test_torus_enumeration_matches_lexsort_oracle(dim, cutoffs, periods):
     # bit for bit, dtypes included; sqrt(50) is an exact shell radius
     # (1 + 49 = 25 + 25) for 2 pi periods, and its multiple by 2 pi / 5 the
@@ -197,6 +204,55 @@ def test_torus_enumeration_matches_lexsort_oracle(dim, cutoffs, periods):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("periods", sorted(TORUS_PERIODS) + ["cache"])
+@pytest.mark.parametrize("dim, cutoffs", TORUS_CUTOFFS + [
+    (1, (162.0, 800.0)), (2, (162.0,))])
+def test_lattice_shells_match_enumerated_norms(dim, cutoffs, periods):
+    # bit for bit, dtypes included: the shells and multiplicities built
+    # from shells are np.unique of the enumerated points' norms, for every
+    # run of coordinates a factor lattice of the tests' pairs can take
+    per = ((5.0, 6.5, 7.0, 7.0) if periods == "cache"
+           else TORUS_PERIODS[periods](4))
+    for start in range(4 - dim + 1):
+        scale = 2 * math.pi / np.array(per[start:start + dim])
+        for cutoff in cutoffs + (math.sqrt(50), math.sqrt(50) * 2 * math.pi / 5):
+            q, r, need = _lattice_shells(scale, cutoff, 10**8)
+            want = np.unique(_lattice_points(scale, cutoff, 10**8)[1],
+                             return_counts=True)
+            for g, w in zip((q, r), want):
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w)
+            assert need >= len(q)
+
+
+@pytest.mark.parametrize("normalization", ["laplace", "degree"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sphere_degree_max_matches_loop(n, normalization):
+    # the closed-form root equals the degree-by-degree search at every
+    # exact frequency, one ulp either side, and cutoffs below the first
+    degrees = np.concatenate([np.arange(60), [97, 250, 1000]])
+    freqs = _sphere_frequency(degrees, n, normalization)
+    for f in np.concatenate([freqs, [0.0, 0.2, 0.7, 1.3, 1e3 + 0.5]]):
+        for cutoff in (np.nextafter(f, -np.inf), f, np.nextafter(f, np.inf)):
+            cutoff = float(cutoff)
+            assert (_sphere_degree_max(n, normalization, cutoff)
+                    == sphere_degree_max_loop(n, normalization, cutoff))
+
+
+@pytest.mark.parametrize("n, N", [(4, 134806211), (5, 95865105),
+                                  (6, 143786873)])
+def test_sphere_degree_max_corrects_its_root(n, N):
+    # far beyond the loop's reach, degrees where the rounded closed-form
+    # root of a laplace frequency lands one below (n = 4, 5) or one above
+    # (n = 6) the answer: the degree whose frequency brackets the cutoff
+    f = _sphere_frequency(N, n, "laplace")
+    for cutoff in (np.nextafter(f, -np.inf), f, np.nextafter(f, np.inf)):
+        top = _sphere_degree_max(n, "laplace", float(cutoff))
+        assert top in (N - 1, N)
+        assert (_sphere_frequency(top, n, "laplace") <= cutoff
+                < _sphere_frequency(top + 1, n, "laplace"))
 
 
 def _candidate_count(periods, cutoff):
@@ -235,6 +291,7 @@ def test_torus_budget_edge(pair, lam, h_cut):
 @pytest.mark.parametrize("pair, lam", [
     (torus_pair(3, 1), 2000.0),  # 4001^2 candidates at the second coordinate
     (torus_pair(2, 1), 1e6),  # 2e6 + 1 candidates at the first
+    (torus_pair(2, 1), 1e7),  # its 80 MB range itself would break the peak
 ])
 def test_torus_budget_guard_before_allocating(pair, lam):
     tracemalloc.start()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -18,6 +19,7 @@ from kuzweyl.errors import (
 )
 from kuzweyl.model_spectra import enumerate_spectrum, sphere_pair, torus_pair
 from kuzweyl.restriction_coeffs import (
+    SCHEMA_VERSION,
     _sphere_blocks,
     build_table,
     load_or_build,
@@ -33,6 +35,7 @@ from oracles import (
     assoc_legendre,
     assoc_legendre_normalized,
     gegenbauer,
+    lattice_shell_counts,
     parseval_row_sums,
     sphere_coefficient_value,
 )
@@ -394,22 +397,28 @@ def test_cache_schema2_file_rebuilds_silently(tmp_path):
 
 
 def test_cache_schema3_file_rebuilds_silently(tmp_path):
-    # a well-formed schema-3 row file (mu_max in its header, no budget
-    # need) under the current key is stale, not damaged
+    # a well-formed row file under the current key is stale, not damaged,
+    # when it is of schema 3 (mu_max in its header, no budget need) or of
+    # schema 4 (its need counted lattice candidates, not shell pairs; here
+    # one above the budget, which a stale file must not enforce)
     pair = torus_pair(2, 1)
     fresh = load_or_build(pair, 6.0, str(tmp_path))
     path = next(tmp_path.iterdir())
-    header = json.dumps({"schema_version": 3, "pair": pair.to_dict(),
-                         "lambda_max": 6.0, "mu_max": 6.0})
-    body = b"".join([b"kuzweyl rows\n", header.encode(), b"\n"]
-                    + [np.ascontiguousarray(a, dtype=dt).tobytes() for a, dt in
-                       zip((fresh.lam, fresh.mu, fresh.weight, fresh.key),
-                           ("<f8", "<f8", "<f8", "<i8"))])
-    path.write_bytes(body + hashlib.sha256(body).digest())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
-    assert json.loads(path.read_bytes().split(b"\n")[1])["schema_version"] == 4
+    for old_fields in ({"schema_version": 3, "mu_max": 6.0},
+                       {"schema_version": 4, "need": 10**9}):
+        header = json.dumps({"pair": pair.to_dict(), "lambda_max": 6.0,
+                             **old_fields})
+        body = b"".join(
+            [b"kuzweyl rows\n", header.encode(), b"\n"]
+            + [np.ascontiguousarray(a, dtype=dt).tobytes() for a, dt in
+               zip((fresh.lam, fresh.mu, fresh.weight, fresh.key),
+                   ("<f8", "<f8", "<f8", "<i8"))])
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
+        header = json.loads(path.read_bytes().split(b"\n")[1])
+        assert header["schema_version"] == SCHEMA_VERSION == 5
 
 
 def test_build_table_sphere_dispatch():
@@ -423,8 +432,9 @@ def test_build_table_sphere_dispatch():
                                   sphere_pair(2, 1)])
 def test_cache_hit_keeps_the_budget(tmp_path, pair):
     # a warm cache raises ResourceGuardError exactly when a cold build
-    # does: the build's largest guarded count (the 2-D factor lattice of
-    # torus(3,2), the rows otherwise) is kept in the cache header
+    # does: the build's largest guarded count is kept in the cache header
+    # (the rows here: torus(3,2) has 329, and the shell pairs of its 2-D
+    # factor lattice's steps are at most 90)
     warm = str(tmp_path / "warm")
     need = load_or_build(pair, 10.0, warm).need
     outcomes = {}
@@ -442,8 +452,9 @@ def test_cache_hit_keeps_the_budget(tmp_path, pair):
 
 
 def test_row_budget_edge():
-    # the budget counts factor-lattice candidates and rows; at the row count
-    # the build fits, one below it raises
+    # the budget counts each coordinate's range, the shell pairs of each
+    # step and the rows; at the row count, the largest here, the build
+    # fits, one below it raises
     pair = torus_pair(2, 1)
     rows = build_table(pair, 40.0).entry_count
     assert rows > 81  # more rows than points of either factor lattice
@@ -458,16 +469,40 @@ def test_row_budget_edge():
 
 
 @pytest.mark.parametrize("pair, lam", [
-    (torus_pair(3, 1), 1e5),  # the 2-D factor lattice: ~3e10 points
+    (torus_pair(3, 1), 1e5),  # the 2-D factor lattice: ~8e9 shell pairs
     (torus_pair(2, 1), 1e4),  # factor lattices fit, ~8e7 rows do not
     (sphere_pair(2, 1), 1e4),  # ~2.5e7 (N, l) rows
+    (torus_pair(2, 1), 1e7),  # its 80 MB range itself would break the peak
+    (sphere_pair(2, 1), 1e9),  # the top degree is found without a loop
 ])
 def test_row_budget_guard_before_allocating(pair, lam):
     tracemalloc.start()
+    start = time.perf_counter()
     try:
         with pytest.raises(ResourceGuardError):
             build_table(pair, lam, budget=1_000_000)
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 40e6
+    assert elapsed <= 1.0
+
+
+@pytest.mark.parametrize("n, d, lam", [(4, 1, 120.0), (5, 1, 100.0),
+                                       (6, 1, 60.0), (6, 2, 40.0)])
+def test_torus_rows_match_lattice_shell_counts(n, d, lam):
+    # tori with n - d >= 3 inside the default budget and 200 MB: over each
+    # key K = |m|^2, the rows' weight times Vol(T^(n-d)) counts the points
+    # of Z^n on the shell K, r_n(K), from the independent int64 oracle
+    tracemalloc.start()
+    try:
+        table = build_table(torus_pair(n, d), lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200e6
+    B_max = int(lam * lam)
+    got = np.bincount(table.key, weights=table.weight, minlength=B_max + 1)
+    want = lattice_shell_counts(n, B_max)
+    assert_allclose(got * (2 * PI) ** (n - d), want, rtol=1e-12, atol=0)
