@@ -244,6 +244,11 @@ def _harmonic_dims(q: int, top: int) -> np.ndarray:
     return np.array([harmonic_dim(q, l) for l in range(top + 1)], dtype=np.int64)
 
 
+def _harmonic_count(q: int, top: int) -> int:
+    """Harmonics of degree <= top on S^q in closed form, no per-degree list."""
+    return math.comb(top + q, q) + (math.comb(top + q - 1, q) if top + q else 0)
+
+
 def _run_positions(counts) -> np.ndarray:
     """0, 1, ..., c - 1 for each c in counts, concatenated, as int32."""
     pos = np.arange(int(counts.sum()), dtype=np.int32)
@@ -260,8 +265,7 @@ def _enumerate_sphere_ambient(n: int, d: int, normalization: str,
     major, beta minor.
     """
     n_max = _sphere_degree_max(n, normalization, cutoff)
-    total = int(_harmonic_dims(n, n_max).sum())
-    _guard(total, budget, "mode count")
+    total = _guard(_harmonic_count(n, n_max), budget, "mode count")
     q = n - d - 1
     da, db = _harmonic_dims(d, n_max), _harmonic_dims(q, n_max)
     # (N, l) with l <= N, then m = N - l - 2k >= 0 ascending; S^q has
@@ -289,9 +293,8 @@ def _enumerate_sphere_ambient(n: int, d: int, normalization: str,
 
 def _enumerate_sphere_sub(d: int, normalization: str, cutoff: float, budget: int):
     l_max = _sphere_degree_max(d, normalization, cutoff)
+    _guard(_harmonic_count(d, l_max), budget, "mode count")
     dims = _harmonic_dims(d, l_max)
-    total = int(dims.sum())
-    _guard(total, budget, "mode count")
     degrees = np.repeat(np.arange(l_max + 1, dtype=np.int64), dims)
     labels = np.stack([degrees.astype(np.int32), _run_positions(dims)], axis=1)
     return labels, _sphere_frequency(degrees, d, normalization), degrees

@@ -34,6 +34,7 @@ from .errors import AccuracyError, ValidationError
 from .kuznecov import _bump, _window_of
 from .special_functions import (
     composite_gauss_legendre,
+    gauss_legendre,
     oscillatory_quadrature,
     sphere_volume,
 )
@@ -246,16 +247,20 @@ def _graded_phase_breakpoints(lam: float, phase_scale: float, refine: float):
     return np.array(out)
 
 
-def _fourier_on_support(fvals_nodes, nodes, weights, u):
-    """int f(s) e^{-ius} ds for an array of u, from fixed sample nodes."""
+def _fourier_on_panels(f: Callable, bks, u):
+    """int f(s) e^{-ius} ds for an array of u, by the order-12 Gauss-Legendre
+    rule on the equal panels between breakpoints bks.  The nodes
+    s = c_p + (h/2) x_k factor the transform as sum_k e^{-iu h x_k/2} [E F]_uk,
+    E_up = e^{-iu c_p}, F the weighted samples as a (panel, node) array."""
+    h = bks[1] - bks[0]
+    assert np.allclose(np.diff(bks), h, rtol=1e-9, atol=0.0), "unequal panels"
+    rule = gauss_legendre(12)
+    c = 0.5 * (bks[:-1] + bks[1:])
+    s = c[:, None] + 0.5 * h * rule.nodes
+    F = f(s.ravel()).reshape(s.shape) * (0.5 * h * rule.weights)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty(len(u), dtype=complex)
-    chunk = 4096
-    fw = fvals_nodes * weights
-    for i in range(0, len(u), chunk):
-        ui = u[i:i + chunk]
-        out[i:i + chunk] = np.exp(-1j * np.outer(ui, nodes)) @ fw
-    return out
+    EF = np.exp(-1j * np.outer(u, c)) @ F
+    return np.sum(EF * np.exp(-0.5j * h * np.outer(u, rule.nodes)), axis=1)
 
 
 def _model_integral_once(n: int, d: int, lam: float, cutoff: ModelCutoff,
@@ -269,11 +274,10 @@ def _model_integral_once(n: int, d: int, lam: float, cutoff: ModelCutoff,
                       int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * pi))) + 1)
     s_bks = np.concatenate([np.linspace(-smax, 0.0, half_panels + 1),
                             np.linspace(0.0, smax, half_panels + 1)[1:]])
-    s_nodes, s_weights = composite_gauss_legendre(s_bks, order=12)
-    g_samples = cutoff.profile(s_nodes) * psi_hat(s_nodes)
 
     def G(u):
-        return _fourier_on_support(g_samples, s_nodes, s_weights, u)
+        return _fourier_on_panels(lambda s: cutoff.profile(s) * psi_hat(s),
+                                  s_bks, u)
 
     bks = _graded_phase_breakpoints(lam, w, refine)
     if d == 1:
@@ -318,8 +322,10 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
     The y-integrals have linear phase and are done first, as exact 1-D
     Fourier transforms: y_d gives G(lam |x|^2 / 2) with
     G(u) = int c(s) psi_hat(s) e^{-ius} ds, and for d = 2 y_1 gives
-    chat(lam x_1).  The x-integral then has a radial phase.  For d = 1 it
-    is a radial integral over R = |x''|.  For d = 2 it runs in polar
+    chat(lam x_1).  G runs on equal s-panels (s = 0 a boundary, where
+    windows may kink) factored per panel: one complex exp per (u, panel)
+    and per (u, node), and one matmul.  The x-integral has a radial phase:
+    for d = 1 a radial integral over R = |x''|.  For d = 2 it runs in polar
     coordinates on the ball of (x_1, x'') in R^m, m = n - 1: chat(lam x_1)
     averages over the sphere |x| = rho to
     K(lam rho) = int c(y) P_m(lam rho y) dy, with the plane-wave sphere

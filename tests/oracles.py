@@ -12,10 +12,13 @@ closed form of the sphere restriction coefficients (replaced by one
 lgamma table), the segment-by-segment cosine-matrix tabulation of the
 bump-square g-grid (one FFT of the a-free g_1), the u-convolution of the
 bump-square psi_hat over the whole overlap (the mirror-symmetric profile
-bump * bump), the x_1-then-R quadrature of the d = 2 model
-integral (batched polar), the damped-ladder half-line
-transform (contour rotation), the per-mode forms of the jumps, doubly
-smoothed sums and dual trace (per-eigenspace), the meshgrid and lexsort
+bump * bump), the dense transform of the model integral's G(u), one
+exp per (u, s-node) (factored per panel), with the d = 1 model-integral
+pass recomputed by it, the x_1-then-R quadrature of the d = 2 model
+integral (batched polar; its G and chat also by the dense transform),
+the damped-ladder half-line transform (contour rotation), the per-mode
+forms of the jumps, doubly smoothed sums and dual trace
+(per-eigenspace), the meshgrid and lexsort
 torus enumeration with its volume-estimate budget check (coordinate at a
 time), the (N, l, m) triple-loop sphere enumeration (block level) and
 the degree-by-degree search for the top sphere degree (closed-form root).
@@ -51,7 +54,6 @@ from kuzweyl.model_spectra import (
 from kuzweyl.oscillatory_models import (
     ModelCutoff,
     PhaseProblem,
-    _fourier_on_support,
     _graded_phase_breakpoints,
     stationary_phase_leading,
 )
@@ -229,33 +231,72 @@ def bump_g_direct(a: float, x):
     return np.array(out)
 
 
-# ------------------------------------------------ model integral, d = 2 loop
+# ------------------------------------- model integral, dense G and d = 2 loop
+
+def fourier_on_support_dense(fvals_nodes, nodes, weights, u):
+    """int f(s) e^{-ius} ds for an array of u, from fixed sample nodes: one
+    complex exp per (u, node) pair, in blocks of 4096 u values."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty(len(u), dtype=complex)
+    chunk = 4096
+    fw = fvals_nodes * weights
+    for i in range(0, len(u), chunk):
+        ui = u[i:i + chunk]
+        out[i:i + chunk] = np.exp(-1j * np.outer(ui, nodes)) @ fw
+    return out
+
+
+def model_s_breakpoints(lam: float, smax: float, refine: float):
+    """The s-panels of the package's model-integral pass: 2 half_panels
+    equal panels over [-smax, smax], with s = 0 a panel boundary."""
+    half_panels = max(int(16 * refine),
+                      int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * PI))) + 1)
+    return np.concatenate([np.linspace(-smax, 0.0, half_panels + 1),
+                           np.linspace(0.0, smax, half_panels + 1)[1:]])
+
+
+def model_G_dense(lam: float, cutoff: ModelCutoff, psi_hat, a_supp: float,
+                  refine: float):
+    """u -> G(u) = int c(s) psi_hat(s) e^{-ius} ds by the dense transform on
+    the package's s-panels at this refine."""
+    s_nodes, s_weights = composite_gauss_legendre(
+        model_s_breakpoints(lam, min(cutoff.width, a_supp), refine), order=12)
+    g_samples = cutoff.profile(s_nodes) * psi_hat(s_nodes)
+    return lambda u: fourier_on_support_dense(g_samples, s_nodes, s_weights, u)
+
+
+def model_integral_d1_dense(n: int, lam: float, cutoff: ModelCutoff, psi_hat,
+                            a_supp: float, refine: float = 1.6):
+    """The d = 1 model-integral pass at this refine with G by the dense
+    transform: the radial integral over R = |x''| on the package's graded
+    panels.  Returns the value and the number of radial panels."""
+    G = model_G_dense(lam, cutoff, psi_hat, a_supp, refine)
+    bks = _graded_phase_breakpoints(lam, cutoff.width, refine)
+    R, wR = composite_gauss_legendre(bks, order=12)
+    vals = G(0.5 * lam * R * R) * R ** (n - 2)
+    return sphere_volume(n - 2) * complex(np.sum(wR * vals)), len(bks) - 1
+
 
 def model_integral_d2_loop(n: int, lam: float, cutoff: ModelCutoff = None,
                            psi_hat=None, a_supp: float = None,
                            refine: float = 1.6) -> complex:
     """The d = 2 model integral by iterated quadrature: x_1 graded around 0,
     then for each x_1 node the transverse radius R over [0, sqrt(1 - x_1^2)].
-    The same s-nodes for G as the package's pass at this refine."""
+    G and chat(lam x_1) by the dense transform, G on the same s-nodes as the
+    package's pass at this refine."""
     cutoff = cutoff if cutoff is not None else ModelCutoff(d=2)
     if psi_hat is None:
         psi_hat = lambda s: np.ones_like(np.asarray(s, dtype=float))
         a_supp = cutoff.width
     w = cutoff.width
-    smax = min(w, a_supp)
-    half_panels = max(int(16 * refine),
-                      int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * PI))) + 1)
-    s_bks = np.concatenate([np.linspace(-smax, 0.0, half_panels + 1),
-                            np.linspace(0.0, smax, half_panels + 1)[1:]])
-    s_nodes, s_weights = composite_gauss_legendre(s_bks, order=12)
-    g_samples = cutoff.profile(s_nodes) * psi_hat(s_nodes)
+    G = model_G_dense(lam, cutoff, psi_hat, a_supp, refine)
     wt = cutoff.width_tangent
     x1, wx1 = composite_gauss_legendre(
         _graded_phase_breakpoints(lam, w, refine), order=12)
     c_nodes, c_weights = composite_gauss_legendre(
         np.linspace(-wt, wt, int(12 * refine) + 5), order=12)
-    chat = _fourier_on_support(cutoff.tangent_profile(c_nodes), c_nodes,
-                               c_weights, lam * x1)
+    chat = fourier_on_support_dense(cutoff.tangent_profile(c_nodes), c_nodes,
+                                    c_weights, lam * x1)
     total = 0j
     for i in range(len(x1)):
         rmax = math.sqrt(max(0.0, 1.0 - x1[i] * x1[i]))
@@ -264,8 +305,7 @@ def model_integral_d2_loop(n: int, lam: float, cutoff: ModelCutoff = None,
         R, wR = composite_gauss_legendre(
             _graded_phase_breakpoints(lam, w, refine) * rmax, order=12)
         u = 0.5 * lam * (x1[i] * x1[i] + R * R)
-        G = _fourier_on_support(g_samples, s_nodes, s_weights, u)
-        total += wx1[i] * chat[i] * np.sum(wR * G * R ** (n - 3))
+        total += wx1[i] * chat[i] * np.sum(wR * G(u) * R ** (n - 3))
     # x_1 runs over [-1, 1]; the integrand is even in x_1
     return sphere_volume(n - 3) * 2.0 * complex(total)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from kuzweyl.model_spectra import (
     _enumerate_sphere_ambient,
     _enumerate_sphere_sub,
     _enumerate_torus_lattice,
+    _harmonic_count,
+    _harmonic_dims,
     _lattice_points,
     _sphere_degree_max,
     _sphere_frequency,
@@ -302,6 +305,36 @@ def test_torus_budget_guard_before_allocating(pair, lam):
     finally:
         tracemalloc.stop()
     assert peak <= 40e6
+
+
+def test_harmonic_count_matches_dims_sum():
+    for q in range(7):
+        for top in range(60):
+            assert _harmonic_count(q, top) == int(_harmonic_dims(q, top).sum())
+
+
+@pytest.mark.parametrize("enumerate_sphere", [
+    lambda: _enumerate_sphere_ambient(2, 1, "laplace", 1e6, 1_000_000),
+    lambda: _enumerate_sphere_sub(1, "laplace", 1e6, 1_000_000),
+], ids=["ambient", "sub"])
+def test_sphere_budget_guard_before_allocating(enumerate_sphere):
+    # the mode count comes from its closed form: no per-degree list of
+    # 1e6 dims is built before the guard raises
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="mode count"):
+            enumerate_sphere()
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.02
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError):
+            enumerate_sphere()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_lambda_max_validation():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kuzweyl.errors import AccuracyError, ResourceGuardError, ValidationError
@@ -12,6 +14,7 @@ from kuzweyl.oscillatory_models import (
     PhaseProblem,
     RadialMetric,
     SPHERE_R_MAX,
+    _fourier_on_panels,
     _graded_phase_breakpoints,
     _model_integral_once,
     _plane_wave_factor_closed,
@@ -34,7 +37,10 @@ from oracles import (
     full_model_hessian_rank,
     gegenbauer,
     hadamard_w1_mpmath,
+    model_G_dense,
+    model_integral_d1_dense,
     model_integral_d2_loop,
+    model_s_breakpoints,
     stationary_phase_error_probe,
 )
 
@@ -260,6 +266,56 @@ def test_model_integral_panels_of_fine_pass():
     assert res.panels > len(_graded_phase_breakpoints(lam, co.width, 1.6)) - 1
     assert (model_integral(3, 1, lam).panels
             == len(_graded_phase_breakpoints(lam, 0.98, 1.6)) - 1)
+
+
+_G_WINDOWS = {
+    "none": None,
+    "fejer": make_test_function("fejer", 0.6),
+    "bumpsquare": make_test_function("bumpsquare", 0.5),
+    "shifted": shifted_bump_window(0.35, 0.65),
+}
+
+
+def _psi_hat_and_support(win, co):
+    if win is None:
+        return _no_window, co.width
+    return win.psi_hat, max(abs(x) for x in win.support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(min_value=2.0, max_value=2000.0),
+       refine=st.sampled_from([1.0, 1.6, 4.0]),
+       taper=st.sampled_from(["plateau", "bump"]),
+       window=st.sampled_from(sorted(_G_WINDOWS)))
+def test_fourier_on_panels_matches_dense(lam, refine, taper, window):
+    # the panel-factored G against the dense transform on the same s-nodes,
+    # u over [0, lam / 2] (the range the radial passes ask for)
+    co = ModelCutoff(d=1, taper=taper)
+    psi_hat, a_supp = _psi_hat_and_support(_G_WINDOWS[window], co)
+    u = np.linspace(0.0, 0.5 * lam, 301)
+    got = _fourier_on_panels(
+        lambda s: co.profile(s) * psi_hat(s),
+        model_s_breakpoints(lam, min(co.width, a_supp), refine), u)
+    ref = model_G_dense(lam, co, psi_hat, a_supp, refine)(u)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fourier_on_panels_rejects_unequal_panels():
+    with pytest.raises(AssertionError):
+        _fourier_on_panels(_no_window, np.array([-1.0, 0.0, 0.5, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("lam", [20.0, 200.0])
+@pytest.mark.parametrize("window", ["none", "fejer", "bumpsquare"])
+def test_model_integral_d1_matches_dense(n, lam, window):
+    # the d = 1 value against its recomputation with the dense transform
+    co = ModelCutoff(d=1)
+    res = model_integral(n, 1, lam, window=_G_WINDOWS[window])
+    ref, panels = model_integral_d1_dense(
+        n, lam, co, *_psi_hat_and_support(_G_WINDOWS[window], co))
+    assert abs(res.value - ref) <= 1e-12 * abs(ref)
+    assert res.panels == panels
 
 
 def test_model_integral_accuracy_error():
