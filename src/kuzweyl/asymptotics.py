@@ -85,12 +85,8 @@ class CoefficientPrediction:
         }
 
 
-def fit_growth(table: SumTable, window, fixed_exponent: float = None) -> FitReport:
-    """Least-squares slope/intercept of log N against log lambda in the window.
-
-    With fixed_exponent given, only the intercept is fitted (used for
-    coefficient extraction once the exponent law is separately verified).
-    """
+def fit_growth(table: SumTable, window) -> FitReport:
+    """Least-squares slope/intercept of log N against log lambda in the window."""
     lo, hi = float(window[0]), float(window[1])
     grid = np.asarray(table.lambda_grid, dtype=float)
     vals = np.asarray(table.values, dtype=float)
@@ -101,12 +97,8 @@ def fit_growth(table: SumTable, window, fixed_exponent: float = None) -> FitRepo
     y = np.log(vals[mask])
     if float(np.var(x)) == 0.0:
         raise ValidationError("degenerate fit: no spread in lambda")
-    if fixed_exponent is None:
-        design = np.vstack([x, np.ones_like(x)]).T
-        (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    else:
-        slope = float(fixed_exponent)
-        intercept = float(np.mean(y - slope * x))
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = slope * x + intercept
     resid = y - fitted
     ss_res = float(np.sum(resid ** 2))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import AccuracyError, ValidationError
 from .kuznecov import _bump, _window_of
+from .model_spectra import _run_positions
 from .special_functions import (
     composite_gauss_legendre,
     gauss_legendre,
@@ -224,6 +225,10 @@ class ModelCutoff:
 
 @dataclass(frozen=True)
 class ModelIntegralResult:
+    """The fine pass's value, the relative coarse-to-fine difference
+    `achieved` (the coarse pass's error estimate, a conservative bound for
+    `value`), and the fine pass's number of radial panels."""
+
     value: complex
     achieved: float
     panels: int
@@ -232,85 +237,67 @@ class ModelIntegralResult:
 def _graded_phase_breakpoints(lam: float, phase_scale: float, refine: float):
     """Breakpoints on [0, 1]: dyadic grading at 0 (resolving the 1/lam core)
     plus subdivision keeping the quadratic phase change per panel bounded."""
-    pts = [0.0]
-    x = 0.5 / max(lam, 2.0)
-    while x < 1.0:
-        pts.append(x)
-        x *= 2.0
-    pts.append(1.0)
-    out = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        dphase = 0.5 * lam * phase_scale * (b * b - a * a)
-        sub = max(1, int(math.ceil(refine * dphase / (2.0 * pi))))
-        out.extend(np.linspace(a, b, sub + 1)[:-1])
-    out.append(1.0)
-    return np.array(out)
+    # x0 = m 2^e with m in [1/2, 1), so x0 2^k < 1 exactly for k <= -e
+    x0 = 0.5 / max(lam, 2.0)
+    pts = np.r_[0.0, np.ldexp(x0, np.arange(1 - math.frexp(x0)[1])), 1.0]
+    a, b = pts[:-1], pts[1:]
+    dphase = 0.5 * lam * phase_scale * (b * b - a * a)
+    sub = np.maximum(1, np.ceil(refine * dphase / (2.0 * pi)).astype(np.int64))
+    # a + pos (b - a) / sub is np.linspace(a, b, sub + 1)[:-1] bit for bit
+    return np.r_[np.repeat(a, sub)
+                 + _run_positions(sub) * np.repeat((b - a) / sub, sub), 1.0]
 
 
-def _fourier_on_panels(f: Callable, bks, u):
-    """int f(s) e^{-ius} ds for an array of u, by the order-12 Gauss-Legendre
-    rule on the equal panels between breakpoints bks.  The nodes
+def _fourier_on_panels(f: Callable, smax: float, half_panels: int, u):
+    """int f(s) e^{-ius} ds over [-smax, smax] for an array of u, by the
+    order-12 Gauss-Legendre rule on 2 half_panels equal panels of width h
+    (s = 0 a boundary: windows may kink there).  The nodes
     s = c_p + (h/2) x_k factor the transform as sum_k e^{-iu h x_k/2} [E F]_uk,
-    E_up = e^{-iu c_p}, F the weighted samples as a (panel, node) array."""
-    h = bks[1] - bks[0]
-    assert np.allclose(np.diff(bks), h, rtol=1e-9, atol=0.0), "unequal panels"
+    E_up = e^{-iu c_p}, F the weighted samples as a (panel, node) array; E is
+    formed in row blocks of at most _CHUNK entries."""
+    h = smax / half_panels
     rule = gauss_legendre(12)
-    c = 0.5 * (bks[:-1] + bks[1:])
+    c = h * (np.arange(-half_panels, half_panels) + 0.5)
     s = c[:, None] + 0.5 * h * rule.nodes
     F = f(s.ravel()).reshape(s.shape) * (0.5 * h * rule.weights)
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    EF = np.exp(-1j * np.outer(u, c)) @ F
+    EF = np.empty((len(u), len(rule.nodes)), dtype=complex)
+    step = max(1, _CHUNK // len(c))
+    for i in range(0, len(u), step):
+        EF[i:i + step] = np.exp(-1j * np.outer(u[i:i + step], c)) @ F
     return np.sum(EF * np.exp(-0.5j * h * np.outer(u, rule.nodes)), axis=1)
 
 
 def _model_integral_once(n: int, d: int, lam: float, cutoff: ModelCutoff,
                          psi_hat: Callable, a_supp: float, refine: float):
-    """One quadrature pass; returns the value and its number of x-panels."""
-    w = cutoff.width
-    # s-nodes for G(u) = int c(s) psi_hat(s) e^{-ius} ds, u up to lam/2
-    smax = min(w, a_supp)
-    # s = 0 must be a panel boundary (window kinds may kink there)
+    """One quadrature pass of int_0^1 rho^{n-2} G(lam rho^2 / 2) K(lam rho)
+    d rho; returns the value and its number of rho-panels."""
+    # G(u) = int c(s) psi_hat(s) e^{-ius} ds for u up to lam/2
+    smax = min(cutoff.width, a_supp)
     half_panels = max(int(16 * refine),
                       int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * pi))) + 1)
-    s_bks = np.concatenate([np.linspace(-smax, 0.0, half_panels + 1),
-                            np.linspace(0.0, smax, half_panels + 1)[1:]])
-
-    def G(u):
-        return _fourier_on_panels(lambda s: cutoff.profile(s) * psi_hat(s),
-                                  s_bks, u)
-
-    bks = _graded_phase_breakpoints(lam, w, refine)
-    if d == 1:
-        # the transverse block x'' has n - 1 coordinates; its radial
-        # reduction carries R^{n-2} against Vol(S^{n-2}) (two-point sum
-        # when n = 2)
-        R, wR = composite_gauss_legendre(bks, order=12)
-        vals = G(0.5 * lam * R * R) * R ** (n - 2)
-        return sphere_volume(n - 2) * complex(np.sum(wR * vals)), len(bks) - 1
+    bks = _graded_phase_breakpoints(lam, cutoff.width, refine)
+    wt = cutoff.width_tangent
     if d == 2:
-        # polar coordinates on the ball of (x_1, x'') in R^m, m = n - 1: the
-        # phase depends on rho only, and the y_1 factor chat(lam x_1)
-        # averages over the sphere |x| = rho to K(lam rho) with
-        # K(t) = int c(y) P_m(t y) dy, P_m the plane-wave sphere factor
-        m = n - 1
-        wt = cutoff.width_tangent
         # K(lam rho) oscillates at frequency lam * wt in rho
         bks = np.union1d(bks, np.linspace(
             0.0, 1.0, int(math.ceil(refine * lam * wt / (2.0 * pi))) + 1))
-        rho, w_rho = composite_gauss_legendre(bks, order=12)
-        # c is even: K(t) = 2 int_0^wt c(y) P_m(t y) dy
+    rho, w_rho = composite_gauss_legendre(bks, order=12)
+    if d == 1:
+        # x'' has n - 1 coordinates and the phase depends on its radius only:
+        # K is the area of S^{n-2} (the two-point sum when n = 2)
+        K = sphere_volume(n - 2)
+    else:
+        # polar coordinates on the ball of (x_1, x'') in R^{n-1}: chat(lam x_1)
+        # averages over the sphere |x| = rho to K(lam rho), and c is even:
+        # K(t) = 2 int_0^wt c(y) P_{n-1}(t y) dy
         y, w_y = composite_gauss_legendre(
             np.linspace(0.0, wt, int(6 * refine) + 3), order=12)
-        cw = 2.0 * cutoff.tangent_profile(y) * w_y
-        K = np.empty(len(rho))
-        step = max(1, _CHUNK // len(y))
-        for i in range(0, len(rho), step):
-            K[i:i + step] = _plane_wave_factor_closed(
-                m, lam * np.outer(rho[i:i + step], y)) @ cw
-        vals = G(0.5 * lam * rho * rho) * K * rho ** (m - 1)
-        return complex(np.sum(w_rho * vals)), len(bks) - 1
-    raise ValidationError("model integral implemented for d <= 2 "
-                          "(desk-scale dimension cap)")
+        K = (_plane_wave_factor_closed(n - 1, lam * np.outer(rho, y))
+             @ (2.0 * cutoff.tangent_profile(y) * w_y))
+    G = _fourier_on_panels(lambda s: cutoff.profile(s) * psi_hat(s),
+                           smax, half_panels, 0.5 * lam * rho * rho)
+    return complex(np.sum(w_rho * G * K * rho ** (n - 2))), len(bks) - 1
 
 
 def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
@@ -324,21 +311,31 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
     G(u) = int c(s) psi_hat(s) e^{-ius} ds, and for d = 2 y_1 gives
     chat(lam x_1).  G runs on equal s-panels (s = 0 a boundary, where
     windows may kink) factored per panel: one complex exp per (u, panel)
-    and per (u, node), and one matmul.  The x-integral has a radial phase:
-    for d = 1 a radial integral over R = |x''|.  For d = 2 it runs in polar
-    coordinates on the ball of (x_1, x'') in R^m, m = n - 1: chat(lam x_1)
-    averages over the sphere |x| = rho to
+    and per (u, node), and one matmul, with the (u, panel) block formed in
+    row blocks of bounded size.  The x-integral has a radial phase, and
+    for both d it is one rule in rho = |x|:
+
+        int_0^1 rho^{n-2} G(lam rho^2 / 2) K(lam rho) d rho.
+
+    For d = 1 the phase depends on R = |x''| only and K = |S^{n-2}|.  For
+    d = 2 the rule runs in polar coordinates on the ball of (x_1, x'') in
+    R^m, m = n - 1: chat(lam x_1) averages over the sphere |x| = rho to
     K(lam rho) = int c(y) P_m(lam rho y) dy, with the plane-wave sphere
-    factor P_m(z) = int_{S^{m-1}} e^{i z w_1} dS(w) in closed form, so the
-    value is int_0^1 rho^{m-1} G(lam rho^2 / 2) K(lam rho) d rho.  The
+    factor P_m(z) = int_{S^{m-1}} e^{i z w_1} dS(w) in closed form.  The
     radial panels are graded at the 1/lam core, bound the quadratic phase
     change per panel, and for d = 2 also resolve K's linear phase.
-    Accuracy is estimated by a refined re-run and reported, raising when
-    the relative target is missed; `panels` counts the refined pass's
-    radial panels.
+
+    The integral is computed twice, at refine 1.0 (coarse) and 1.6 (fine),
+    and the fine value is returned.  `achieved` = |fine - coarse| / |fine|
+    estimates the coarse pass's error, so it is a conservative bound for
+    the returned value; AccuracyError is raised when it exceeds rel_tol.
+    `panels` counts the fine pass's radial panels.
     """
     if d < 1 or n <= d:
         raise ValidationError("need 1 <= d < n")
+    if d > 2:
+        raise ValidationError("model integral implemented for d <= 2 "
+                              "(desk-scale dimension cap)")
     if lam <= 0:
         raise ValidationError("need lambda > 0")
     cutoff = cutoff if cutoff is not None else ModelCutoff(d=d)

@@ -14,7 +14,9 @@ bump-square g-grid (one FFT of the a-free g_1), the u-convolution of the
 bump-square psi_hat over the whole overlap (the mirror-symmetric profile
 bump * bump), the dense transform of the model integral's G(u), one
 exp per (u, s-node) (factored per panel), with the d = 1 model-integral
-pass recomputed by it, the x_1-then-R quadrature of the d = 2 model
+pass recomputed by it, the model integral's radial breakpoints by one
+np.linspace per dyadic interval (one repeat over all intervals), the
+x_1-then-R quadrature of the d = 2 model
 integral (batched polar; its G and chat also by the dense transform),
 the damped-ladder half-line transform (contour rotation), the per-mode
 forms of the jumps, doubly smoothed sums and dual trace
@@ -246,11 +248,37 @@ def fourier_on_support_dense(fvals_nodes, nodes, weights, u):
     return out
 
 
+def graded_phase_breakpoints_loop(lam: float, phase_scale: float,
+                                  refine: float):
+    """The model integral's radial breakpoints on [0, 1], one np.linspace
+    per dyadic interval: dyadic grading at 0, each interval cut into equal
+    panels of quadratic phase change at most 2 pi / refine."""
+    pts = [0.0]
+    x = 0.5 / max(lam, 2.0)
+    while x < 1.0:
+        pts.append(x)
+        x *= 2.0
+    pts.append(1.0)
+    out = []
+    for a, b in zip(pts[:-1], pts[1:]):
+        dphase = 0.5 * lam * phase_scale * (b * b - a * a)
+        sub = max(1, int(math.ceil(refine * dphase / (2.0 * PI))))
+        out.extend(np.linspace(a, b, sub + 1)[:-1])
+    out.append(1.0)
+    return np.array(out)
+
+
+def model_s_half_panels(lam: float, smax: float, refine: float) -> int:
+    """Equal s-panels on each side of 0 in the package's model-integral
+    pass."""
+    return max(int(16 * refine),
+               int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * PI))) + 1)
+
+
 def model_s_breakpoints(lam: float, smax: float, refine: float):
     """The s-panels of the package's model-integral pass: 2 half_panels
     equal panels over [-smax, smax], with s = 0 a panel boundary."""
-    half_panels = max(int(16 * refine),
-                      int(math.ceil(1.5 * (0.5 * lam * smax) / (2.0 * PI))) + 1)
+    half_panels = model_s_half_panels(lam, smax, refine)
     return np.concatenate([np.linspace(-smax, 0.0, half_panels + 1),
                            np.linspace(0.0, smax, half_panels + 1)[1:]])
 

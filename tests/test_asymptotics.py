@@ -47,14 +47,6 @@ def test_fit_scale_invariance():
     assert e1 == pytest.approx(e2, abs=1e-12)  # log-shift moves only the intercept
 
 
-def test_fit_fixed_exponent():
-    grid = np.geomspace(10, 100, 16)
-    report = fit_growth(_table(grid, 4.0 * grid ** 2), (10, 100),
-                        fixed_exponent=2.0)
-    assert report.exponent == 2.0
-    assert report.coefficient == pytest.approx(4.0, rel=1e-12)
-
-
 def test_fit_validation():
     grid = np.geomspace(10, 100, 16)
     with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,11 +37,12 @@ from oracles import (
     brute_oscillatory_integral,
     full_model_hessian_rank,
     gegenbauer,
+    graded_phase_breakpoints_loop,
     hadamard_w1_mpmath,
     model_G_dense,
     model_integral_d1_dense,
     model_integral_d2_loop,
-    model_s_breakpoints,
+    model_s_half_panels,
     stationary_phase_error_probe,
 )
 
@@ -293,16 +295,35 @@ def test_fourier_on_panels_matches_dense(lam, refine, taper, window):
     co = ModelCutoff(d=1, taper=taper)
     psi_hat, a_supp = _psi_hat_and_support(_G_WINDOWS[window], co)
     u = np.linspace(0.0, 0.5 * lam, 301)
-    got = _fourier_on_panels(
-        lambda s: co.profile(s) * psi_hat(s),
-        model_s_breakpoints(lam, min(co.width, a_supp), refine), u)
+    smax = min(co.width, a_supp)
+    got = _fourier_on_panels(lambda s: co.profile(s) * psi_hat(s), smax,
+                             model_s_half_panels(lam, smax, refine), u)
     ref = model_G_dense(lam, co, psi_hat, a_supp, refine)(u)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_fourier_on_panels_rejects_unequal_panels():
-    with pytest.raises(AssertionError):
-        _fourier_on_panels(_no_window, np.array([-1.0, 0.0, 0.5, 1.0]), 1.0)
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(min_value=0.1, max_value=5000.0),
+       refine=st.sampled_from([1.0, 1.6, 4.0]),
+       phase_scale=st.floats(min_value=0.25, max_value=1.0))
+def test_graded_phase_breakpoints_match_loop(lam, refine, phase_scale):
+    # the one-repeat breakpoints against one np.linspace per dyadic interval
+    assert np.array_equal(_graded_phase_breakpoints(lam, phase_scale, refine),
+                          graded_phase_breakpoints_loop(lam, phase_scale,
+                                                        refine))
+
+
+def test_model_integral_memory_bounded():
+    # the (u, panel) exp block is formed in bounded row blocks, so the peak
+    # no longer grows as lambda^2 (about 47 MB when formed whole)
+    model_integral(3, 1, 20.0)
+    tracemalloc.start()
+    try:
+        model_integral(3, 1, 2000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
