@@ -13,8 +13,8 @@ psi and compactly supported psi_hat:
 
 Windows are immutable values; `support` is psi_hat's compact support (the
 sharp kind has none and raises).  Sums evaluate the cached double sum
-exactly, over the rows of a RowTable (one per eigenvalue pair) or the
-entries of a per-mode CoefficientTable; the contribution beyond
+exactly, over the rows (one per eigenvalue pair) that a RowTable and a
+per-mode CoefficientTable both carry; the contribution beyond
 mu_k > c*lambda_j + 10a is reported as `tail_fraction` metadata.  No sum
 is truncated in mu: a restricted M-mode meets one H-mode, with
 mu_k <= lambda_j (so `tail_fraction` is 0 at c = 1), and a table up to
@@ -326,7 +326,7 @@ def _check_grid(table: Table, grid):
 
 
 def _cumulate(lam, w, grid):
-    """Running sums of the entry weights w, entries in M-frequency order,
+    """Running sums of the row weights w, rows in M-frequency order,
     read at each grid point; and their total."""
     csum = np.cumsum(w)
     idx = np.searchsorted(lam, grid * (1 + 1e-15), side="right")
@@ -338,7 +338,7 @@ def kuznecov_sum(table: Table, c: float, psi: TestFunction,
                  lambda_grid) -> SumTable:
     """N^c(lambda) = sum_{lambda_j <= lambda} sum_k psi(c lambda_j - mu_k) |coeff|^2.
 
-    The argument order c*lambda_j - mu_k is fixed; entries are cumulated in
+    The argument order c*lambda_j - mu_k is fixed; rows are cumulated in
     M-frequency order so the grid values come from one pass.  The variant
     is "sharp-sharp" for the sharp kind, else "smooth-sharp".  Tables hold
     mu_k <= lambda_j, so `tail_fraction` is 0 for every c = 1 sum.
@@ -391,11 +391,11 @@ def averaged_sharp_sum(table: Table, c: float, eps: float,
 
 
 def _eigenspaces(table: Table, psi: TestFunction):
-    """The c = 1 entry weights summed over each exact eigenspace.
+    """The c = 1 row weights summed over each exact eigenspace.
 
-    Entries (rows) run in eigenkey order, so each eigenspace is one run of
-    equal keys.  Returns the eigenvalues (that of the run's first entry)
-    and the summed weights.
+    Rows run in eigenkey order, so each eigenspace is one run of equal
+    keys.  Returns the eigenvalues (that of the run's first row) and the
+    summed weights.
     """
     lam, mu, w = _entry_weights(table, 1.0, psi)
     keys = table.key

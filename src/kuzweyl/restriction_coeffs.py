@@ -25,8 +25,9 @@ mu_k <= lambda_j, so the M-modes up to lambda_max need no H-mode beyond it
 So the sums need only eigenvalue pairs and the coefficient mass on each:
 build_table and load_or_build return a RowTable (torus shell pairs, sphere
 (N, l) blocks); torus_coefficients and sphere_coefficients keep the
-per-mode CoefficientTable over an enumerated SpectrumSlice.  Both expose
-the (lam, mu, weight, key) view the sums read.
+per-mode CoefficientTable over an enumerated SpectrumSlice, which collapses
+its entries into such rows when it is built.  Both carry the
+(lam, mu, weight, key) rows the sums read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lgamma, pi
 from typing import Optional
 
@@ -70,19 +71,20 @@ __all__ = [
 SCHEMA_VERSION = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientTable:
     """Sparse per-mode table of squared restriction coefficients.
 
     Entries are triplets (j_idx, k_idx, value) indexing the slice's M- and
     H-mode arrays, sorted by j_idx (hence by M-frequency).  The slice's
     modes are sorted by eigenkey, so the entry keys are non-decreasing and
-    each exact eigenspace is one run of entries; the per-eigenspace sums
-    rely on this.  Values below 1e-14 are dropped as exact zeros.
+    each exact eigenspace is one run of entries.  Values below 1e-14 are
+    dropped as exact zeros.
 
-    `lam`, `mu`, `weight` and `key` gather the entries' M-frequency,
-    H-frequency, value and M-eigenkey: the view the sums read, shared with
-    RowTable.
+    `lam`, `mu`, `weight` and `key` are the table's rows, derived once from
+    the entries (see _collapse): the view the sums read, shared with
+    RowTable.  A row merges entries with the same M-frequency, H-frequency
+    and eigenkey, so its terms are exactly theirs; rows run in key order.
     """
 
     pair: ManifoldPair
@@ -91,26 +93,19 @@ class CoefficientTable:
     j_idx: np.ndarray
     k_idx: np.ndarray
     values: np.ndarray
+    lam: np.ndarray = field(init=False)
+    mu: np.ndarray = field(init=False)
+    weight: np.ndarray = field(init=False)
+    key: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows = _collapse(self.slice, self.j_idx, self.k_idx, self.values)
+        for name, arr in zip(("lam", "mu", "weight", "key"), rows):
+            object.__setattr__(self, name, arr)
 
     @property
     def entry_count(self) -> int:
         return len(self.values)
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self.slice.m_freqs[self.j_idx]
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.slice.h_freqs[self.k_idx]
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.values
-
-    @property
-    def key(self) -> np.ndarray:
-        return self.slice.m_eigenkeys[self.j_idx]
 
 
 @dataclass
@@ -138,6 +133,43 @@ class RowTable:
     @property
     def entry_count(self) -> int:
         return len(self.weight)
+
+
+def _runs(keys, freqs) -> np.ndarray:
+    """Run index of each mode: a run is a maximal block of modes, in slice
+    order, with the same eigenkey and an equal frequency."""
+    new = np.zeros(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    new[1:] |= freqs[1:] != freqs[:-1]
+    return np.cumsum(new, dtype=np.int64)
+
+
+def _collapse(slice_: SpectrumSlice, j, k, values):
+    """Rows (lam, mu, weight, key) of the entries (j, k, values), j sorted.
+
+    Two entries merge when their M-modes share a run and their H-modes
+    share a run (see _runs): a row's lam and mu are bitwise its entries',
+    and only the order of summation changes.  One stable sort of the code
+    (M run) (H runs + 1) + (H run) < m_count (h_count + 1), an int64 that
+    cannot overflow, keeps the rows in M-run, hence key, order, and each
+    key's first row holds its first entry.  Entry-length temporaries are
+    built in place and dropped once used: they set the build's peak memory.
+    """
+    h_run = _runs(slice_.h_eigenkeys, slice_.h_freqs)
+    code = np.take(_runs(slice_.m_eigenkeys, slice_.m_freqs), j)
+    code *= int(h_run[-1]) + 2
+    code += np.take(h_run, k)
+    order = np.argsort(code, kind="stable")
+    code = np.take(code, order)
+    new = np.ones(len(code), dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    del code
+    starts = np.flatnonzero(new)
+    weight = np.add.reduceat(np.take(values, order), starts)
+    head = np.take(order, starts)
+    jh = j[head]
+    return (slice_.m_freqs[jh], slice_.h_freqs[k[head]], weight,
+            slice_.m_eigenkeys[jh])
 
 
 def _drop_tiny(j, k, v):
@@ -179,8 +211,9 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     lookup = np.full(int(np.prod(dims)), -1, dtype=np.int64)
     lin = np.ravel_multi_index((h_lab.astype(np.int64) - mins).T, dims)
     lookup[lin] = np.arange(slice_.h_count)
-    proj = slice_.m_labels[:, :pair.d].astype(np.int64)
-    k = lookup[np.ravel_multi_index((proj - mins).T, dims)]
+    proj = slice_.m_labels[:, :pair.d] - mins
+    k = lookup[np.ravel_multi_index(proj.T, dims)]
+    del proj
     j = np.arange(slice_.m_count, dtype=np.int64)
     v = np.full(len(j), _inverse_transverse_volume(pair))
     j, k, v = _drop_tiny(j, k, v)

@@ -20,7 +20,8 @@ x_1-then-R quadrature of the d = 2 model
 integral (batched polar; its G and chat also by the dense transform),
 the damped-ladder half-line transform (contour rotation), the per-mode
 forms of the jumps, doubly smoothed sums and dual trace
-(per-eigenspace), the meshgrid and lexsort
+(per-eigenspace), the per-entry view of a per-mode table (collapsed into
+eigenvalue-pair rows when the table is built), the meshgrid and lexsort
 torus enumeration with its volume-estimate budget check (coordinate at a
 time), the (N, l, m) triple-loop sphere enumeration (block level) and
 the degree-by-degree search for the top sphere degree (closed-form root).
@@ -35,6 +36,7 @@ per-mode Parseval row sums of a coefficient table.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -413,17 +415,27 @@ def fourier_halfline_power_damped(
 
 # ---------------------------------- per-mode jumps, smoothed sums and trace
 
+def entry_view(table):
+    """A per-mode CoefficientTable as one row per entry: each entry's
+    M-frequency, H-frequency, value and M-eigenkey gathered from the slice.
+    It carries every field the sums read, so they run on it unchanged."""
+    slc = table.slice
+    return SimpleNamespace(pair=table.pair, lambda_max=table.lambda_max,
+                           lam=slc.m_freqs[table.j_idx],
+                           mu=slc.h_freqs[table.k_idx], weight=table.values,
+                           key=slc.m_eigenkeys[table.j_idx])
+
+
 def eigenvalue_jumps_argsort(table, window, lambda_min: float = 0.0,
                              lambda_max: float = None):
     """All (lambda_j, J(lambda_j)) for distinct eigenvalues in the range,
-    grouping the entries by a stable argsort of their eigenkeys."""
+    grouping the rows (lam, mu, weight, key) by a stable argsort of their
+    eigenkeys."""
     psi = window if isinstance(window, TestFunction) else TestFunction(
         "sharp", a=float(window))
     hi = lambda_max if lambda_max is not None else table.lambda_max
-    lam = table.slice.m_freqs[table.j_idx]
-    mu = table.slice.h_freqs[table.k_idx]
-    keys = table.slice.m_eigenkeys[table.j_idx]
-    w = psi.psi(lam - mu) * table.values
+    lam, mu, keys = table.lam, table.mu, table.key
+    w = psi.psi(lam - mu) * table.weight
     order = np.argsort(keys, kind="stable")
     keys_s, lam_s, w_s = keys[order], lam[order], w[order]
     group_starts = np.nonzero(np.concatenate(

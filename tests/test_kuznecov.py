@@ -45,6 +45,7 @@ from oracles import (
     doubly_smoothed_loop,
     dual_trace_loop,
     eigenvalue_jumps_argsort,
+    entry_view,
 )
 
 PI = math.pi
@@ -294,7 +295,7 @@ def test_sharp_c_zero_counts_everything(torus21_table):
     assert eps > float(np.max(torus21_table.mu))
     st = sharp_sum(torus21_table, 0.0, eps, np.array([20.0]))
     lam = torus21_table.lam
-    expected = float(np.sum(torus21_table.values[lam <= 20.0]))
+    expected = float(np.sum(torus21_table.weight[lam <= 20.0]))
     assert st.values[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -418,10 +419,8 @@ def test_eigenvalue_jumps_grouping(torus21_table):
 # ------------------------------------------------------------ doubly smoothed
 
 def test_doubly_smoothed_zero_table(torus21_table):
-    import copy
-
-    table = copy.copy(torus21_table)
-    table.values = np.zeros_like(table.values)
+    table = dataclasses.replace(torus21_table,
+                                values=np.zeros_like(torus21_table.values))
     st = doubly_smoothed_sum(table, make_test_function("fejer", 1.0),
                              make_test_function("fejer", 2.0),
                              np.linspace(5, 20, 8))
@@ -474,7 +473,7 @@ def test_dual_trace_at_zero_is_total(torus21_table):
     tr = dual_trace(torus21_table, psi, np.array([0.0]))
     lam = torus21_table.lam
     mu = torus21_table.mu
-    total = float(np.sum(psi.psi(lam - mu) * torus21_table.values))
+    total = float(np.sum(psi.psi(lam - mu) * torus21_table.weight))
     assert tr.values[0].real == pytest.approx(total, rel=1e-13)
     assert abs(tr.values[0].imag) < 1e-12
 
@@ -552,6 +551,10 @@ def test_eigenspace_reduction_matches_per_mode_oracles(case, window):
     want_lams, want_jumps = eigenvalue_jumps_argsort(table, window)
     assert np.array_equal(lams, want_lams)
     assert np.array_equal(jumps, want_jumps)
+    # the rows sum the entries' terms in another order
+    want_lams, want_jumps = eigenvalue_jumps_argsort(entry_view(table), window)
+    assert np.array_equal(lams, want_lams)
+    _assert_rel(jumps, want_jumps, 1e-12)
     for i in np.linspace(0, len(lams) - 1, 4).astype(int):
         assert jump(table, window, float(lams[i])) == jumps[i]
 
@@ -621,6 +624,85 @@ def test_row_table_matches_per_mode_table(case, c_eps, window):
     scale = np.sum(np.abs(_entry_weights(modes, 1.0, psi)[2]))
     assert np.all(np.abs(dual_trace(rows, psi, t).values
                          - dual_trace(modes, psi, t).values) <= 1e-10 * scale)
+
+
+# ------------------------------------------- per-mode table rows vs entries
+
+# the enumeration tests' period sets: 2 pi, a uniform non-2 pi set (5, where
+# one eigenspace carries frequencies 1 ulp apart), mixed and irrational
+# periods, and the cache tests' set
+_PERIOD_SETS = {"2pi": None, "5": (5.0,) * 4, "mixed": (6.0, 7.5, 5.0, 4.3),
+                "irrational": (1.0, math.sqrt(2), math.e, 0.7),
+                "cache": (5.0, 6.5, 7.0, 7.0)}
+
+
+@st.composite
+def _per_mode_cases(draw):
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(sorted(_PERIOD_SETS) + ["laplace", "degree"]))
+    if kind in ("laplace", "degree"):
+        pair = sphere_pair(n, d, kind)
+    else:
+        periods = _PERIOD_SETS[kind]
+        pair = torus_pair(n, d, periods and periods[:n])
+    return pair, draw(st.floats(2.0, _LAMBDA_TOP[n]))
+
+
+def _mass_by_triple(view):
+    """{(key, lam, mu): summed weight}, floats compared bit for bit."""
+    out = {}
+    for triple, w in zip(zip(view.key.tolist(), view.lam.tolist(),
+                             view.mu.tolist()), view.weight.tolist()):
+        out[triple] = out.get(triple, 0.0) + w
+    return out
+
+
+def _mass_by_key(view):
+    starts = np.flatnonzero(np.r_[True, view.key[1:] != view.key[:-1]])
+    return view.key[starts], np.add.reduceat(view.weight, starts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_per_mode_cases(), c_eps=_c_eps, window=_windows)
+def test_per_mode_rows_match_entries(case, c_eps, window):
+    # a row merges only entries whose key, lam and mu are bitwise its own:
+    # moving mass from one (key, lam, mu) to another would show in the
+    # masses per triple
+    pair, lam_top = case
+    table = _per_mode_table(pair, lam_top, lam_top + 3.0)
+    entries = entry_view(table)
+    rows, want = _mass_by_triple(table), _mass_by_triple(entries)
+    assert rows.keys() == want.keys()
+    for triple, mass in want.items():
+        assert abs(rows[triple] - mass) <= 1e-14 * mass
+    keys, mass = _mass_by_key(table)
+    want_keys, want_mass = _mass_by_key(entries)
+    assert np.array_equal(keys, want_keys)
+    _assert_rel(mass, want_mass, 1e-14)
+
+    # the sums see the same terms in another order
+    c, eps = c_eps
+    psi = window if not isinstance(window, float) else make_test_function(
+        "sharp", window)
+    grid = np.linspace(1.0, lam_top, 7)
+    for fn, args in ((kuznecov_sum, (c, psi, grid)),
+                     (sharp_sum, (c, eps, grid)),
+                     (averaged_sharp_sum, (c, eps, grid))):
+        _assert_rel(fn(table, *args).values, fn(entries, *args).values, 1e-12)
+    lams, jumps = eigenvalue_jumps(table, window)
+    want_lams, want_jumps = eigenvalue_jumps(entries, window)
+    assert np.array_equal(lams, want_lams)
+    _assert_rel(jumps, want_jumps, 1e-12)
+    rho = make_test_function("fejer", 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _assert_rel(doubly_smoothed_sum(table, psi, rho, grid).values,
+                    doubly_smoothed_sum(entries, psi, rho, grid).values, 1e-12)
+    t = np.linspace(0.0, 10.0, 9)
+    scale = np.sum(np.abs(_entry_weights(entries, 1.0, psi)[2]))
+    assert np.all(np.abs(dual_trace(table, psi, t).values
+                         - dual_trace(entries, psi, t).values) <= 1e-12 * scale)
 
 
 # ------------------------------------------------------------------- tables

@@ -128,6 +128,21 @@ def test_torus_sign_flip_symmetry():
         assert flipped == v
 
 
+def test_torus_coefficients_memory_bounded():
+    # the rows are collapsed with entry-length temporaries built in place
+    # and dropped once used: torus(2,1) at lambda = 300, 282,697 entries in
+    # 70,975 rows, peaks at about 14 MB above the slice
+    slc = enumerate_spectrum(torus_pair(2, 1), 300.0, h_cutoff=311.0)
+    tracemalloc.start()
+    try:
+        table = torus_coefficients(slc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table.entry_count, len(table.lam)) == (282_697, 70_975)
+    assert peak <= 17e6
+
+
 # -------------------------------------------------------------------- sphere
 
 def test_sphere_21_selection_rule():
