@@ -223,6 +223,8 @@ def _cmd_double_bessel(args) -> int:
 
 def _cmd_hadamard(args) -> int:
     metric = RadialMetric.parse(args.metric)
+    if args.points < 1:
+        raise ValidationError(f"need --points >= 1, got {args.points}")
     hi = math.pi - 0.1 if metric.kind == "sphere" else 3.0
     r_grid = np.linspace(0.05, hi, args.points)
     coeffs = hadamard_transport(metric, args.jmax, r_grid)

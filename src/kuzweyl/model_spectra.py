@@ -217,10 +217,17 @@ def _lattice_points(scale, cutoff: float, budget: int):
     return points, q
 
 
-def _float_eigenkeys(q, scale) -> np.ndarray:
+def _float_eigenkeys(q) -> np.ndarray:
     """Eigenspace keys where no exact integer key exists (unequal scales):
-    the squared frequency q in units of min(scale)^2 / 2^20, rounded."""
-    return np.round(q / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
+    the index of q's cluster in the sorted squared frequencies, a new
+    cluster starting wherever the gap exceeds 2^-40 q.  Sums of the same
+    squares in another order differ by a few ulps, far below that gap;
+    distinct eigenvalues within it of each other would share a key."""
+    order = np.argsort(q, kind="stable")
+    qs = q[order]
+    keys = np.empty(len(q), dtype=np.int64)
+    keys[order] = np.cumsum(np.diff(qs, prepend=qs[:1]) > np.ldexp(qs, -40))
+    return keys
 
 
 def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
@@ -231,7 +238,7 @@ def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
     if np.all(scale == scale[0]):
         keys = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
     else:
-        keys = _float_eigenkeys(q, scale)
+        keys = _float_eigenkeys(q)
     order = np.argsort(keys, kind="stable")
     return labels[order], np.sqrt(q)[order], keys[order]
 

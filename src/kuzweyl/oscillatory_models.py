@@ -500,32 +500,55 @@ class RadialMetric:
     @classmethod
     def parse(cls, text: str) -> "RadialMetric":
         kind, _, dim = text.partition(":")
-        if not dim:
-            raise ValidationError("metric spec must look like 'sphere:3'")
+        if not dim.isdecimal():
+            raise ValidationError(f"bad metric spec {text!r} (want 'sphere:3')")
         return cls(kind=kind, dim=int(dim))
 
 
 # Largest radius hadamard_transport accepts on a sphere.  Every W_j is even
-# and analytic in r up to the conjugate point pi, so the transport runs on
-# power series in x = r^2/pi^2, whose radius of convergence is 1.  K terms
-# with x_max^K <= e^-60 leave a tail far below rounding even after the
-# polynomial growth of the coefficients; K = ceil(60 / -ln x_max) + 16 grows
-# like 1/(pi - r_max): 944 terms at pi - 0.1, 2,267 at this radius.
+# and analytic in r up to the conjugate point pi, so its series in x =
+# r^2/pi^2 (zeta(2k) coefficients, growing polynomially in k) converge for
+# x < 1.  K terms with x_max^K <= e^-60 leave a tail far below rounding;
+# K = ceil(60 / -ln x_max) + 16: 944 terms at pi - 0.1, 2,267 at this radius.
 SPHERE_R_MAX = 3.1
 
 
-def _series_powers(f, alphas):
-    """Coefficients of f^alpha for each alpha (one row each) of a power
-    series f with f[0] = 1, by J. C. P. Miller's recurrence
-    k g_k = sum_{i=1}^{k} ((alpha + 1) i - k) f_i g_{k-i}."""
-    alphas = np.asarray(alphas, dtype=float)
-    g = np.zeros((len(f), len(alphas)))
-    g[0] = 1.0
-    i_f = np.arange(len(f)) * f
-    for k in range(1, len(f)):
-        rev = g[k - 1::-1]
-        g[k] = (alphas + 1.0) / k * (i_f[1:k + 1] @ rev) - f[1:k + 1] @ rev
-    return g.T
+def _zeta_even(K: int) -> np.ndarray:
+    """zeta(2k) for k = 1 .. K: m^-2k summed directly for m < 32, plus a
+    6-term Euler-Maclaurin tail from m = 32.  For k >= 27, zeta(2k) - 1 <
+    2^-53 and zeta(2k) rounds to 1, so only k <= 32 is summed."""
+    k = np.arange(1, min(K, 32) + 1)
+    s = 2.0 * k
+    base = np.ldexp(1.0, -10 * k)  # 32^-s, exact
+    tail = base * (32.0 / (s - 1.0) + 0.5)
+    rising = s / 32.0  # s (s + 1) ... (s + 2j - 2) / 32^(2j - 1)
+    for j, b in enumerate((1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                           -691 / 2730), start=1):  # Bernoulli B_2j
+        tail += b / math.factorial(2 * j) * rising * base
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j) / 1024.0
+    m2 = np.arange(31.0, 1.0, -1.0) ** -2
+    terms = np.cumprod(np.broadcast_to(m2, (len(k), len(m2))), axis=0)
+    return np.r_[1.0 + (tail + terms.sum(axis=1)), np.ones(K - len(k))]
+
+
+def _power_series(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c[:, k] x^k for each row of c: the coefficients, cut into
+    giant steps of 32, times x^0 .. x^31 in one matmul, then Horner in
+    y = x^32 over the giant steps, in blocks of radii whose
+    (row, giant step, radius) table stays within _CHUNK entries."""
+    rows, K = c.shape
+    giant = -(-K // 32)
+    c = np.pad(c, ((0, 0), (0, 32 * giant - K))).reshape(rows * giant, 32)
+    out = np.empty((rows, len(x)))
+    step = max(1, _CHUNK // (rows * giant))
+    for i in range(0, len(x), step):
+        xb = x[i:i + step]
+        inner = (c @ (xb ** np.arange(32)[:, None])).reshape(rows, giant, -1)
+        acc, y = inner[:, -1], xb ** 32
+        for g in range(giant - 2, -1, -1):
+            acc = acc * y + inner[:, g]
+        out[:, i:i + step] = acc
+    return out
 
 
 @dataclass
@@ -539,7 +562,8 @@ class HadamardCoefficients:
     transport_residuals[j] is the largest defect on the grid of the
     differential form ((j/r) + Theta'/(2 Theta)) W_j + W_j' = Delta W_{j-1}/r
     (no right side for j = 0), with Theta'/Theta = (n-1)(cot r - 1/r) in
-    closed form.
+    closed form; on the sphere that residual checks the derivative of
+    the zeta(2k) series of log(r / sin r) against cot r.
     """
 
     metric: RadialMetric
@@ -553,10 +577,12 @@ class HadamardCoefficients:
 def _sphere_transport(n: int, j_max: int, r: np.ndarray):
     """W_0 .. W_{j_max} of the round S^n on r, and their residuals.
 
-    All series are coefficient arrays in x = r^2/pi^2.  W_0 =
-    (sin r / r)^{-p}, p = (n-1)/2, is a power of the sin r / r series.  The
-    rest is carried by U_j = Theta^{1/2} W_j: conjugating Delta by
-    Theta^{1/2} leaves the flat radial Laplacian plus a potential,
+    All series are coefficient arrays in x = r^2/pi^2, from the zeta(2k)
+    series l(x) = log(r / sin r) = sum_{k>=1} zeta(2k)/k x^k and
+    1/sin^2 r - 1/r^2 = pi^-2 sum_{k>=1} 2 (2k-1) zeta(2k) x^(k-1).
+    W_0 = exp(p l), p = (n-1)/2.  The rest is carried by U_j =
+    Theta^{1/2} W_j: conjugating Delta by Theta^{1/2} leaves the flat
+    radial Laplacian plus a potential,
         Theta^{1/2} Delta (Theta^{-1/2} U) = L U = U'' + (n-1)/r U' + q U,
         q = p^2 - p (p-1) (1/sin^2 r - 1/r^2),
     so U_0 = 1, U_{j+1}(x) = int_0^1 s^j (L U_j)(s^2 x) ds (coefficient k
@@ -570,11 +596,9 @@ def _sphere_transport(n: int, j_max: int, r: np.ndarray):
     # -ln x_max = 2 ln(pi / r_max), free of underflow at tiny radii
     K = math.ceil(30.0 / math.log(pi / float(r.max()))) + 16
     k = np.arange(K)
-    sinc = np.cumprod(np.r_[1.0, -pi * pi / ((2 * k[1:]) * (2 * k[1:] + 1))])
+    zeta = _zeta_even(K)  # zeta(2i + 2), also coefficient i of dl/dx
     p = 0.5 * (n - 1)
-    w0, inv_sinc2 = _series_powers(sinc, [-p, -2.0])
-    # 1/sin^2 r - 1/r^2 = (sinc^-2 - 1) / (pi^2 x)
-    q = -p * (p - 1) / (pi * pi) * np.r_[inv_sinc2[1:], 0.0]
+    q = -p * (p - 1) / (pi * pi) * 2.0 * (2 * k + 1) * zeta
     q[0] += p * p
     U = [np.r_[1.0, np.zeros(K - 1)]]
     LU = []
@@ -584,13 +608,14 @@ def _sphere_transport(n: int, j_max: int, r: np.ndarray):
         lu[:-1] += 2.0 * k[1:] * (2 * k[:-1] + n) * U[j][1:] / (pi * pi)
         LU.append(lu)
         U.append(lu / (2 * k + j + 1))
-    carried = [w0] + U[1:]
-    coeffs = np.stack(carried + LU + [np.r_[k[1:] * c[1:], 0.0]
-                                      for c in carried], axis=1)
-    vals = np.polynomial.polynomial.polyval(x, coeffs)
-    W0, Uv, LUv = vals[0], vals[1:j_max + 1], vals[j_max + 1:2 * j_max + 1]
+    rows = ([np.r_[0.0, zeta[:-1] / k[1:]]] + U[1:] + LU + [zeta]
+            + [np.r_[k[1:] * u[1:], 0.0] for u in U[1:]])
+    vals = _power_series(np.stack(rows), x)
+    W0 = np.exp(p * vals[0])
+    Uv, LUv = vals[1:j_max + 1], vals[j_max + 1:2 * j_max + 1]
     # d/dr = (2 r / pi^2) d/dx
-    dW0, *dU = (2.0 * r / (pi * pi)) * vals[2 * j_max + 1:]
+    dl, *dU = (2.0 * r / (pi * pi)) * vals[2 * j_max + 1:]
+    dW0 = p * dl * W0
     half_log_dtheta = p * (1.0 / np.tan(r) - 1.0 / r)
     W = [W0] + [W0 * u for u in Uv]
     residuals = [float(np.max(np.abs(half_log_dtheta * W0 + dW0)))]
@@ -608,7 +633,7 @@ def hadamard_transport(metric, j_max: int, r_grid) -> HadamardCoefficients:
     if j_max < 0:
         raise ValidationError("j_max must be >= 0")
     r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.size == 0 or np.any(r_grid <= 0):
+    if r_grid.size == 0 or not np.all(r_grid > 0):  # NaN fails r > 0
         raise ValidationError("r grid must be nonempty and positive")
     if metric.kind == "sphere" and float(r_grid.max()) > SPHERE_R_MAX:
         raise ValidationError(

@@ -68,7 +68,7 @@ __all__ = [
     "load_or_build",
 ]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,7 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     with A + B <= lambda_max^2, weight r_H(A) r_T(B) / Vol(T^(n-d)).
 
     Equal periods give integer keys A + B (as the mode enumeration's keys);
-    other periods the enumeration's rounded squared-frequency keys.
+    other periods the enumeration's clustered squared-frequency keys.
     """
     d = pair.d
     scale = 2.0 * pi / np.array(pair.torus_periods)
@@ -320,7 +320,7 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     a, b = a[ia], b[ib]
     q = a + b
     lam, mu = unit * np.sqrt(q), unit * np.sqrt(a)
-    key = q if uniform else _float_eigenkeys(q, scale)
+    key = q if uniform else _float_eigenkeys(q)
     order = np.lexsort((lam, key))
     need = max(need_h, need_t, pairs)
     return lam[order], mu[order], weight[order], key[order], need

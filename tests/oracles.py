@@ -23,8 +23,11 @@ forms of the jumps, doubly smoothed sums and dual trace
 (per-eigenspace), the per-entry view of a per-mode table (collapsed into
 eigenvalue-pair rows when the table is built), the meshgrid and lexsort
 torus enumeration with its volume-estimate budget check (coordinate at a
-time), the (N, l, m) triple-loop sphere enumeration (block level) and
-the degree-by-degree search for the top sphere degree (closed-form root).
+time), the (N, l, m) triple-loop sphere enumeration (block level), the
+degree-by-degree search for the top sphere degree (closed-form root) and
+the Hadamard transport on powers of the sin r / r series by Miller's
+recurrence, summed by Horner (closed-form zeta(2k) series, one
+baby-step/giant-step pass).
 
 Also the test-only helpers: the Gamma closed form of the half-line
 transform, the rank of the full model-phase Hessian, the direct sphere
@@ -363,6 +366,41 @@ def hadamard_w1_mpmath(n: int, r: float, dps: int = 30) -> float:
         return float(w0(rr) * mpmath.quad(integrand, [0, 1]))
 
 
+# ------------------------- Hadamard transport, Miller's recurrence + Horner
+
+def sphere_transport_miller(n: int, j_max: int, r):
+    """W_0 .. W_{j_max} of the round S^n on r by series in x = r^2/pi^2
+    built from the sin r / r series: W_0 = (sin r / r)^{-p}, p = (n-1)/2,
+    and (sin r / r)^{-2} (for the potential q) as its powers by
+    J. C. P. Miller's recurrence k g_k = sum_i ((alpha + 1) i - k) f_i g_{k-i};
+    U_j = Theta^{1/2} W_j transported as in the package (coefficient k of
+    L U_j over 2k + j + 1), every series summed by numpy's polyval (Horner).
+    Same series length K as the package."""
+    r = np.asarray(r, dtype=float)
+    x = (r / PI) ** 2
+    K = math.ceil(30.0 / math.log(PI / float(r.max()))) + 16
+    k = np.arange(K)
+    sinc = np.cumprod(np.r_[1.0, -PI * PI / ((2 * k[1:]) * (2 * k[1:] + 1))])
+    p = 0.5 * (n - 1)
+    alphas = np.array([-p, -2.0])
+    g = np.zeros((K, 2))
+    g[0] = 1.0
+    i_f = k * sinc
+    for m in range(1, K):
+        rev = g[m - 1::-1]
+        g[m] = (alphas + 1.0) / m * (i_f[1:m + 1] @ rev) - sinc[1:m + 1] @ rev
+    w0, inv_sinc2 = g.T
+    q = -p * (p - 1) / (PI * PI) * np.r_[inv_sinc2[1:], 0.0]
+    q[0] += p * p
+    U = [np.r_[1.0, np.zeros(K - 1)]]
+    for j in range(j_max):
+        lu = np.convolve(q, U[j])[:K]
+        lu[:-1] += 2.0 * k[1:] * (2 * k[:-1] + n) * U[j][1:] / (PI * PI)
+        U.append(lu / (2 * k + j + 1))
+    W0 = np.polynomial.polynomial.polyval(x, w0)
+    return [W0] + [W0 * np.polynomial.polynomial.polyval(x, u) for u in U[1:]]
+
+
 # ---------------------------------------- pairing, x-space mpmath integral
 
 def pairing_xspace_mpmath(psi: TestFunction, alpha: float) -> float:
@@ -525,8 +563,14 @@ def enumerate_torus_lattice_lexsort(periods, cutoff: float, budget: int):
         freqs2 += (scale[i] * labels[:, i]) ** 2
     freqs = np.sqrt(freqs2)
     if not uniform:
-        # no exact integer key available: group by rounded squared frequency
-        keys = np.round(freqs2 / (np.min(scale) ** 2) * (1 << 20)).astype(np.int64)
+        # no exact integer key available: number the clusters of squared
+        # frequencies, a new one wherever the sorted values jump by more
+        # than 2^-40 of the larger
+        keys = np.zeros(len(labels), dtype=np.int64)
+        by_q = sorted(range(len(labels)), key=lambda i: freqs2[i])
+        for prev, i in zip(by_q, by_q[1:]):
+            gap = freqs2[i] - freqs2[prev]
+            keys[i] = keys[prev] + (gap > freqs2[i] * 2.0 ** -40)
     # deterministic order: frequency group, then lexicographic label
     sort_keys = tuple(labels[:, i] for i in range(dim - 1, -1, -1)) + (keys,)
     order = np.lexsort(sort_keys)

@@ -233,16 +233,24 @@ def test_pair_spec_validation():
     ["sums", "--psi", "fejer:a=1", "--lgrid", "1:10:x"],
     ["sums", "--psi", "fejer:b=3", "--lgrid", "10:60:10"],
     ["trace", "--psi", "fejer:a=1", "--lmax", "10", "--tgrid", "5"],
-], ids=["psi-number", "grid-count", "psi-key", "tgrid"])
+    ["hadamard", "--metric", "sphere:abc"],
+    ["hadamard", "--metric", "sphere:3:4"],
+    ["hadamard", "--metric", "sphere:1.5"],
+    ["hadamard", "--metric", "sphere:3", "--points", "-3"],
+], ids=["psi-number", "grid-count", "psi-key", "tgrid", "metric-dim",
+        "metric-colons", "metric-float", "negative-points"])
 def test_malformed_input_is_a_validation_error(argv, tmp_path, capsys):
     # each once ended in a traceback (bad numbers) or was silently replaced
     # (an unknown key by a = 1, a colon-free t grid by linspace(0, 8, 257))
-    rc = main([argv[0], "--pair", "torus:2,1", *argv[1:],
-               *(["--c", "1.0"] if argv[0] == "sums" else []),
-               "--cache-dir", str(tmp_path / "cache"),
+    table = ([] if argv[0] == "hadamard" else
+             ["--pair", "torus:2,1", "--cache-dir", str(tmp_path / "cache")])
+    rc = main([*argv, *table, *(["--c", "1.0"] if argv[0] == "sums" else []),
                "--out", str(tmp_path / "out.csv")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("validation error: ")
+    err = capsys.readouterr().err
+    # the command's own check, not an argparse usage error
+    assert err.startswith("validation error: ")
+    assert not err.startswith("validation error: kuzweyl")
     assert not (tmp_path / "out.csv").exists()
 
 

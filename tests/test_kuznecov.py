@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuzweyl import kuznecov
@@ -590,8 +590,16 @@ _c_eps = st.one_of(
               st.floats(0.05, 1.0)))
 
 
+# unequal periods with two eigenvalues 2.9e-9 apart (relative) near 5.888,
+# which rounded squared-frequency keys once merged into one eigenspace
+_CLOSE_PERIODS = (5.0, 5.625, 7.179515810521716, 7.781053618753076,
+                  7.475515804227228)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_small_pairs(n_max=5), c_eps=_c_eps, window=_windows)
+@example(case=(torus_pair(5, 1, _CLOSE_PERIODS), 6.0), c_eps=(1.0, 0.0),
+         window=0.5)
 def test_row_table_matches_per_mode_table(case, c_eps, window):
     pair, lam_top = case
     c, eps = c_eps
@@ -624,6 +632,15 @@ def test_row_table_matches_per_mode_table(case, c_eps, window):
     scale = np.sum(np.abs(_entry_weights(modes, 1.0, psi)[2]))
     assert np.all(np.abs(dual_trace(rows, psi, t).values
                          - dual_trace(modes, psi, t).values) <= 1e-10 * scale)
+
+
+def test_close_eigenvalues_keep_their_own_eigenspaces():
+    pair = torus_pair(5, 1, _CLOSE_PERIODS)
+    for table in (build_table(pair, 6.0), _per_mode_table(pair, 6.0, 9.0)):
+        lams, _ = eigenvalue_jumps(table, 0.5)
+        assert len(lams) == 3070
+        for want in (5.888178874660716, 5.888178891638398):
+            assert np.min(np.abs(lams - want)) <= 1e-15 * want
 
 
 # ------------------------------------------- per-mode table rows vs entries

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from kuzweyl.oscillatory_models import (
     _graded_phase_breakpoints,
     _model_integral_once,
     _plane_wave_factor_closed,
+    _zeta_even,
     double_bessel,
     hadamard_transport,
     hessian_model,
@@ -43,6 +45,7 @@ from oracles import (
     model_integral_d1_dense,
     model_integral_d2_loop,
     model_s_half_panels,
+    sphere_transport_miller,
     stationary_phase_error_probe,
 )
 
@@ -583,6 +586,43 @@ def test_hadamard_w1_matches_mpmath_even_spheres():
         assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_zeta_even_matches_mpmath():
+    # every zeta(2k) the transport reads up to SPHERE_R_MAX (K = 2,267 terms
+    # there; q reads zeta(2K)), and a margin beyond
+    K = 2282
+    got = _zeta_even(K)
+    with mpmath.workdps(30):
+        rel = [abs(mpmath.mpf(float(g)) / mpmath.zeta(2 * k) - 1)
+               for k, g in enumerate(got, start=1)]
+    assert max(rel) <= 4e-16
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), j_max=st.integers(0, 3),
+       r=st.lists(st.floats(0.01, SPHERE_R_MAX), min_size=1, max_size=200))
+def test_hadamard_matches_miller_oracle(n, j_max, r):
+    # the zeta(2k) series summed by baby and giant steps against the sin r / r
+    # series raised by Miller's recurrence and summed by Horner
+    r = np.sort(r)
+    got = hadamard_transport(RadialMetric("sphere", n), j_max, r).W
+    want = sphere_transport_miller(n, j_max, r)
+    for g, w in zip(got, want, strict=True):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_hadamard_large_grid_memory_bounded():
+    # the (row, giant step, radius) table is formed in blocks of radii:
+    # formed whole at 20,000 radii it would take about 125 MB
+    r = np.linspace(0.05, SPHERE_R_MAX, 20_000)
+    tracemalloc.start()
+    try:
+        hadamard_transport("sphere:5", 3, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 def test_hadamard_guards():
     with pytest.raises(ValidationError):
         hadamard_transport("sphere:3", 1, np.linspace(0.1, 3.2, 10))
@@ -595,6 +635,8 @@ def test_hadamard_guards():
     for metric in ("sphere:3", "flat:3"):
         with pytest.raises(ValidationError, match="nonempty"):
             hadamard_transport(metric, 1, [])
+        with pytest.raises(ValidationError, match="positive"):
+            hadamard_transport(metric, 1, [0.5, np.nan])
     with pytest.raises(ValidationError):
         hadamard_transport("sphere:3", 5, np.linspace(0.1, 1.0, 10))
     with pytest.raises(ValidationError):

@@ -415,12 +415,14 @@ def test_cache_schema3_file_rebuilds_silently(tmp_path):
     # a well-formed row file under the current key is stale, not damaged,
     # when it is of schema 3 (mu_max in its header, no budget need) or of
     # schema 4 (its need counted lattice candidates, not shell pairs; here
-    # one above the budget, which a stale file must not enforce)
+    # one above the budget, which a stale file must not enforce) or of
+    # schema 5 (unequal periods keyed by rounded squared frequencies)
     pair = torus_pair(2, 1)
     fresh = load_or_build(pair, 6.0, str(tmp_path))
     path = next(tmp_path.iterdir())
     for old_fields in ({"schema_version": 3, "mu_max": 6.0},
-                       {"schema_version": 4, "need": 10**9}):
+                       {"schema_version": 4, "need": 10**9},
+                       {"schema_version": 5, "need": fresh.need}):
         header = json.dumps({"pair": pair.to_dict(), "lambda_max": 6.0,
                              **old_fields})
         body = b"".join(
@@ -433,7 +435,7 @@ def test_cache_schema3_file_rebuilds_silently(tmp_path):
             warnings.simplefilter("error")
             _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
         header = json.loads(path.read_bytes().split(b"\n")[1])
-        assert header["schema_version"] == SCHEMA_VERSION == 5
+        assert header["schema_version"] == SCHEMA_VERSION == 6
 
 
 def test_build_table_sphere_dispatch():
