@@ -22,6 +22,7 @@ Normalization conventions pinned numerically by the oracles in the tests:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .model_spectra import _run_positions
 from .special_functions import (
     composite_gauss_legendre,
     gauss_legendre,
-    oscillatory_quadrature,
     sphere_volume,
 )
 
@@ -64,6 +64,8 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 _DOUBLE_BESSEL_WARN = 500.0
+# read-only polar rules (cos t, sin t, w) by panel count; maxsize in panels (1.4 MB)
+_POLAR_RULES, _POLAR_MAXSIZE = {}, 4096
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,18 @@ def _plane_wave_factor_quadrature(q: int, z: float, psi_hat=None,
     # windows may be merely piecewise-smooth (triangle kinks), so the
     # windowed path carries a denser panel baseline
     min_panels = 4 if psi_hat is None else 64
-    tt, ww = oscillatory_quadrature(0.0, pi, z * pi, order=14,
-                                    min_panels=min_panels)
-    ct = np.cos(tt)
-    amp = np.sin(tt) ** (q - 2)
+    panels = max(min_panels, math.ceil(1.5 * abs(z)) + 2)  # ~3 per cycle
+    rule = _POLAR_RULES.get(panels)
+    if rule is None:
+        t, w = composite_gauss_legendre(np.linspace(0.0, pi, panels + 1), order=14)
+        rule = np.stack([np.cos(t), np.sin(t), w])
+        rule.flags.writeable = False
+        if panels <= _POLAR_MAXSIZE:
+            if panels + sum(_POLAR_RULES) > _POLAR_MAXSIZE:
+                _POLAR_RULES.clear()
+            _POLAR_RULES[panels] = rule
+    ct, st, ww = rule
+    amp = st ** (q - 2)
     if psi_hat is not None:
         amp = amp * psi_hat(r * ct)
     val = np.sum(ww * amp * np.exp(sgn * 1j * z * ct))
@@ -96,6 +106,19 @@ def _plane_wave_factor_quadrature(q: int, z: float, psi_hat=None,
 
 # elements per transient block of the batched kernels (2 MB of float64)
 _CHUNK = 1 << 18
+
+
+@functools.lru_cache(maxsize=64)  # P_q's nodes and weights below: lambda-free
+def _poisson_rule(q: int, nodes: int):
+    if q % 2 == 0:
+        t = 0.5 * pi * (np.arange(nodes) + 0.5) / nodes
+        x, w = np.cos(t), np.sin(t) ** (q - 2) * (0.5 * pi / nodes)
+    else:
+        x, w = composite_gauss_legendre([0.0, 1.0], order=nodes)
+        w = w * (1.0 - x * x) ** ((q - 3) // 2)
+    rule = np.stack([x, 2.0 * sphere_volume(q - 2) * w])
+    rule.flags.writeable = False
+    return rule
 
 
 def _plane_wave_factor_closed(q: int, z):
@@ -119,13 +142,7 @@ def _plane_wave_factor_closed(q: int, z):
         return 4.0 * pi * np.sinc(z / pi)
     flat = z.ravel()
     nodes = 8 * math.ceil((0.5 * flat.max(initial=0.0) + 24 + q) / 8)
-    if q % 2 == 0:
-        t = 0.5 * pi * (np.arange(nodes) + 0.5) / nodes
-        x, w = np.cos(t), np.sin(t) ** (q - 2) * (0.5 * pi / nodes)
-    else:
-        x, w = composite_gauss_legendre([0.0, 1.0], order=nodes)
-        w = w * (1.0 - x * x) ** ((q - 3) // 2)
-    w = 2.0 * sphere_volume(q - 2) * w
+    x, w = _poisson_rule(q, nodes)
     out = np.empty_like(flat)
     step = max(1, _CHUNK // nodes)
     for i in range(0, len(flat), step):
@@ -251,20 +268,22 @@ def _graded_phase_breakpoints(lam: float, phase_scale: float, refine: float):
 def _fourier_on_panels(f: Callable, smax: float, half_panels: int, u):
     """int f(s) e^{-ius} ds over [-smax, smax] for an array of u, by the
     order-12 Gauss-Legendre rule on 2 half_panels equal panels of width h
-    (s = 0 a boundary: windows may kink there).  The nodes
-    s = c_p + (h/2) x_k factor the transform as sum_k e^{-iu h x_k/2} [E F]_uk,
-    E_up = e^{-iu c_p}, F the weighted samples as a (panel, node) array; E is
-    formed in row blocks of at most _CHUNK entries."""
+    (s = 0 a boundary: windows may kink there).  The nodes s = +-c_p + (h/2) x_k,
+    c_p > 0, factor it as sum_k e^{-iu h x_k/2} [cos(u c) Fe - i sin(u c) Fo]_uk,
+    Fe, Fo the sum and difference of the weighted (panel, node) samples at +-c_p;
+    cos(u c) and sin(u c) are formed in row blocks of at most _CHUNK entries."""
     h = smax / half_panels
     rule = gauss_legendre(12)
-    c = h * (np.arange(-half_panels, half_panels) + 0.5)
-    s = c[:, None] + 0.5 * h * rule.nodes
+    c = h * (np.arange(half_panels) + 0.5)
+    s = np.stack([c, -c])[:, :, None] + 0.5 * h * rule.nodes
     F = f(s.ravel()).reshape(s.shape) * (0.5 * h * rule.weights)
+    Fe, Fo = F[0] + F[1], F[0] - F[1]
     u = np.atleast_1d(np.asarray(u, dtype=float))
     EF = np.empty((len(u), len(rule.nodes)), dtype=complex)
     step = max(1, _CHUNK // len(c))
     for i in range(0, len(u), step):
-        EF[i:i + step] = np.exp(-1j * np.outer(u[i:i + step], c)) @ F
+        uc = np.outer(u[i:i + step], c)
+        EF[i:i + step] = np.cos(uc) @ Fe - 1j * (np.sin(uc) @ Fo)
     return np.sum(EF * np.exp(-0.5j * h * np.outer(u, rule.nodes)), axis=1)
 
 
@@ -310,10 +329,10 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
     Fourier transforms: y_d gives G(lam |x|^2 / 2) with
     G(u) = int c(s) psi_hat(s) e^{-ius} ds, and for d = 2 y_1 gives
     chat(lam x_1).  G runs on equal s-panels (s = 0 a boundary, where
-    windows may kink) factored per panel: one complex exp per (u, panel)
-    and per (u, node), and one matmul, with the (u, panel) block formed in
-    row blocks of bounded size.  The x-integral has a radial phase, and
-    for both d it is one rule in rho = |x|:
+    windows may kink) factored per panel and folded by the panels' symmetry:
+    a cos and a sin per (u, panel pair), two real matmuls, one complex exp
+    per (u, node), in row blocks of bounded size.  The x-integral has a
+    radial phase, and for both d it is one rule in rho = |x|:
 
         int_0^1 rho^{n-2} G(lam rho^2 / 2) K(lam rho) d rho.
 

@@ -31,7 +31,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "composite_gauss_legendre",
-    "oscillatory_quadrature",
     "sphere_volume",
     "regularized_pairing",
     "fourier_halfline_power",
@@ -93,14 +92,6 @@ def composite_gauss_legendre(breakpoints, order: int = 16):
     x = (rule.nodes[None, :] + 1.0) * 0.5 * width[:, None] + lo[:, None]
     w = rule.weights[None, :] * 0.5 * width[:, None]
     return x.ravel(), w.ravel()
-
-
-def oscillatory_quadrature(a: float, b: float, phase_span: float,
-                           order: int = 12, min_panels: int = 4):
-    """Composite rule on [a, b] with ~3 panels per oscillation cycle."""
-    cycles = abs(phase_span) / (2.0 * pi)
-    panels = max(min_panels, int(math.ceil(3.0 * cycles)) + 2)
-    return composite_gauss_legendre(np.linspace(a, b, panels + 1), order=order)
 
 
 # --------------------------------------------------------------------------

@@ -27,13 +27,16 @@ time), the (N, l, m) triple-loop sphere enumeration (block level), the
 degree-by-degree search for the top sphere degree (closed-form root) and
 the Hadamard transport on powers of the sin r / r series by Miller's
 recurrence, summed by Horner (closed-form zeta(2k) series, one
-baby-step/giant-step pass).
+baby-step/giant-step pass), and the polar quadrature of a plane-wave
+sphere factor with its rule built on every call (rules cached by panel
+count).
 
-Also the test-only helpers: the Gamma closed form of the half-line
-transform, the rank of the full model-phase Hessian, the direct sphere
-plane-wave quadrature with its mpmath Bessel closed form, the full
-difference spectrum, the lattice shell counts r_k(B) by the sum over
-one coordinate, plain-CSV plot data, the brute tensor quadrature of
+Also the test-only helpers: the composite oscillatory Gauss-Legendre
+rule (about 3 panels per oscillation cycle), the Gamma closed form of
+the half-line transform, the rank of the full model-phase Hessian, the
+direct sphere plane-wave quadrature with its mpmath Bessel closed form,
+the full difference spectrum, the lattice shell counts r_k(B) by the
+sum over one coordinate, plain-CSV plot data, the brute tensor quadrature of
 an oscillatory integral with its stationary-phase error probe, and the
 per-mode Parseval row sums of a coefficient table.
 """
@@ -64,13 +67,32 @@ from kuzweyl.oscillatory_models import (
     _graded_phase_breakpoints,
     stationary_phase_leading,
 )
-from kuzweyl.special_functions import (
-    composite_gauss_legendre,
-    oscillatory_quadrature,
-    sphere_volume,
-)
+from kuzweyl.special_functions import composite_gauss_legendre, sphere_volume
 
 PI = math.pi
+
+
+def oscillatory_quadrature(a: float, b: float, phase_span: float,
+                           order: int = 12, min_panels: int = 4):
+    """Composite rule on [a, b] with ~3 panels per oscillation cycle."""
+    cycles = abs(phase_span) / (2.0 * PI)
+    panels = max(min_panels, int(math.ceil(3.0 * cycles)) + 2)
+    return composite_gauss_legendre(np.linspace(a, b, panels + 1), order=order)
+
+
+def plane_wave_factor_polar(q: int, z: float, psi_hat=None, r: float = None,
+                            conj: bool = False) -> complex:
+    """int_{S^{q-1}} w(r cos theta) e^{+- i z cos theta} dS, q >= 2, by the
+    polar quadrature built afresh on each call: cos t and sin^{q-2} t on
+    the oscillatory rule of [0, pi] (64 panels at least when windowed)."""
+    tt, ww = oscillatory_quadrature(0.0, PI, z * PI, order=14,
+                                    min_panels=4 if psi_hat is None else 64)
+    amp = np.sin(tt) ** (q - 2)
+    if psi_hat is not None:
+        amp = amp * psi_hat(r * np.cos(tt))
+    sgn = -1.0 if conj else 1.0
+    return sphere_volume(q - 2) * complex(
+        np.sum(ww * amp * np.exp(sgn * 1j * z * np.cos(tt))))
 
 
 # --------------------------------------------------- Legendre and Gegenbauer

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,10 +16,13 @@ from kuzweyl.oscillatory_models import (
     PhaseProblem,
     RadialMetric,
     SPHERE_R_MAX,
+    _POLAR_RULES,
     _fourier_on_panels,
     _graded_phase_breakpoints,
     _model_integral_once,
     _plane_wave_factor_closed,
+    _plane_wave_factor_quadrature,
+    _poisson_rule,
     _zeta_even,
     double_bessel,
     hadamard_transport,
@@ -45,6 +48,7 @@ from oracles import (
     model_integral_d1_dense,
     model_integral_d2_loop,
     model_s_half_panels,
+    plane_wave_factor_polar,
     sphere_transport_miller,
     stationary_phase_error_probe,
 )
@@ -141,6 +145,65 @@ def test_double_bessel_guards():
         double_bessel(3, 1, 1.0, 0.0)
     with pytest.warns(UserWarning):
         double_bessel(3, 1, 800.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.integers(2, 7), z=st.floats(0.0, 500.0),
+       # the model-integral windows (defined below) but the bump-square,
+       # whose psi_hat costs about 12 us a point
+       window=st.sampled_from(["fejer", "none", "shifted"]),
+       r=st.floats(0.5, 2.0), conj=st.booleans())
+@example(q=3, z=26.0, window="none", r=1.0, conj=False)  # 1.5 z an integer
+def test_plane_wave_factor_cached_rule_matches_direct(q, z, window, r, conj):
+    # the sphere factor on the cached polar rule, on a miss and on a hit,
+    # against the polar quadrature built afresh, relative to the integral
+    # of |integrand|, |S^{q-1}| max |psi_hat|
+    win = _G_WINDOWS[window]
+    psi_hat = None if win is None else win.psi_hat
+    scale = sphere_volume(q - 1) * (1.0 if win is None else np.max(
+        np.abs(win.psi_hat(np.linspace(-r, r, 2001)))))
+    want = plane_wave_factor_polar(q, z, psi_hat, r, conj)
+    for _ in range(2):
+        got = _plane_wave_factor_quadrature(q, z, psi_hat=psi_hat, r=r,
+                                            conj=conj)
+        assert abs(got - want) <= 1e-13 * scale
+
+
+def test_cached_rules_are_read_only():
+    _plane_wave_factor_quadrature(4, 30.0)
+    _plane_wave_factor_closed(4, 30.0)
+    rules = list(_POLAR_RULES.values()) + [_poisson_rule(4, 48),
+                                           _poisson_rule(5, 48)]
+    for rule in rules:
+        for row in rule:  # the rows the callers unpack
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+
+
+def test_rule_caches_memory_bounded():
+    # a sweep of the cached rules over q in 2..7 and z in [0, 500], with and
+    # without a window, asks for about 19,000 polar panels in all, over four
+    # times the polar cache's bound of 4,096 panels (1.4 MB): 2.4 MB measured,
+    # 7.4 MB if the polar cache were never emptied
+    fejer = _G_WINDOWS["fejer"].psi_hat
+    _POLAR_RULES.clear()
+    _poisson_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in range(2, 8):
+            for z in np.linspace(0.0, 500.0, 51):
+                _plane_wave_factor_quadrature(q, z)
+                _plane_wave_factor_quadrature(q, z, psi_hat=fejer, r=0.8)
+                _plane_wave_factor_closed(q, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    # a rule above the bound on its own (4,502 panels at z = 3000) is neither
+    # kept nor allowed to empty the cache
+    held = dict(_POLAR_RULES)
+    _plane_wave_factor_quadrature(2, 3000.0)
+    assert held and list(_POLAR_RULES) == list(held)
 
 
 # ------------------------------------------------------------ model integral
@@ -543,6 +606,17 @@ def test_hadamard_higher_order_residuals_moderate_range():
         out = hadamard_transport(RadialMetric("sphere", n), 2, r)
         assert out.transport_residuals[1] < 1e-8
         assert out.transport_residuals[2] < 1e-8
+
+
+def test_hadamard_residuals_near_conjugate_point():
+    # every transport residual up to r = pi - 0.1, where the amplitudes grow
+    # as (r / sin r)^{(n-1)/2}.  Measured on this grid: S^2 <= 2.3e-13,
+    # S^3 <= 5.1e-13, S^5 2.7e-11, 7.3e-11, 4.7e-10, 9.9e-10 for j = 0..3;
+    # the bounds leave about 10x headroom on S^5 (20x on S^3, 40x on S^2).
+    r = np.linspace(0.05, PI - 0.1, 200)
+    for n, bound in ((2, 1e-11), (3, 1e-11), (5, 1e-8)):
+        out = hadamard_transport(RadialMetric("sphere", n), 3, r)
+        assert max(out.transport_residuals) <= bound
 
 
 def test_hadamard_w0_matches_closed_form():
