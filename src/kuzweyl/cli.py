@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import os
@@ -122,6 +121,14 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, count)
 
 
+def _parse_window(text: str) -> tuple:
+    """Parse a fit window 'lo:hi'."""
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValidationError(f"bad window spec {text!r} (want lo:hi)")
+    return tuple(_number(float, v, text) for v in parts)
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -164,18 +171,18 @@ def _cmd_sums(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    lams, vals = [], []
-    with open(args.infile) as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            lams.append(float(row[0]))
-            vals.append(float(row[1]))
-    st = SumTable(pair={}, c=0.0, test={}, rho=None,
-                  lambda_grid=np.asarray(lams), values=np.asarray(vals),
-                  variant="loaded")
-    lo, hi = (float(v) for v in args.window.split(":"))
-    report = fit_growth(st, (lo, hi))
+    window = _parse_window(args.window)
+    try:
+        lams, vals = np.loadtxt(args.infile, delimiter=",", skiprows=1,
+                                usecols=(0, 1), ndmin=2).T
+    except OSError as exc:
+        raise ValidationError(f"cannot read {args.infile!r}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(
+            f"malformed sums CSV {args.infile!r}: {exc}") from exc
+    st = SumTable(pair={}, c=0.0, test={}, rho=None, lambda_grid=lams,
+                  values=vals, variant="loaded")
+    report = fit_growth(st, window)
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
@@ -287,6 +294,8 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
     if not 0.0 <= c <= 1.0:
         raise ValidationError(f"c = {c} outside the supported range [0, 1]")
     grid = _parse_grid(_cfg_get(cfg, "sums", "lambda_grid", required=True))
+    window = _cfg_get(cfg, "fit", "window", default=None)
+    window = _parse_window(window) if window else (grid[0], grid[-1])
     budget = _cfg_get(cfg, "spectrum", "budget", int,
                       default=MODE_BUDGET_DEFAULT)
     variant = _cfg_get(cfg, "sums", "variant", default="smooth")
@@ -312,12 +321,7 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
     sums_csv = os.path.join(out_base, f"{name}-sums.csv")
     st.write(sums_csv)
 
-    window = _cfg_get(cfg, "fit", "window", default=None)
-    if window:
-        lo, hi = (float(v) for v in window.split(":"))
-    else:
-        lo, hi = float(grid[0]), float(grid[-1])
-    report = fit_growth(st, (lo, hi))
+    report = fit_growth(st, window)
     predicted = predicted_exponent(c, pair.n, pair.d)
     tol = _cfg_get(cfg, "fit", "exponent_tolerance", float, default=0.15)
     verdict = "PASS" if abs(report.exponent - predicted) <= tol else "FAIL"

@@ -13,8 +13,8 @@ psi and compactly supported psi_hat:
 
 Windows are immutable values; `support` is psi_hat's compact support (the
 sharp kind has none and raises).  Sums evaluate the cached double sum
-exactly, over the rows (one per eigenvalue pair) that a RowTable and a
-per-mode CoefficientTable both carry; the contribution beyond
+exactly, over a RowTable's rows, one per eigenvalue pair (a per-mode
+CoefficientTable is a RowTable); the contribution beyond
 mu_k > c*lambda_j + 10a is reported as `tail_fraction` metadata.  No sum
 is truncated in mu: a restricted M-mode meets one H-mode, with
 mu_k <= lambda_j (so `tail_fraction` is 0 at c = 1), and a table up to
@@ -30,16 +30,13 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from math import pi
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import TailBoundWarning, TruncationRiskError, ValidationError
-from .restriction_coeffs import CoefficientTable, RowTable
+from .restriction_coeffs import RowTable
 from .special_functions import composite_gauss_legendre
-
-# the sums read the (lam, mu, weight, key) view that both table kinds expose
-Table = Union[CoefficientTable, RowTable]
 
 __all__ = [
     "TestFunction",
@@ -308,12 +305,12 @@ class SumTable:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
 
 
-def _entry_weights(table: Table, c: float, psi: TestFunction):
+def _entry_weights(table: RowTable, c: float, psi: TestFunction):
     lam, mu = table.lam, table.mu
     return lam, mu, psi.psi(c * lam - mu) * table.weight
 
 
-def _check_grid(table: Table, grid):
+def _check_grid(table: RowTable, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValidationError("lambda grid must be strictly increasing")
@@ -334,7 +331,7 @@ def _cumulate(lam, w, grid):
     return np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0), total
 
 
-def kuznecov_sum(table: Table, c: float, psi: TestFunction,
+def kuznecov_sum(table: RowTable, c: float, psi: TestFunction,
                  lambda_grid) -> SumTable:
     """N^c(lambda) = sum_{lambda_j <= lambda} sum_k psi(c lambda_j - mu_k) |coeff|^2.
 
@@ -357,14 +354,14 @@ def kuznecov_sum(table: Table, c: float, psi: TestFunction,
                     metadata=meta)
 
 
-def sharp_sum(table: Table, c: float, eps: float,
+def sharp_sum(table: RowTable, c: float, eps: float,
               lambda_grid) -> SumTable:
     """Sharp-sharp variant: indicator window |c lambda_j - mu_k| <= eps
     (eps >= 0, as the sharp TestFunction checks)."""
     return kuznecov_sum(table, c, TestFunction("sharp", a=eps), lambda_grid)
 
 
-def averaged_sharp_sum(table: Table, c: float, eps: float,
+def averaged_sharp_sum(table: RowTable, c: float, eps: float,
                        lambda_grid, jitter: float = 0.1,
                        samples: int = 5) -> SumTable:
     """Mean of sharp sums over eps * (1 +- jitter), damping the jumps the
@@ -390,7 +387,7 @@ def averaged_sharp_sum(table: Table, c: float, eps: float,
                               "eps_values": [float(e) for e in eps_vals]})
 
 
-def _eigenspaces(table: Table, psi: TestFunction):
+def _eigenspaces(table: RowTable, psi: TestFunction):
     """The c = 1 row weights summed over each exact eigenspace.
 
     Rows run in eigenkey order, so each eigenspace is one run of equal
@@ -410,7 +407,7 @@ def _as_test_function(window) -> TestFunction:
         "sharp", a=float(window))
 
 
-def jump(table: Table, window, lambda_j: float) -> float:
+def jump(table: RowTable, window, lambda_j: float) -> float:
     """J^1(lambda_j): the inner sums over the full eigenspace at lambda_j.
 
     `window` is a TestFunction or a float eps (indicator window).  lambda_j
@@ -427,7 +424,7 @@ def jump(table: Table, window, lambda_j: float) -> float:
     return float(sums[near[0]])
 
 
-def eigenvalue_jumps(table: Table, window, lambda_min: float = 0.0,
+def eigenvalue_jumps(table: RowTable, window, lambda_min: float = 0.0,
                      lambda_max: float = None):
     """All (lambda_j, J(lambda_j)) for distinct eigenvalues in the range."""
     hi = lambda_max if lambda_max is not None else table.lambda_max
@@ -445,7 +442,7 @@ def _grid_product(kernel, grid, lams, weights):
         for i in range(0, len(grid), rows)])
 
 
-def doubly_smoothed_sum(table: Table, psi: TestFunction,
+def doubly_smoothed_sum(table: RowTable, psi: TestFunction,
                         rho: TestFunction, lambda_grid) -> SumTable:
     """sum_{j,k} rho(lambda - lambda_j) psi(lambda_j - mu_k) |coeff|^2.
 
@@ -489,7 +486,7 @@ class DualTrace:
                     for t, v in zip(self.t_grid, self.values)))
 
 
-def dual_trace(table: Table, psi: TestFunction, t_grid) -> DualTrace:
+def dual_trace(table: RowTable, psi: TestFunction, t_grid) -> DualTrace:
     t_grid = np.asarray(t_grid, dtype=float)
     lams, sums = _eigenspaces(table, psi)
     keep = sums != 0.0

@@ -23,11 +23,11 @@ mu_k <= lambda_j, so the M-modes up to lambda_max need no H-mode beyond it
 (the per-mode builders refuse a slice whose H cutoff is lower).
 
 So the sums need only eigenvalue pairs and the coefficient mass on each:
-build_table and load_or_build return a RowTable (torus shell pairs, sphere
-(N, l) blocks); torus_coefficients and sphere_coefficients keep the
-per-mode CoefficientTable over an enumerated SpectrumSlice, which collapses
-its entries into such rows when it is built.  Both carry the
-(lam, mu, weight, key) rows the sums read.
+build_table and load_or_build return a RowTable, one (lam, mu, weight, key)
+row per torus shell pair or sphere (N, l) block, and the row builders are
+the only code that makes rows.  torus_coefficients and sphere_coefficients
+return a CoefficientTable, the RowTable of the slice's pair and cutoff that
+also keeps the per-mode entries of an enumerated SpectrumSlice.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma, pi
 from typing import Optional
 
@@ -72,43 +72,6 @@ SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
-class CoefficientTable:
-    """Sparse per-mode table of squared restriction coefficients.
-
-    Entries are triplets (j_idx, k_idx, value) indexing the slice's M- and
-    H-mode arrays, sorted by j_idx (hence by M-frequency).  The slice's
-    modes are sorted by eigenkey, so the entry keys are non-decreasing and
-    each exact eigenspace is one run of entries.  Values below 1e-14 are
-    dropped as exact zeros.
-
-    `lam`, `mu`, `weight` and `key` are the table's rows, derived once from
-    the entries (see _collapse): the view the sums read, shared with
-    RowTable.  A row merges entries with the same M-frequency, H-frequency
-    and eigenkey, so its terms are exactly theirs; rows run in key order.
-    """
-
-    pair: ManifoldPair
-    lambda_max: float
-    slice: SpectrumSlice
-    j_idx: np.ndarray
-    k_idx: np.ndarray
-    values: np.ndarray
-    lam: np.ndarray = field(init=False)
-    mu: np.ndarray = field(init=False)
-    weight: np.ndarray = field(init=False)
-    key: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        rows = _collapse(self.slice, self.j_idx, self.k_idx, self.values)
-        for name, arr in zip(("lam", "mu", "weight", "key"), rows):
-            object.__setattr__(self, name, arr)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.values)
-
-
-@dataclass
 class RowTable:
     """Squared restriction coefficients summed over eigenvalue pairs.
 
@@ -135,46 +98,40 @@ class RowTable:
         return len(self.weight)
 
 
-def _runs(keys, freqs) -> np.ndarray:
-    """Run index of each mode: a run is a maximal block of modes, in slice
-    order, with the same eigenkey and an equal frequency."""
-    new = np.zeros(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    new[1:] |= freqs[1:] != freqs[:-1]
-    return np.cumsum(new, dtype=np.int64)
+@dataclass(frozen=True)
+class CoefficientTable(RowTable):
+    """A RowTable that also keeps the per-mode entries of its slice.
 
-
-def _collapse(slice_: SpectrumSlice, j, k, values):
-    """Rows (lam, mu, weight, key) of the entries (j, k, values), j sorted.
-
-    Two entries merge when their M-modes share a run and their H-modes
-    share a run (see _runs): a row's lam and mu are bitwise its entries',
-    and only the order of summation changes.  One stable sort of the code
-    (M run) (H runs + 1) + (H run) < m_count (h_count + 1), an int64 that
-    cannot overflow, keeps the rows in M-run, hence key, order, and each
-    key's first row holds its first entry.  Entry-length temporaries are
-    built in place and dropped once used: they set the build's peak memory.
+    Entries are triplets (j_idx, k_idx, value) indexing the slice's M- and
+    H-mode arrays, sorted by j_idx (hence by M-frequency).  The slice's
+    modes are sorted by eigenkey, so the entry keys are non-decreasing and
+    each exact eigenspace is one run of entries.  Values below 1e-14 are
+    dropped as exact zeros.  The rows are build_table's for the slice's
+    pair and cutoff: their mass per eigenspace is the entries' to rounding.
     """
-    h_run = _runs(slice_.h_eigenkeys, slice_.h_freqs)
-    code = np.take(_runs(slice_.m_eigenkeys, slice_.m_freqs), j)
-    code *= int(h_run[-1]) + 2
-    code += np.take(h_run, k)
-    order = np.argsort(code, kind="stable")
-    code = np.take(code, order)
-    new = np.ones(len(code), dtype=bool)
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    del code
-    starts = np.flatnonzero(new)
-    weight = np.add.reduceat(np.take(values, order), starts)
-    head = np.take(order, starts)
-    jh = j[head]
-    return (slice_.m_freqs[jh], slice_.h_freqs[k[head]], weight,
-            slice_.m_eigenkeys[jh])
+
+    slice: SpectrumSlice
+    j_idx: np.ndarray
+    k_idx: np.ndarray
+    values: np.ndarray
+
+    @property
+    def entry_count(self) -> int:
+        return len(self.values)
 
 
 def _drop_tiny(j, k, v):
     keep = v > 1e-14
     return j[keep], k[keep], v[keep]
+
+
+def _with_rows(slice_: SpectrumSlice, j, k, v) -> CoefficientTable:
+    """The slice's entries (j, k, v) with build_table's rows; each count the
+    row builders guard (a coordinate's range, shell pairs, sphere blocks) is
+    at most the mode count, so m_count is budget enough."""
+    rows = build_table(slice_.pair, slice_.cutoff, budget=slice_.m_count)
+    return CoefficientTable(**vars(rows), slice=slice_, j_idx=j, k_idx=k,
+                            values=v)
 
 
 def _check_slice(slice_: SpectrumSlice, kind: str) -> None:
@@ -217,8 +174,7 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     j = np.arange(slice_.m_count, dtype=np.int64)
     v = np.full(len(j), _inverse_transverse_volume(pair))
     j, k, v = _drop_tiny(j, k, v)
-    return CoefficientTable(pair=pair, lambda_max=slice_.cutoff, slice=slice_,
-                            j_idx=j, k_idx=k, values=v)
+    return _with_rows(slice_, j, k, v)
 
 
 # --------------------------------------------------------------------------
@@ -263,8 +219,7 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
          + labels[j, 3].astype(np.int64))
     start, _, _, c = _sphere_blocks(pair.n, pair.d, int(labels[:, 0].max()))
     j, k, vals = _drop_tiny(j, k, c[start[labels[j, 0]] + labels[j, 1] // 2])
-    return CoefficientTable(pair=pair, lambda_max=slice_.cutoff, slice=slice_,
-                            j_idx=j, k_idx=k, values=vals)
+    return _with_rows(slice_, j, k, vals)
 
 
 # --------------------------------------------------------------------------

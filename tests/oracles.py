@@ -20,8 +20,8 @@ x_1-then-R quadrature of the d = 2 model
 integral (batched polar; its G and chat also by the dense transform),
 the damped-ladder half-line transform (contour rotation), the per-mode
 forms of the jumps, doubly smoothed sums and dual trace
-(per-eigenspace), the per-entry view of a per-mode table (collapsed into
-eigenvalue-pair rows when the table is built), the meshgrid and lexsort
+(per-eigenspace), the per-entry view of a per-mode table (its rows are
+build_table's eigenvalue-pair rows), the meshgrid and lexsort
 torus enumeration with its volume-estimate budget check (coordinate at a
 time), the (N, l, m) triple-loop sphere enumeration (block level), the
 degree-by-degree search for the top sphere degree (closed-form root) and
@@ -397,30 +397,35 @@ def sphere_transport_miller(n: int, j_max: int, r):
     J. C. P. Miller's recurrence k g_k = sum_i ((alpha + 1) i - k) f_i g_{k-i};
     U_j = Theta^{1/2} W_j transported as in the package (coefficient k of
     L U_j over 2k + j + 1), every series summed by numpy's polyval (Horner).
-    Same series length K as the package."""
+    Same series length K as the package.  The recurrence and the sums run
+    in np.longdouble: in float64 their rounding reaches 2e-12 relative
+    where W_j is small against W_0 (S^5, j = 1, r = 2.96)."""
     r = np.asarray(r, dtype=float)
-    x = (r / PI) ** 2
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    x = (r.astype(np.longdouble) / pi) ** 2
     K = math.ceil(30.0 / math.log(PI / float(r.max()))) + 16
     k = np.arange(K)
-    sinc = np.cumprod(np.r_[1.0, -PI * PI / ((2 * k[1:]) * (2 * k[1:] + 1))])
+    sinc = np.cumprod(np.r_[np.longdouble(1.0),
+                            -pi * pi / ((2 * k[1:]) * (2 * k[1:] + 1))])
     p = 0.5 * (n - 1)
-    alphas = np.array([-p, -2.0])
-    g = np.zeros((K, 2))
+    alphas = np.array([-p, -2.0], dtype=np.longdouble)
+    g = np.zeros((K, 2), dtype=np.longdouble)
     g[0] = 1.0
     i_f = k * sinc
     for m in range(1, K):
         rev = g[m - 1::-1]
         g[m] = (alphas + 1.0) / m * (i_f[1:m + 1] @ rev) - sinc[1:m + 1] @ rev
     w0, inv_sinc2 = g.T
-    q = -p * (p - 1) / (PI * PI) * np.r_[inv_sinc2[1:], 0.0]
+    q = -p * (p - 1) / (pi * pi) * np.r_[inv_sinc2[1:], 0.0]
     q[0] += p * p
-    U = [np.r_[1.0, np.zeros(K - 1)]]
+    U = [np.r_[np.longdouble(1.0), np.zeros(K - 1, dtype=np.longdouble)]]
     for j in range(j_max):
         lu = np.convolve(q, U[j])[:K]
-        lu[:-1] += 2.0 * k[1:] * (2 * k[:-1] + n) * U[j][1:] / (PI * PI)
+        lu[:-1] += 2.0 * k[1:] * (2 * k[:-1] + n) * U[j][1:] / (pi * pi)
         U.append(lu / (2 * k + j + 1))
     W0 = np.polynomial.polynomial.polyval(x, w0)
-    return [W0] + [W0 * np.polynomial.polynomial.polyval(x, u) for u in U[1:]]
+    return [W.astype(float) for W in
+            [W0] + [W0 * np.polynomial.polynomial.polyval(x, u) for u in U[1:]]]
 
 
 # ---------------------------------------- pairing, x-space mpmath integral

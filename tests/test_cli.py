@@ -237,21 +237,38 @@ def test_pair_spec_validation():
     ["hadamard", "--metric", "sphere:3:4"],
     ["hadamard", "--metric", "sphere:1.5"],
     ["hadamard", "--metric", "sphere:3", "--points", "-3"],
+    ["fit", "--in", "sums.csv", "--window", "abc"],
+    ["fit", "--in", "sums.csv", "--window", "1:2:3"],
+    ["fit", "--in", "missing.csv", "--window", "20:90"],
+    ["fit", "--in", "short.csv", "--window", "20:90"],
+    ["run", "--config", "bad-window.ini"],
 ], ids=["psi-number", "grid-count", "psi-key", "tgrid", "metric-dim",
-        "metric-colons", "metric-float", "negative-points"])
-def test_malformed_input_is_a_validation_error(argv, tmp_path, capsys):
-    # each once ended in a traceback (bad numbers) or was silently replaced
-    # (an unknown key by a = 1, a colon-free t grid by linspace(0, 8, 257))
-    table = ([] if argv[0] == "hadamard" else
-             ["--pair", "torus:2,1", "--cache-dir", str(tmp_path / "cache")])
-    rc = main([*argv, *table, *(["--c", "1.0"] if argv[0] == "sums" else []),
-               "--out", str(tmp_path / "out.csv")])
+        "metric-colons", "metric-float", "negative-points", "fit-window",
+        "fit-window-colons", "fit-missing-csv", "fit-short-row", "run-window"])
+def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
+                                               capsys):
+    # each once ended in a traceback (bad numbers, an unreadable CSV) or was
+    # silently replaced (an unknown key by a = 1, a colon-free t grid by
+    # linspace(0, 8, 257)); the fit inputs are sound apart from the one flaw
+    monkeypatch.chdir(tmp_path)
+    grid = np.geomspace(20, 90, 12)
+    SumTable(pair={}, c=1.0, test={}, rho=None, lambda_grid=grid,
+             values=grid ** 1.5, variant="x").to_csv("sums.csv")
+    (tmp_path / "short.csv").write_text("lambda,value\n20.0\n")
+    _write_config(tmp_path, CONFIG.replace("window = 20:90", "window = abc"),
+                  "bad-window.ini")
+    table = ["--pair", "torus:2,1", "--cache-dir", "cache"]
+    extra = {"sums": [*table, "--c", "1.0"], "trace": table, "hadamard": [],
+             "run": ["--cache-dir", "cache", "--out-dir", "out"]}
+    out = ["--out", "out.csv"] if argv[0] in ("sums", "trace", "hadamard") else []
+    rc = main([*argv, *extra.get(argv[0], []), *out])
     assert rc == 1
     err = capsys.readouterr().err
     # the command's own check, not an argparse usage error
     assert err.startswith("validation error: ")
     assert not err.startswith("validation error: kuzweyl")
     assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

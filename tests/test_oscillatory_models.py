@@ -674,9 +674,11 @@ def test_zeta_even_matches_mpmath():
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 8), j_max=st.integers(0, 3),
        r=st.lists(st.floats(0.01, SPHERE_R_MAX), min_size=1, max_size=200))
+@example(n=5, j_max=1, r=[2.9645264559308107])
 def test_hadamard_matches_miller_oracle(n, j_max, r):
     # the zeta(2k) series summed by baby and giant steps against the sin r / r
-    # series raised by Miller's recurrence and summed by Horner
+    # series raised by Miller's recurrence and summed by Horner; at the
+    # example a float64 oracle erred by 1.9e-12, the package by 3.6e-14
     r = np.sort(r)
     got = hadamard_transport(RadialMetric("sphere", n), j_max, r).W
     want = sphere_transport_miller(n, j_max, r)

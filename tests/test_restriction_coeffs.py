@@ -129,9 +129,9 @@ def test_torus_sign_flip_symmetry():
 
 
 def test_torus_coefficients_memory_bounded():
-    # the rows are collapsed with entry-length temporaries built in place
-    # and dropped once used: torus(2,1) at lambda = 300, 282,697 entries in
-    # 70,975 rows, peaks at about 14 MB above the slice
+    # the entries are filtered before build_table makes the rows, so no
+    # unfiltered copy outlives the filter: torus(2,1) at lambda = 300,
+    # 282,697 entries and 70,975 rows, peaks at about 14 MB above the slice
     slc = enumerate_spectrum(torus_pair(2, 1), 300.0, h_cutoff=311.0)
     tracemalloc.start()
     try:
