@@ -74,12 +74,14 @@ def _parse_pair(text: str) -> ManifoldPair:
         n, d = (int(v) for v in parts[1].split(","))
     except Exception as exc:
         raise ValidationError(f"bad pair dimensions in {text!r}") from exc
+    if kind not in ("torus", "sphere"):
+        raise ValidationError(f"unknown pair kind {kind!r}")
+    if len(parts) > (2 if kind == "torus" else 3):
+        raise ValidationError(f"extra fields in pair spec {text!r}")
     if kind == "torus":
         return torus_pair(n, d)
-    if kind == "sphere":
-        norm = parts[2] if len(parts) > 2 else "laplace"
-        return sphere_pair(n, d, normalization=norm)
-    raise ValidationError(f"unknown pair kind {kind!r}")
+    norm = parts[2] if len(parts) > 2 else "laplace"
+    return sphere_pair(n, d, normalization=norm)
 
 
 def _number(cast, text: str, spec: str):
@@ -110,13 +112,14 @@ def _parse_psi(text: str):
 def _parse_grid(text: str) -> np.ndarray:
     """Parse 'lo:hi:count' (geometric) or 'lo:hi:count:lin'."""
     parts = text.split(":")
-    if len(parts) < 3:
-        raise ValidationError(f"bad grid spec {text!r} (want lo:hi:count)")
+    if len(parts) < 3 or parts[3:] not in ([], ["lin"]):
+        raise ValidationError(
+            f"bad grid spec {text!r} (want lo:hi:count or lo:hi:count:lin)")
     lo, hi = _number(float, parts[0], text), _number(float, parts[1], text)
     count = _number(int, parts[2], text)
-    if not (0 < lo < hi and count >= 2):
+    if not (0 < lo < hi < math.inf and count >= 2):
         raise ValidationError(f"bad grid spec {text!r}")
-    if len(parts) > 3 and parts[3] == "lin":
+    if parts[3:]:
         return np.linspace(lo, hi, count)
     return np.geomspace(lo, hi, count)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from math import pi
@@ -156,6 +157,8 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("fejer", "bumpsquare", "sharp"):
             raise ValidationError(f"unknown test-function kind {self.kind!r}")
+        if not (math.isfinite(self.a) and math.isfinite(self.scale)):
+            raise ValidationError("a and scale must be finite")
         if self.a < 0 or (self.a == 0 and self.kind != "sharp"):
             raise ValidationError("support radius must be > 0 (>= 0 for sharp)")
         object.__setattr__(self, "a", float(self.a))

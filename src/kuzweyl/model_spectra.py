@@ -197,10 +197,11 @@ def _lattice_points(scale, cutoff: float, budget: int):
     """All m in Z^dim with sum (scale_i m_i)^2 <= cutoff^2.
 
     Built one coordinate at a time: each step pairs the points kept so far
-    with the candidates of the next coordinate, and keeps the pairs inside.
-    The budget guards each step's candidate count before the step allocates
-    anything.  Returns the int32 labels in lexicographic order and their
-    squared norms summed in coordinate order.
+    with the candidates of the next coordinate, and keeps the pairs inside
+    (a row gather by np.take along axis 0, much faster than fancy indexing
+    of a 2-D array).  The budget guards each step's candidate count before
+    the step allocates anything.  Returns the int32 labels in lexicographic
+    order and their squared norms summed in coordinate order.
     """
     cut2 = cutoff * cutoff * (1 + 1e-15)
     points = np.zeros((1, 0), dtype=np.int32)
@@ -212,9 +213,31 @@ def _lattice_points(scale, cutoff: float, budget: int):
         q = q[:, None] + (s * m) ** 2
         inside = q <= cut2
         row, col = np.nonzero(inside)
-        points = np.hstack((points[row], m[col, None]))
+        points = np.hstack((np.take(points, row, axis=0), m[col, None]))
         q = q[inside]  # row-major, the order of np.nonzero
     return points, q
+
+
+def _key_order(keys) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of non-negative int64 keys, bit for
+    bit, by one value sort.
+
+    Each key is packed above its index, key << shift | i with shift =
+    (n - 1).bit_length(); the packed values are distinct and sort as
+    (key, i) pairs, so masking the index back out of the sorted array gives
+    the stable order.  Every step is in place, so the sort holds one int64
+    array of n beside the keys.  Keys that do not fit in 63 - shift bits
+    (a 1-D lattice of more than about 3e6 points) take the stable argsort.
+    """
+    n = len(keys)
+    shift = (n - 1).bit_length()
+    if n < 2 or int(keys.max()) >> (63 - shift):
+        return np.argsort(keys, kind="stable")
+    order = keys << shift
+    order |= np.arange(n)
+    order.sort()
+    order &= (1 << shift) - 1
+    return order
 
 
 def _float_eigenkeys(q) -> np.ndarray:
@@ -232,15 +255,18 @@ def _float_eigenkeys(q) -> np.ndarray:
 
 def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
     """All m in Z^dim with sum (2 pi m_i / L_i)^2 <= cutoff^2, ordered by
-    eigenkey (|m|^2 for equal periods), then lexicographically."""
+    eigenkey (|m|^2 for equal periods), then lexicographically: the stable
+    order of the keys, by _key_order's packed sort (its stable argsort
+    where a key does not pack), with the rows gathered by np.take."""
     scale = np.array([2.0 * pi / L for L in periods])
     labels, q = _lattice_points(scale, cutoff, budget)
     if np.all(scale == scale[0]):
         keys = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
     else:
         keys = _float_eigenkeys(q)
-    order = np.argsort(keys, kind="stable")
-    return labels[order], np.sqrt(q)[order], keys[order]
+    order = _key_order(keys)
+    return (np.take(labels, order, axis=0), np.sqrt(q)[order],
+            keys[order])
 
 
 # --------------------------------------------------------------------------
@@ -316,13 +342,16 @@ def enumerate_spectrum(pair: ManifoldPair, lambda_max: float, *,
                        budget: int = MODE_BUDGET_DEFAULT) -> SpectrumSlice:
     """All modes of M with frequency <= lambda_max and of H up to h_cutoff.
 
-    h_cutoff defaults to lambda_max.  Raises ResourceGuardError, before
-    allocating, when the mode count (spheres) or a step's lattice
-    candidates (tori, see _lattice_points) would exceed the budget.
+    h_cutoff defaults to lambda_max; both must be finite.  Raises
+    ResourceGuardError, before allocating, when the mode count (spheres) or
+    a step's lattice candidates (tori, see _lattice_points) would exceed
+    the budget.
     """
-    if lambda_max <= 0:
-        raise ValidationError("lambda_max must be > 0")
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValidationError("lambda_max must be finite and > 0")
     h_cut = float(h_cutoff) if h_cutoff is not None else float(lambda_max)
+    if not math.isfinite(h_cut):
+        raise ValidationError("h_cutoff must be finite")
     if pair.kind == "torus":
         m_lab, m_fr, m_key = _enumerate_torus_lattice(pair.torus_periods,
                                                       lambda_max, budget)

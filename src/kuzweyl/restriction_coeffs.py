@@ -52,6 +52,7 @@ from .model_spectra import (
     _float_eigenkeys,
     _guard,
     _harmonic_dims,
+    _key_order,
     _run_positions,
     _sphere_degree_max,
     _sphere_frequency,
@@ -172,9 +173,10 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     k = lookup[np.ravel_multi_index(proj.T, dims)]
     del proj
     j = np.arange(slice_.m_count, dtype=np.int64)
-    v = np.full(len(j), _inverse_transverse_volume(pair))
-    j, k, v = _drop_tiny(j, k, v)
-    return _with_rows(slice_, j, k, v)
+    value = _inverse_transverse_volume(pair)
+    if not value > 1e-14:  # _drop_tiny's rule, decided once for every entry
+        j, k = j[:0], k[:0]
+    return _with_rows(slice_, j, k, np.full(len(j), value))
 
 
 # --------------------------------------------------------------------------
@@ -257,8 +259,10 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     """One row per shell pair (A, B) of the factor lattices Z^d x Z^(n-d)
     with A + B <= lambda_max^2, weight r_H(A) r_T(B) / Vol(T^(n-d)).
 
-    Equal periods give integer keys A + B (as the mode enumeration's keys);
-    other periods the enumeration's clustered squared-frequency keys.
+    Equal periods give integer keys A + B (as the mode enumeration's keys),
+    and lam is a function of the key, so the rows take the stable key order
+    of _key_order's packed sort.  Other periods give the enumeration's
+    clustered squared-frequency keys, and the rows sort by key, then lam.
     """
     d = pair.d
     scale = 2.0 * pi / np.array(pair.torus_periods)
@@ -275,8 +279,11 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     a, b = a[ia], b[ib]
     q = a + b
     lam, mu = unit * np.sqrt(q), unit * np.sqrt(a)
-    key = q if uniform else _float_eigenkeys(q)
-    order = np.lexsort((lam, key))
+    if uniform:
+        key, order = q, _key_order(q)
+    else:
+        key = _float_eigenkeys(q)
+        order = np.lexsort((lam, key))
     need = max(need_h, need_t, pairs)
     return lam[order], mu[order], weight[order], key[order], need
 
@@ -303,8 +310,8 @@ def build_table(pair: ManifoldPair, lambda_max: float, *,
     Raises ResourceGuardError, before allocating, when a coordinate's range,
     the shell pairs of a step or the rows would exceed the budget.
     """
-    if lambda_max <= 0:
-        raise ValidationError("lambda_max must be > 0")
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValidationError("lambda_max must be finite and > 0")
     lam_max = float(lambda_max)
     rows = _torus_rows if pair.kind == "torus" else _sphere_rows
     return RowTable(pair, lam_max, *rows(pair, lam_max, budget))
@@ -384,7 +391,6 @@ def load_or_build(pair: ManifoldPair, lambda_max: float, cache_dir: str, *,
     rebuilds (and replaces the file) on a miss or a stale file, and warns
     CacheCorruptionWarning before rebuilding over a damaged one.  A hit
     raises ResourceGuardError exactly when the build would."""
-    os.makedirs(cache_dir, exist_ok=True)
     lam_max = float(lambda_max)
     path = os.path.join(cache_dir, f"rows-{_cache_key(pair, lam_max)}.bin")
     if os.path.exists(path):
@@ -396,5 +402,6 @@ def load_or_build(pair: ManifoldPair, lambda_max: float, cache_dir: str, *,
             warnings.warn(f"cache file {path} unusable ({exc}); rebuilding",
                           CacheCorruptionWarning)
     table = build_table(pair, lam_max, budget=budget)
+    os.makedirs(cache_dir, exist_ok=True)
     _save_rows(table, path)
     return table

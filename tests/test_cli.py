@@ -242,14 +242,29 @@ def test_pair_spec_validation():
     ["fit", "--in", "missing.csv", "--window", "20:90"],
     ["fit", "--in", "short.csv", "--window", "20:90"],
     ["run", "--config", "bad-window.ini"],
+    ["coeffs", "--lmax", "inf"],
+    ["coeffs", "--lmax", "nan"],
+    ["spectrum", "--pair", "torus:2,1", "--lmax", "nan"],
+    ["sums", "--psi", "fejer:a=1", "--lgrid", "1:inf:3"],
+    ["sums", "--psi", "fejer:a=nan", "--lgrid", "10:60:10"],
+    ["sums", "--psi", "fejer:a=inf", "--lgrid", "10:60:10"],
+    ["sums", "--psi", "fejer:a=1", "--lgrid", "1:2:3:linear"],
+    ["sums", "--psi", "fejer:a=1", "--lgrid", "1:2:3:log"],
+    ["sums", "--psi", "fejer:a=1", "--lgrid", "1:2:3:lin:x"],
+    ["spectrum", "--pair", "torus:2,1:degree", "--lmax", "3"],
 ], ids=["psi-number", "grid-count", "psi-key", "tgrid", "metric-dim",
         "metric-colons", "metric-float", "negative-points", "fit-window",
-        "fit-window-colons", "fit-missing-csv", "fit-short-row", "run-window"])
+        "fit-window-colons", "fit-missing-csv", "fit-short-row", "run-window",
+        "lmax-inf", "lmax-nan", "spectrum-lmax-nan", "grid-inf", "psi-nan",
+        "psi-inf", "grid-linear", "grid-log", "grid-lin-extra",
+        "torus-normalization"])
 def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
                                                capsys):
-    # each once ended in a traceback (bad numbers, an unreadable CSV) or was
-    # silently replaced (an unknown key by a = 1, a colon-free t grid by
-    # linspace(0, 8, 257)); the fit inputs are sound apart from the one flaw
+    # each once ended in a traceback (bad numbers, an unreadable CSV, a
+    # non-finite lambda_max) or was silently replaced or ignored (an unknown
+    # key by a = 1, a colon-free t grid by linspace(0, 8, 257), a NaN window
+    # by a CSV of NaN, an unknown grid or pair field); the fit inputs are
+    # sound apart from the one flaw
     monkeypatch.chdir(tmp_path)
     grid = np.geomspace(20, 90, 12)
     SumTable(pair={}, c=1.0, test={}, rho=None, lambda_grid=grid,
@@ -258,9 +273,10 @@ def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
     _write_config(tmp_path, CONFIG.replace("window = 20:90", "window = abc"),
                   "bad-window.ini")
     table = ["--pair", "torus:2,1", "--cache-dir", "cache"]
-    extra = {"sums": [*table, "--c", "1.0"], "trace": table, "hadamard": [],
-             "run": ["--cache-dir", "cache", "--out-dir", "out"]}
-    out = ["--out", "out.csv"] if argv[0] in ("sums", "trace", "hadamard") else []
+    extra = {"sums": [*table, "--c", "1.0"], "trace": table, "coeffs": table,
+             "hadamard": [], "run": ["--cache-dir", "cache", "--out-dir", "out"]}
+    takes_out = ("sums", "trace", "hadamard", "coeffs", "spectrum")
+    out = ["--out", "out.csv"] if argv[0] in takes_out else []
     rc = main([*argv, *extra.get(argv[0], []), *out])
     assert rc == 1
     err = capsys.readouterr().err

@@ -233,6 +233,16 @@ def test_make_test_function_validation():
         make_test_function("fejer", 0.0)
 
 
+@pytest.mark.parametrize("kind", ["fejer", "bumpsquare", "sharp"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_test_function_rejects_non_finite_parameters(kind, bad):
+    # a NaN or infinite a once passed and gave sums of NaN
+    with pytest.raises(ValidationError):
+        make_test_function(kind, bad)
+    with pytest.raises(ValidationError):
+        make_test_function(kind, 1.0, scale=bad)
+
+
 def test_dominating_function_sandwich_pointwise():
     eps = 0.5
     psi = dominating_test_function(eps, a=1.0)

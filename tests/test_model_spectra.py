@@ -16,6 +16,7 @@ from kuzweyl.model_spectra import (
     _enumerate_torus_lattice,
     _harmonic_count,
     _harmonic_dims,
+    _key_order,
     _lattice_points,
     _sphere_degree_max,
     _sphere_frequency,
@@ -342,6 +343,54 @@ def test_lambda_max_validation():
         enumerate_spectrum(torus_pair(2, 1), -1.0)
     with pytest.raises(ValidationError):
         difference_spectrum(enumerate_spectrum(torus_pair(2, 1), 2.0), 1.5)
+
+
+@pytest.mark.parametrize("pair", [torus_pair(2, 1), sphere_pair(2, 1)])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_enumerate_spectrum_rejects_non_finite_cutoffs(pair, bad):
+    # an infinite cutoff once overflowed in int(), a NaN one raised from
+    # numpy; both are validation errors now, for either cutoff
+    with pytest.raises(ValidationError):
+        enumerate_spectrum(pair, bad)
+    with pytest.raises(ValidationError):
+        enumerate_spectrum(pair, 3.0, h_cutoff=bad)
+
+
+@pytest.mark.parametrize("keys", [
+    np.zeros(0, dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.random.default_rng(1).integers(0, 5, 5000),
+    np.random.default_rng(2).integers(0, 2**40, 3000),
+], ids=["empty", "one", "ties", "spread"])
+def test_key_order_is_the_stable_argsort(keys):
+    got, want = _key_order(keys), np.argsort(keys, kind="stable")
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 1000, 1025])
+@pytest.mark.parametrize("past_top", [0, 1], ids=["packs", "fallback"])
+def test_key_order_at_the_packing_limit(n, past_top):
+    # n keys pack above a (n - 1).bit_length()-bit index while the largest
+    # key fits in the 63 - shift bits left; one more takes the stable
+    # argsort, where packing would overflow into the sign bit
+    top = (1 << (63 - (n - 1).bit_length())) - 1 + past_top
+    keys = np.random.default_rng(n).integers(0, 4, n)
+    keys[::3] = top
+    got, want = _key_order(keys), np.argsort(keys, kind="stable")
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_torus_enumeration_memory_bounded():
+    # torus(2,1) at lambda = 300: 282,697 modes, one int64 packed-key array
+    # beside the keys while they sort; peaks at about 15.8 MB
+    tracemalloc.start()
+    try:
+        slc = enumerate_spectrum(torus_pair(2, 1), 300.0, h_cutoff=311.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slc.m_count == 282_697
+    assert peak <= 17e6
 
 
 def test_json_roundtrip():

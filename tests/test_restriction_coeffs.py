@@ -438,6 +438,28 @@ def test_cache_schema3_file_rebuilds_silently(tmp_path):
         assert header["schema_version"] == SCHEMA_VERSION == 6
 
 
+@pytest.mark.parametrize("pair", [torus_pair(2, 1), sphere_pair(3, 1)])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_build_table_rejects_non_finite_lambda_max(tmp_path, pair, bad):
+    with pytest.raises(ValidationError):
+        build_table(pair, bad)
+    with pytest.raises(ValidationError):
+        load_or_build(pair, bad, str(tmp_path / "cache"))
+    assert not (tmp_path / "cache").exists()  # a failed build writes nothing
+
+
+@pytest.mark.parametrize("pair, lam", [
+    (torus_pair(2, 1), 320.0), (torus_pair(3, 1), 64.0),
+    (torus_pair(3, 2), 64.0), (torus_pair(4, 2), 30.0),
+    (torus_pair(3, 2, (5.0,) * 3), 64.0)])
+def test_equal_period_rows_are_in_lexsort_order(pair, lam):
+    # lam is a function of the integer key for equal periods, so the rows'
+    # stable key order is the (key, lam) order unequal periods sort by
+    table = build_table(pair, lam)
+    order = np.lexsort((table.lam, table.key))
+    assert np.array_equal(order, np.arange(len(order)))
+
+
 def test_build_table_sphere_dispatch():
     table = build_table(sphere_pair(2, 1), 6.0)
     assert table.pair.kind == "sphere"
