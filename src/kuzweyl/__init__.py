@@ -59,8 +59,8 @@ from .oscillatory_models import (
     PhaseProblem,
     double_bessel,
     hadamard_transport,
-    hessian_model,
     model_integral,
+    model_integral_leading,
     sphere_wave_kernel,
     stationary_phase_leading,
 )

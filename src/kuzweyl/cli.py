@@ -211,9 +211,9 @@ def _cmd_model_integral(args) -> int:
     for lam in lams:
         res = model_integral(args.n, args.d, float(lam), window=psi)
         rows.append((float(lam), res.value.real, res.value.imag,
-                     abs(res.value)))
+                     abs(res.value), res.achieved, res.panels))
     out = args.out or os.path.join(_out_dir(), "model-integral.csv")
-    _write_csv(out, ["lambda", "re", "im", "abs"], rows)
+    _write_csv(out, ["lambda", "re", "im", "abs", "achieved", "panels"], rows)
     print(f"wrote {out}")
     return 0
 

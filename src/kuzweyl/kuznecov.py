@@ -252,6 +252,8 @@ def dominating_test_function(eps: float, a: float = 1.0) -> TestFunction:
     Square construction scaled so min over [-eps, eps] is exactly 1; needs
     the first zero of psi beyond eps.
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValidationError(f"need a finite eps >= 0, got {eps}")
     m = float(np.min(TestFunction("bumpsquare", a).psi(
         np.linspace(0.0, eps, 512))))
     if m <= 0.0:

@@ -3,8 +3,8 @@
 Contents: the double-Bessel integral over a product of spheres and its
 product closed form; the model blow-down oscillatory integral over
 B_1(R^{n-1}) x R^d with phase sum y_j x_j - (1/2) y_d |x|^2 and its scaling
-law; a nondegenerate stationary-phase engine with a brute-quadrature error
-probe; the model-phase Hessian block facts; the Hadamard transport
+law, and its leading stationary-phase term for windows supported away from
+0; a nondegenerate stationary-phase engine; the Hadamard transport
 recursion on round spheres, by exact power series in r^2/pi^2 up to the
 supported radius SPHERE_R_MAX = 3.1; and the exact sphere wave kernel.
 
@@ -46,11 +46,10 @@ __all__ = [
     "ModelCutoff",
     "ModelIntegralResult",
     "model_integral",
+    "model_integral_leading",
     "CriticalPoint",
     "PhaseProblem",
     "stationary_phase_leading",
-    "ModelHessian",
-    "hessian_model",
     "RadialMetric",
     "HadamardCoefficients",
     "hadamard_transport",
@@ -211,6 +210,8 @@ class ModelCutoff:
     width_tangent: float = None
 
     def __post_init__(self):
+        if not self.d >= 1:
+            raise ValidationError(f"need cutoff dimension d >= 1, got {self.d}")
         w = self.width if self.width is not None else 0.98 / math.sqrt(self.d)
         p = self.plateau if self.plateau is not None else 0.5 * w
         wt = self.width_tangent if self.width_tangent is not None else w
@@ -319,6 +320,22 @@ def _model_integral_once(n: int, d: int, lam: float, cutoff: ModelCutoff,
     return complex(np.sum(w_rho * G * K * rho ** (n - 2))), len(bks) - 1
 
 
+def _model_cutoff(n: int, d: int, lam: float, cutoff) -> ModelCutoff:
+    """The model integral's argument checks; the cutoff, ModelCutoff(d=d)
+    by default."""
+    if d < 1 or n <= d:
+        raise ValidationError("need 1 <= d < n")
+    if d > 2:
+        raise ValidationError("model integral implemented for d <= 2 "
+                              "(desk-scale dimension cap)")
+    if lam <= 0:
+        raise ValidationError("need lambda > 0")
+    cutoff = cutoff if cutoff is not None else ModelCutoff(d=d)
+    if cutoff.d != d:
+        raise ValidationError(f"cutoff built for d = {cutoff.d}, not d = {d}")
+    return cutoff
+
+
 def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
                    window=None, rel_tol: float = 1e-6) -> ModelIntegralResult:
     """The model oscillatory integral over B_1(R^{n-1}) x R^d with phase
@@ -350,14 +367,7 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
     the returned value; AccuracyError is raised when it exceeds rel_tol.
     `panels` counts the fine pass's radial panels.
     """
-    if d < 1 or n <= d:
-        raise ValidationError("need 1 <= d < n")
-    if d > 2:
-        raise ValidationError("model integral implemented for d <= 2 "
-                              "(desk-scale dimension cap)")
-    if lam <= 0:
-        raise ValidationError("need lambda > 0")
-    cutoff = cutoff if cutoff is not None else ModelCutoff(d=d)
+    cutoff = _model_cutoff(n, d, lam, cutoff)
     if window is None:
         psi_hat = lambda s: np.ones_like(np.asarray(s, dtype=float))
         a_supp = cutoff.width
@@ -374,6 +384,27 @@ def model_integral(n: int, d: int, lam: float, cutoff: ModelCutoff = None,
             achieved=achieved)
     return ModelIntegralResult(value=complex(fine), achieved=float(achieved),
                                panels=panels)
+
+
+def model_integral_leading(n: int, d: int, lam: float,
+                           cutoff: ModelCutoff = None, window=None) -> complex:
+    """model_integral's leading stationary-phase term for a window psi_hat
+    supported in (0, inf), alpha = (n - d)/2:
+    (2 pi/lam)^{d-1+alpha} e^{-i pi alpha/2} int c(s) psi_hat(s) s^{-alpha} ds.
+    The (y', x') Hessian block [[0, I], [I, -y_d I]] has |det| 1 and
+    signature 0.  The moment takes 64 equal order-12 Gauss-Legendre panels
+    on the support; for bump windows they match 256 order-20 panels to
+    rounding, and each halving of the panel count costs about 3 digits."""
+    cutoff = _model_cutoff(n, d, lam, cutoff)
+    win = _window_of(window)
+    lo, hi = win.support
+    if not 0 < lo < hi < math.inf:
+        raise ValidationError("need a window supported in (0, inf)")
+    alpha = 0.5 * (n - d)
+    s, w = composite_gauss_legendre(np.linspace(lo, hi, 65), order=12)
+    moment = np.sum(w * cutoff.profile(s) * win.psi_hat(s) * s ** -alpha)
+    return complex((2.0 * pi / lam) ** (d - 1 + alpha)
+                   * np.exp(-0.5j * pi * alpha) * moment)
 
 
 # --------------------------------------------------------------------------
@@ -461,42 +492,6 @@ def stationary_phase_leading(problem: PhaseProblem, lam: float) -> complex:
                   * np.exp(1j * pi * cp.signature / 4.0)
                   * np.exp(1j * lam * s0) * a0)
     return complex(total)
-
-
-# --------------------------------------------------------------------------
-# model-phase Hessian facts
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelHessian:
-    """The 2(d-1)-variable Hessian block [[0, I], [I, -y_d I]].
-
-    `det` follows the displayed convention (paired column swap), equal to 1
-    for every d and y_d; `signed_det` is the raw determinant (-1)^(d-1).
-    The quantity entering stationary phase is |det|^(-1/2) = 1 either way.
-    """
-
-    matrix: np.ndarray
-    det: float
-    signed_det: float
-    signature: int
-    inverse: np.ndarray
-
-
-def hessian_model(n: int, d: int, y_d: float) -> ModelHessian:
-    k = d - 1
-    eye = np.eye(k)
-    zero = np.zeros((k, k))
-    mat = np.block([[zero, eye], [eye, -y_d * eye]]) if k else np.zeros((0, 0))
-    inv = np.block([[y_d * eye, eye], [eye, zero]]) if k else np.zeros((0, 0))
-    signed = float(np.linalg.det(mat)) if k else 1.0
-    if k:
-        eig = np.linalg.eigvalsh(mat)
-        signature = int(np.sum(eig > 0) - np.sum(eig < 0))
-    else:
-        signature = 0
-    return ModelHessian(matrix=mat, det=abs(signed), signed_det=signed,
-                        signature=signature, inverse=inv)
 
 
 # --------------------------------------------------------------------------

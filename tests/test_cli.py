@@ -122,6 +122,34 @@ def test_double_bessel_command(tmp_path):
     assert all(float(r.split(",")[3]) < 1e-8 for r in rows[1:])
 
 
+def test_model_integral_command(tmp_path):
+    out = str(tmp_path / "mi.csv")
+    rc = main(["model-integral", "--n", "3", "--d", "1", "--lgrid",
+               "20:40:3", "--psi", "fejer:a=0.6", "--out", out])
+    assert rc == 0
+    rows = open(out).read().strip().splitlines()
+    assert rows[0] == "lambda,re,im,abs,achieved,panels"
+    assert len(rows) == 4
+    for row in rows[1:]:
+        lam, re, im, ab, achieved, panels = row.split(",")
+        assert float(ab) == pytest.approx(math.hypot(float(re), float(im)))
+        assert 0.0 <= float(achieved) <= 1e-6
+        assert int(panels) >= 1
+
+
+@pytest.mark.parametrize("extra", [["--d", "3"],
+                                   ["--d", "1", "--psi", "sharp:eps=0.5"]])
+def test_model_integral_command_rejects(extra, tmp_path, capsys):
+    # d > 2 is beyond the dimension cap, and the indicator's psi_hat has
+    # no compact support
+    out = tmp_path / "mi.csv"
+    rc = main(["model-integral", "--n", "4", "--lgrid", "20:40:3",
+               "--out", str(out)] + extra)
+    assert rc == 1
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hadamard_command(tmp_path):
     out = str(tmp_path / "had.csv")
     rc = main(["hadamard", "--metric", "sphere:3", "--jmax", "1",

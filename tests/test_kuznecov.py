@@ -11,7 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kuzweyl import kuznecov
-from kuzweyl.errors import TruncationRiskError, ValidationError
+from kuzweyl.errors import (
+    TailBoundWarning,
+    TruncationRiskError,
+    ValidationError,
+)
 from kuzweyl.kuznecov import (
     _entry_weights,
     averaged_sharp_sum,
@@ -170,6 +174,12 @@ def test_dominating_window_then_large_sum_is_one_fft(monkeypatch):
     psi = dominating_test_function(0.5)
     psi.psi(311.0)
     assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("eps", [-0.5, math.nan, math.inf])
+def test_dominating_window_rejects_bad_eps(eps):
+    with pytest.raises(ValidationError):
+        dominating_test_function(eps)
 
 
 def test_bumpsquare_grid_growth(monkeypatch):
@@ -446,7 +456,9 @@ def test_doubly_smoothed_recovers_jump_profile(torus21_table):
     approx = []
     for a_rho in (20.0, 60.0):
         rho = make_test_function("fejer", a_rho)
-        st = doubly_smoothed_sum(torus21_table, psi, rho, np.array([lam_j]))
+        # the wide Fejer rho's tail reaches past the table's cutoff
+        with pytest.warns(TailBoundWarning):
+            st = doubly_smoothed_sum(torus21_table, psi, rho, np.array([lam_j]))
         approx.append(st.values[0] * 2 * PI / a_rho)
     assert abs(approx[1] - J) < abs(approx[0] - J)
     assert approx[1] == pytest.approx(J, rel=0.15)

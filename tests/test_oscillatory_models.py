@@ -26,8 +26,8 @@ from kuzweyl.oscillatory_models import (
     _zeta_even,
     double_bessel,
     hadamard_transport,
-    hessian_model,
     model_integral,
+    model_integral_leading,
     sphere_wave_kernel,
     sphere_zonal_sum,
     stationary_phase_leading,
@@ -247,23 +247,27 @@ def test_model_integral_window_ratio_matches_pairing():
     assert abs(v1 / v2 - expected) / abs(expected) < 0.05
 
 
+_SP_CASES = {
+    # criterion 8's cutoffs and shifted-bump windows
+    (3, 1): (ModelCutoff(d=1, width=0.98, plateau=0.75),
+             shifted_bump_window(0.3, 0.6)),
+    (3, 2): (ModelCutoff(d=2, width=0.69, taper="bump", width_tangent=0.25),
+             shifted_bump_window(0.35, 0.65)),
+    (4, 2): (ModelCutoff(d=2, width=0.69, taper="bump", width_tangent=0.25),
+             shifted_bump_window(0.35, 0.65)),
+}
+
+
 def test_model_integral_sp_agreement_31():
     # psi_hat supported away from 0 inside the cutoff plateau: the phase is
     # exactly quadratic in the remaining variables, so the model integral
     # agrees with the stationary-phase prediction up to boundary terms that
     # decay faster than any relevant power
-    from kuzweyl.oscillatory_models import ModelCutoff
-
-    n, d = 3, 1
-    win = shifted_bump_window(0.3, 0.6)
-    cutoff = ModelCutoff(d=1, width=0.98, plateau=0.75)
-    x, w = composite_gauss_legendre(np.linspace(0.3, 0.6, 17), order=12)
-    moment = np.sum(w * win.psi_hat(x) * x ** (-(n - 1) / 2.0))
+    cutoff, win = _SP_CASES[(3, 1)]
     errs = []
     for lam in (60.0, 100.0, 200.0):
-        got = model_integral(n, d, lam, cutoff=cutoff, window=win).value
-        pred = ((2 * PI / lam) ** ((n - 1) / 2.0)
-                * np.exp(-1j * (n - 1) * PI / 4.0) * moment)
+        got = model_integral(3, 1, lam, cutoff=cutoff, window=win).value
+        pred = model_integral_leading(3, 1, lam, cutoff=cutoff, window=win)
         errs.append(abs(got - pred) / abs(pred))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.03
@@ -273,22 +277,55 @@ def test_model_integral_sp_agreement_42_order():
     # with a curved (non-plateau) cutoff the first stationary-phase
     # correction is alive; agreement with the leading prediction is
     # O(1/lambda) relative: lambda * err stays bounded across the ladder
-    from kuzweyl.oscillatory_models import ModelCutoff
-
-    co = ModelCutoff(d=2, width=0.69, taper="bump", width_tangent=0.25)
-    win = shifted_bump_window(0.35, 0.65)
-    x, w = composite_gauss_legendre(np.linspace(0.35, 0.65, 17), order=12)
-    moment = np.sum(w * co.profile(x) * win.psi_hat(x) / x)
+    co, win = _SP_CASES[(4, 2)]
     lams = np.geomspace(20, 200, 8)
     errs = []
     for lam in lams:
         got = model_integral(4, 2, float(lam), cutoff=co, window=win,
                              rel_tol=1e-5).value
-        pred = (2 * PI / lam) ** 2 * np.exp(-1j * PI / 2) * moment
+        pred = model_integral_leading(4, 2, float(lam), cutoff=co, window=win)
         errs.append(abs(got - pred) / abs(pred))
     scaled = np.asarray(errs) * np.asarray(lams)
     assert np.max(scaled) < 40.0
     assert errs[-1] < 0.05
+
+
+@pytest.mark.parametrize("n, d", sorted(_SP_CASES))
+def test_model_integral_leading_error_is_order_one_over_lambda(n, d):
+    # alpha <= 1: got/pred = 1 + O(1/lambda); measured max 10.9 at (4,2),
+    # lambda = 100
+    co, win = _SP_CASES[(n, d)]
+    for lam in (100.0, 200.0, 400.0):
+        got = model_integral(n, d, lam, cutoff=co, window=win,
+                             rel_tol=1e-6 if d == 1 else 1e-5).value
+        pred = model_integral_leading(n, d, lam, cutoff=co, window=win)
+        assert lam * abs(got / pred - 1.0) <= 20.0
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (4, 2)])
+def test_model_integral_leading_matches_inline_moment(n, d):
+    # the hand-written formula with the 16-panel, order-12 moment (the less
+    # converged side: 5e-11 from a 256-panel, order-20 rule); the (3,1)
+    # plateau profile is exactly 1 on the window, as the old formula took it
+    co, win = _SP_CASES[(n, d)]
+    lo, hi = win.support
+    x, w = composite_gauss_legendre(np.linspace(lo, hi, 17), order=12)
+    moment = np.sum(w * co.profile(x) * win.psi_hat(x) / x)
+    for lam in (60.0, 200.0):
+        pred = (2 * PI / lam) ** d * np.exp(-1j * PI / 2) * moment
+        got = model_integral_leading(n, d, lam, cutoff=co, window=win)
+        assert abs(got - pred) <= 1e-10 * abs(pred)
+
+
+def test_model_integral_leading_needs_window_away_from_zero():
+    co, _ = _SP_CASES[(4, 2)]
+    with pytest.raises(ValidationError):
+        model_integral_leading(4, 2, 50.0, cutoff=co)  # no window
+    for bad in (make_test_function("fejer", 0.6),
+                shifted_bump_window(-0.1, 0.5),
+                shifted_bump_window(0.2, math.inf)):
+        with pytest.raises(ValidationError):
+            model_integral_leading(4, 2, 50.0, cutoff=co, window=bad)
 
 
 def _no_window(s):
@@ -412,13 +449,27 @@ def test_model_integral_accuracy_error():
 
 
 def test_model_integral_validation():
+    # the leading term shares the integral's argument checks
+    win = shifted_bump_window(0.35, 0.65)
+    for fn in (model_integral, model_integral_leading):
+        with pytest.raises(ValidationError):
+            fn(3, 3, 50.0, window=win)
+        with pytest.raises(ValidationError):
+            fn(5, 3, 50.0, window=win)  # d > 2 unsupported at desk scale
+        with pytest.raises(ValidationError):
+            fn(4, 2, 0.0, window=win)
+        with pytest.raises(ValidationError):
+            # the indicator's psi_hat is not compactly supported
+            fn(3, 1, 50.0, window=make_test_function("sharp", 0.5))
+        with pytest.raises(ValidationError):
+            # a cutoff built for another dimension
+            fn(4, 2, 20.0, cutoff=ModelCutoff(d=1), window=win)
+
+
+@pytest.mark.parametrize("d", [0, -1, 0.5])
+def test_model_cutoff_rejects_dimension_below_one(d):
     with pytest.raises(ValidationError):
-        model_integral(3, 3, 50.0)
-    with pytest.raises(ValidationError):
-        model_integral(5, 3, 50.0)  # d > 2 unsupported at desk scale
-    with pytest.raises(ValidationError):
-        # the indicator's psi_hat is not compactly supported
-        model_integral(3, 1, 50.0, window=make_test_function("sharp", 0.5))
+        ModelCutoff(d=d)
 
 
 # --------------------------------------------------------- stationary phase
@@ -525,33 +576,6 @@ def test_brute_oracle_guards():
 
 
 # -------------------------------------------------------------- model Hessian
-
-def test_hessian_model_block_structure():
-    hm = hessian_model(4, 2, 0.0)
-    assert np.array_equal(hm.matrix, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert hm.det == 1.0  # displayed convention (paired column swap)
-    assert hm.signed_det == pytest.approx(-1.0)
-    assert hm.signature == 0
-
-
-def test_hessian_model_inverse_identity():
-    for (n, d, yd) in [(4, 2, 0.0), (5, 3, 0.7), (6, 4, -1.2)]:
-        hm = hessian_model(n, d, yd)
-        k = 2 * (d - 1)
-        assert np.max(np.abs(hm.matrix @ hm.inverse - np.eye(k))) < 1e-14
-        assert hm.det == pytest.approx(1.0, abs=1e-12)
-        assert hm.signature == 0
-        # stated inverse block structure
-        eye = np.eye(d - 1)
-        expected_inv = np.block([[yd * eye, eye], [eye, 0 * eye]])
-        assert np.max(np.abs(hm.inverse - expected_inv)) < 1e-14
-
-
-def test_hessian_model_bounded_as_yd_vanishes():
-    vals = [np.max(np.abs(hessian_model(5, 3, yd).inverse))
-            for yd in (1.0, 0.1, 0.0)]
-    assert all(v <= 1.0 + 1e-12 for v in vals)
-
 
 def test_full_hessian_rank_drop():
     # rank 2d-2 at y = 0 versus n+d-2 at y != 0
