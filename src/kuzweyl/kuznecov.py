@@ -14,10 +14,11 @@ psi and compactly supported psi_hat:
 Windows are immutable values; `support` is psi_hat's compact support (the
 sharp kind has none and raises).  Sums evaluate the cached double sum
 exactly, over a RowTable's rows, one per eigenvalue pair (a per-mode
-CoefficientTable is a RowTable); the contribution beyond
-mu_k > c*lambda_j + 10a is reported as `tail_fraction` metadata.  No sum
-is truncated in mu: a restricted M-mode meets one H-mode, with
-mu_k <= lambda_j (so `tail_fraction` is 0 at c = 1), and a table up to
+CoefficientTable is a RowTable), and sharp sums only over the band
+|c lambda_j - mu_k| <= eps: every other row adds an exact 0.0.  The
+contribution beyond mu_k > c*lambda_j + 10a is reported as `tail_fraction`
+metadata.  No sum is truncated in mu: a restricted M-mode meets one H-mode,
+with mu_k <= lambda_j (so `tail_fraction` is 0 at c = 1), and a table up to
 lambda_max holds every term up to lambda_max; a grid beyond it raises
 TruncationRiskError.
 """
@@ -229,14 +230,14 @@ class TestFunction:
         else:
             # (a/4pi) B(t), t = 2|s|/a: the integrand of B = bump * bump is
             # symmetric about v = t/2, so B = 2 int_{t/2}^{1} bump(v)
-            # bump(t - v) dv, here by 12 Gauss-Legendre panels of order 16
+            # bump(t - v) dv, by 12 Gauss-Legendre panels of order 16 per |s|
             out = np.zeros_like(s)
             m = np.abs(s) < self.a
             x, w = composite_gauss_legendre(np.linspace(0.0, 1.0, 13), order=16)
-            t = np.abs(2.0 * s[m] / self.a)[:, None]
-            v = 0.5 * t + (1.0 - 0.5 * t) * x
-            out[m] = ((self.a / (2.0 * pi)) * (1.0 - 0.5 * t[:, 0])
-                      * ((_bump(v) * _bump(t - v)) @ w))
+            t, inv = np.unique(np.abs(2.0 * s[m] / self.a), return_inverse=True)
+            v = 0.5 * t[:, None] + (1.0 - 0.5 * t[:, None]) * x
+            out[m] = ((self.a / (2.0 * pi)) * (1.0 - 0.5 * t)
+                      * ((_bump(v) * _bump(t[:, None] - v)) @ w))[inv]
         out = out * self.scale
         return float(out[0]) if scalar else out
 
@@ -310,12 +311,9 @@ class SumTable:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
 
 
-def _entry_weights(table: RowTable, c: float, psi: TestFunction):
-    lam, mu = table.lam, table.mu
-    return lam, mu, psi.psi(c * lam - mu) * table.weight
-
-
-def _check_grid(table: RowTable, grid):
+def _check_args(table: RowTable, c: float, grid):
+    if not 0.0 <= c <= 1.0:
+        raise ValidationError("need 0 <= c <= 1")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValidationError("lambda grid must be strictly increasing")
@@ -330,10 +328,16 @@ def _check_grid(table: RowTable, grid):
 def _cumulate(lam, w, grid):
     """Running sums of the row weights w, rows in M-frequency order,
     read at each grid point; and their total."""
-    csum = np.cumsum(w)
+    csum = np.zeros(len(w) + 1)  # csum[i]: the sum of the first i rows
+    np.cumsum(w, out=csum[1:])
     idx = np.searchsorted(lam, grid * (1 + 1e-15), side="right")
-    total = float(csum[-1]) if len(csum) else 0.0
-    return np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0), total
+    return csum[idx], float(csum[-1])
+
+
+def _band(table: RowTable, c: float, eps: float):
+    """lam, mu and weight of the band rows |c lambda_j - mu_k| <= eps."""
+    rows = np.flatnonzero(np.abs(c * table.lam - table.mu) <= eps)
+    return table.lam[rows], table.mu[rows], table.weight[rows]
 
 
 def kuznecov_sum(table: RowTable, c: float, psi: TestFunction,
@@ -341,17 +345,17 @@ def kuznecov_sum(table: RowTable, c: float, psi: TestFunction,
     """N^c(lambda) = sum_{lambda_j <= lambda} sum_k psi(c lambda_j - mu_k) |coeff|^2.
 
     The argument order c*lambda_j - mu_k is fixed; rows are cumulated in
-    M-frequency order so the grid values come from one pass.  The variant
+    M-frequency order (the sharp kind's band only) in one pass.  The variant
     is "sharp-sharp" for the sharp kind, else "smooth-sharp".  Tables hold
     mu_k <= lambda_j, so `tail_fraction` is 0 for every c = 1 sum.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError("need 0 <= c <= 1")
-    grid = _check_grid(table, lambda_grid)
-    lam, mu, w = _entry_weights(table, c, psi)
+    grid = _check_args(table, c, lambda_grid)
+    lam, mu, weight = (_band(table, c, psi.a) if psi.kind == "sharp" else
+                       (table.lam, table.mu, table.weight))
+    w = psi.psi(c * lam - mu) * weight
     vals, total = _cumulate(lam, w, grid)
     tail_mask = mu > c * lam + 10.0 * psi.a
-    tail = float(np.sum(np.abs(w[tail_mask]))) if len(w) else 0.0
+    tail = float(np.sum(np.abs(w[tail_mask])))
     meta = {"tail_fraction": tail / total if total > 0 else 0.0}
     variant = "sharp-sharp" if psi.kind == "sharp" else "smooth-sharp"
     return SumTable(pair=table.pair.to_dict(), c=c, test=psi.descriptor(),
@@ -370,17 +374,15 @@ def averaged_sharp_sum(table: RowTable, c: float, eps: float,
                        lambda_grid, jitter: float = 0.1,
                        samples: int = 5) -> SumTable:
     """Mean of sharp sums over eps * (1 +- jitter), damping the jumps the
-    sharp window suffers at special eps values; one pass serves every eps."""
+    sharp window suffers at special eps values; one band serves every eps."""
     if samples < 1:
         raise ValidationError("need >= 1 sample")
     eps_vals = np.linspace(eps * (1 - jitter), eps * (1 + jitter), samples)
     if eps_vals.min() < 0:
         raise ValidationError("eps must be >= 0")
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError("need 0 <= c <= 1")
-    grid = _check_grid(table, lambda_grid)
-    lam, weight = table.lam, table.weight
-    dist = np.abs(c * lam - table.mu)
+    grid = _check_args(table, c, lambda_grid)
+    lam, mu, weight = _band(table, c, eps_vals.max())
+    dist = np.abs(c * lam - mu)
     acc = sum(_cumulate(lam, (dist <= e) * weight, grid)[0] for e in eps_vals)
     # the indicator vanishes beyond mu_k > c lambda_j + eps: no tail
     return SumTable(pair=table.pair.to_dict(), c=c,
@@ -399,12 +401,12 @@ def _eigenspaces(table: RowTable, psi: TestFunction):
     keys.  Returns the eigenvalues (that of the run's first row) and the
     summed weights.
     """
-    lam, mu, w = _entry_weights(table, 1.0, psi)
+    w = psi.psi(table.lam - table.mu) * table.weight
     keys = table.key
     new_key = np.ones(len(keys), dtype=bool)
     new_key[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(new_key)
-    return lam[starts], np.add.reduceat(w, starts)
+    return table.lam[starts], np.add.reduceat(w, starts)
 
 
 def _as_test_function(window) -> TestFunction:

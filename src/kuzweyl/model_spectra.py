@@ -261,7 +261,7 @@ def _enumerate_torus_lattice(periods, cutoff: float, budget: int):
     scale = np.array([2.0 * pi / L for L in periods])
     labels, q = _lattice_points(scale, cutoff, budget)
     if np.all(scale == scale[0]):
-        keys = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
+        keys = sum(np.square(m, dtype=np.int64) for m in labels.T)  # |m|^2
     else:
         keys = _float_eigenkeys(q)
     order = _key_order(keys)

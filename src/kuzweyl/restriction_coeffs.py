@@ -121,11 +121,6 @@ class CoefficientTable(RowTable):
         return len(self.values)
 
 
-def _drop_tiny(j, k, v):
-    keep = v > 1e-14
-    return j[keep], k[keep], v[keep]
-
-
 def _with_rows(slice_: SpectrumSlice, j, k, v) -> CoefficientTable:
     """The slice's entries (j, k, v) with build_table's rows; each count the
     row builders guard (a coordinate's range, shell pairs, sphere blocks) is
@@ -174,7 +169,7 @@ def torus_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     del proj
     j = np.arange(slice_.m_count, dtype=np.int64)
     value = _inverse_transverse_volume(pair)
-    if not value > 1e-14:  # _drop_tiny's rule, decided once for every entry
+    if not value > 1e-14:  # the exact-zero rule, decided once for every entry
         j, k = j[:0], k[:0]
     return _with_rows(slice_, j, k, np.full(len(j), value))
 
@@ -220,7 +215,9 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
     k = (np.searchsorted(slice_.h_labels[:, 0], labels[j, 1])
          + labels[j, 3].astype(np.int64))
     start, _, _, c = _sphere_blocks(pair.n, pair.d, int(labels[:, 0].max()))
-    j, k, vals = _drop_tiny(j, k, c[start[labels[j, 0]] + labels[j, 1] // 2])
+    vals = c[start[labels[j, 0]] + labels[j, 1] // 2]
+    keep = vals > 1e-14  # values below are dropped as exact zeros
+    j, k, vals = j[keep], k[keep], vals[keep]
     return _with_rows(slice_, j, k, vals)
 
 
@@ -275,17 +272,14 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     if uniform:  # unit scales: exact integer norms, and their sums the keys
         a, b = a.astype(np.int64), b.astype(np.int64)
     ia, ib, pairs = _shell_pairs(a, b, cutoff * cutoff * (1 + 1e-15), budget)
+    q = a[ia] + b[ib]
+    key = q if uniform else _float_eigenkeys(q)
+    order = _key_order(q) if uniform else np.lexsort((np.sqrt(q), key))
+    ia, ib, q = ia[order], ib[order], q[order]  # the rows formed in order
+    key = q if uniform else key[order]
     weight = (r_h[ia] * r_t[ib]) * _inverse_transverse_volume(pair)
-    a, b = a[ia], b[ib]
-    q = a + b
-    lam, mu = unit * np.sqrt(q), unit * np.sqrt(a)
-    if uniform:
-        key, order = q, _key_order(q)
-    else:
-        key = _float_eigenkeys(q)
-        order = np.lexsort((lam, key))
-    need = max(need_h, need_t, pairs)
-    return lam[order], mu[order], weight[order], key[order], need
+    return (unit * np.sqrt(q), unit * np.sqrt(a[ia]), weight, key,
+            max(need_h, need_t, pairs))
 
 
 def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
@@ -322,9 +316,10 @@ def build_table(pair: ManifoldPair, lambda_max: float, *,
 # --------------------------------------------------------------------------
 
 # A cache file is _MAGIC, a one-line JSON header (the key fields plus the
-# build's budget need), the four row arrays (lam, mu, weight as
-# little-endian float64, key as int64) and the sha256 of everything before
-# it, so any truncation or flipped byte is caught.
+# build's budget need, padded with spaces so that the arrays start at a
+# multiple of 8 bytes and load aligned), the four row arrays (lam, mu,
+# weight as little-endian float64, key as int64) and the sha256 of
+# everything before it, so any truncation or flipped byte is caught.
 _MAGIC = b"kuzweyl rows\n"
 _ROW_DTYPES = ("<f8", "<f8", "<f8", "<i8")
 
@@ -341,16 +336,19 @@ def _cache_key(pair: ManifoldPair, lambda_max: float) -> str:
 
 def _save_rows(table: RowTable, path: str) -> None:
     header = dict(_header(table.pair, table.lambda_max), need=table.need)
-    body = b"".join(
-        [_MAGIC, json.dumps(header).encode(), b"\n"]
-        + [np.ascontiguousarray(arr, dtype=dt).tobytes() for arr, dt in
-           zip((table.lam, table.mu, table.weight, table.key), _ROW_DTYPES)])
+    head = _MAGIC + json.dumps(header).encode()
+    parts = [head + b" " * (-(len(head) + 1) % 8) + b"\n"] + [
+        np.ascontiguousarray(arr, dtype=dt) for arr, dt in
+        zip((table.lam, table.mu, table.weight, table.key), _ROW_DTYPES)]
+    digest = hashlib.sha256()
     tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                         suffix=".tmp")
     try:
         with os.fdopen(tmp_fd, "wb") as fh:
-            fh.write(body)
-            fh.write(hashlib.sha256(body).digest())
+            for part in parts:  # no joined copy: each part hashed, written
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
         os.replace(tmp_path, path)
     finally:
         if os.path.exists(tmp_path):

@@ -18,7 +18,9 @@ pass recomputed by it, the model integral's radial breakpoints by one
 np.linspace per dyadic interval (one repeat over all intervals), the
 x_1-then-R quadrature of the d = 2 model
 integral (batched polar; its G and chat also by the dense transform),
-the damped-ladder half-line transform (contour rotation), the per-mode
+the damped-ladder half-line transform (contour rotation), the sharp and
+averaged sharp sums cumulated over every row (over the eps-band rows
+only), the per-mode
 forms of the jumps, doubly smoothed sums and dual trace
 (per-eigenspace), the per-entry view of a per-mode table (its rows are
 build_table's eigenvalue-pair rows), the meshgrid and lexsort
@@ -37,8 +39,9 @@ the half-line transform, the rank of the full model-phase Hessian, the
 direct sphere plane-wave quadrature with its mpmath Bessel closed form,
 the full difference spectrum, the lattice shell counts r_k(B) by the
 sum over one coordinate, plain-CSV plot data, the brute tensor quadrature of
-an oscillatory integral with its stationary-phase error probe, and the
-per-mode Parseval row sums of a coefficient table.
+an oscillatory integral with its stationary-phase error probe, the
+per-mode Parseval row sums of a coefficient table, and each row's
+window-weighted mass.
 """
 
 import math
@@ -53,7 +56,6 @@ from kuzweyl.kuznecov import (
     SumTable,
     TestFunction,
     _bump,
-    _entry_weights,
     _write_csv,
 )
 from kuzweyl.model_spectra import (
@@ -511,17 +513,41 @@ def eigenvalue_jumps_argsort(table, window, lambda_min: float = 0.0,
     return lams[keep], sums[keep]
 
 
+def entry_weights(table, c: float, psi):
+    """Each row's lam, mu and window-weighted coefficient mass."""
+    lam, mu = table.lam, table.mu
+    return lam, mu, psi.psi(c * lam - mu) * table.weight
+
+
+def sharp_sum_full_rows(table, c: float, eps: float, grid) -> np.ndarray:
+    """The sharp sum on a grid, cumulating the indicator-weighted rows of
+    the whole table, inside and outside the band."""
+    w = (np.abs(c * table.lam - table.mu) <= eps) * table.weight
+    csum = np.cumsum(w)
+    idx = np.searchsorted(table.lam, grid * (1 + 1e-15), side="right")
+    return np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0.0)
+
+
+def averaged_sharp_sum_full_rows(table, c: float, eps: float, grid,
+                                 jitter: float = 0.1,
+                                 samples: int = 5) -> np.ndarray:
+    """The mean of full-row sharp sums over eps * (1 +- jitter)."""
+    eps_vals = np.linspace(eps * (1 - jitter), eps * (1 + jitter), samples)
+    return sum(sharp_sum_full_rows(table, c, e, grid)
+               for e in eps_vals) / samples
+
+
 def doubly_smoothed_loop(table, psi, rho, lambda_grid) -> np.ndarray:
     """The doubly smoothed sum, one pass over every entry per grid point."""
     grid = np.asarray(lambda_grid, dtype=float)
-    lam, mu, w = _entry_weights(table, 1.0, psi)
+    lam, mu, w = entry_weights(table, 1.0, psi)
     return np.array([float(np.sum(w * rho.psi(g - lam))) for g in grid])
 
 
 def dual_trace_loop(table, psi, t_grid) -> np.ndarray:
     """The dual trace, one pass over every entry per t."""
     t_grid = np.asarray(t_grid, dtype=float)
-    lam, mu, w = _entry_weights(table, 1.0, psi)
+    lam, mu, w = entry_weights(table, 1.0, psi)
     keep = w != 0.0
     lam, w = lam[keep], w[keep]
     out = np.empty(len(t_grid), dtype=complex)

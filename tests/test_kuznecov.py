@@ -17,7 +17,6 @@ from kuzweyl.errors import (
     ValidationError,
 )
 from kuzweyl.kuznecov import (
-    _entry_weights,
     averaged_sharp_sum,
     dominating_test_function,
     doubly_smoothed_sum,
@@ -43,6 +42,7 @@ from kuzweyl.special_functions import (
 
 from oracles import (
     assoc_legendre,
+    averaged_sharp_sum_full_rows,
     bump_g_direct,
     bump_g_grid_loop,
     bump_psi_hat_u_convolution,
@@ -50,6 +50,8 @@ from oracles import (
     dual_trace_loop,
     eigenvalue_jumps_argsort,
     entry_view,
+    entry_weights,
+    sharp_sum_full_rows,
 )
 
 PI = math.pi
@@ -127,6 +129,19 @@ def test_bumpsquare_psi_hat_matches_u_convolution():
         s = np.linspace(-1.1 * a, 1.1 * a, 301)
         got = make_test_function("bumpsquare", a).psi_hat(s)
         assert np.max(np.abs(got - bump_psi_hat_u_convolution(a, s))) <= 1e-15
+
+
+def test_bumpsquare_psi_hat_is_even_bit_for_bit():
+    # psi_hat is evaluated once per distinct |s|: -s reads the value of s,
+    # in one call and across calls
+    rng = np.random.default_rng(7)
+    for a in (0.3, 1.0, 2.5):
+        f = make_test_function("bumpsquare", a)
+        s = rng.uniform(-1.1 * a, 1.1 * a, 257)
+        both = f.psi_hat(np.concatenate([s, -s]))
+        assert np.array_equal(both[:257], both[257:])
+        assert np.array_equal(f.psi_hat(-s), f.psi_hat(s))
+        assert all(f.psi_hat(-x) == f.psi_hat(x) for x in s[:9])
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
@@ -290,6 +305,40 @@ def test_sharp_equals_kuznecov_with_indicator(torus21_table):
                            make_test_function("sharp", 0.5), grid)
     via_eps = sharp_sum(torus21_table, 1.0, 0.5, grid)
     assert np.array_equal(via_psi.values, via_eps.values)
+
+
+_BAND_PAIRS = [(torus_pair(2, 1), 30.0),
+               (torus_pair(3, 2, (5.0, 6.5, 7.0)), 12.0),
+               (sphere_pair(3, 1, "degree"), 30.0)]
+
+
+@pytest.fixture(scope="module")
+def band_tables(tmp_path_factory):
+    """Each pair's build_table rows and its rows read back from a cache."""
+    cache = str(tmp_path_factory.mktemp("band"))
+    tables = []
+    for pair, lam in _BAND_PAIRS:
+        tables.append(build_table(pair, lam))
+        load_or_build(pair, lam, cache)
+        tables.append(load_or_build(pair, lam, cache))
+    return tables
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.5, 3.0])
+def test_band_sums_match_full_rows(band_tables, c, eps):
+    # the band rows alone give the full-row running sums bit for bit; the
+    # grid holds integers, which are eigenvalues of the equal-period torus
+    # and of the degree-normalized sphere
+    for table in band_tables:
+        lam = table.lambda_max
+        grid = np.union1d(np.linspace(0.5, lam, 12), np.arange(1.0, lam + 0.5))
+        assert np.array_equal(sharp_sum(table, c, eps, grid).values,
+                              sharp_sum_full_rows(table, c, eps, grid))
+        for samples in (1, 5):
+            got = averaged_sharp_sum(table, c, eps, grid, samples=samples)
+            assert np.array_equal(got.values, averaged_sharp_sum_full_rows(
+                table, c, eps, grid, samples=samples))
 
 
 def test_sharp_count_oracle(torus21_table):
@@ -588,7 +637,7 @@ def test_eigenspace_reduction_matches_per_mode_oracles(case, window):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = doubly_smoothed_sum(table, psi, rho, grid).values
-    lam, mu, w = _entry_weights(table, 1.0, psi)
+    lam, mu, w = entry_weights(table, 1.0, psi)
     scale = np.array([np.sum(np.abs(w * rho.psi(g - lam))) for g in grid])
     assert np.all(np.abs(got - doubly_smoothed_loop(table, psi, rho, grid))
                   <= 1e-12 * scale)
@@ -657,7 +706,7 @@ def test_row_table_matches_per_mode_table(case, c_eps, window):
         _assert_rel(doubly_smoothed_sum(rows, psi, rho, grid).values,
                     doubly_smoothed_sum(entries, psi, rho, grid).values)
     t = np.linspace(0.0, 10.0, 9)
-    scale = np.sum(np.abs(_entry_weights(entries, 1.0, psi)[2]))
+    scale = np.sum(np.abs(entry_weights(entries, 1.0, psi)[2]))
     assert np.all(np.abs(dual_trace(rows, psi, t).values
                          - dual_trace(entries, psi, t).values) <= 1e-10 * scale)
 
@@ -730,7 +779,7 @@ def test_per_mode_rows_match_entries(case, c_eps, window):
         _assert_rel(doubly_smoothed_sum(table, psi, rho, grid).values,
                     doubly_smoothed_sum(entries, psi, rho, grid).values, 1e-12)
     t = np.linspace(0.0, 10.0, 9)
-    scale = np.sum(np.abs(_entry_weights(entries, 1.0, psi)[2]))
+    scale = np.sum(np.abs(entry_weights(entries, 1.0, psi)[2]))
     assert np.all(np.abs(dual_trace(table, psi, t).values
                          - dual_trace(entries, psi, t).values) <= 1e-12 * scale)
 

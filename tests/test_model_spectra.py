@@ -380,6 +380,20 @@ def test_key_order_at_the_packing_limit(n, past_top):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("periods, cutoff", [
+    ((2 * math.pi,) * 2, 60.0), ((2 * math.pi,) * 3, 15.0),
+    ((5.0, 6.5, 7.0), 15.0)], ids=["2-1", "3-2", "unequal"])
+def test_enumeration_keys_match_einsum(periods, cutoff):
+    # equal periods: the keys, squared column by column, are the einsum's
+    # integer |m|^2 of the labels; unequal periods keep the oracle's keys
+    labels, _, keys = _enumerate_torus_lattice(periods, cutoff, 10**7)
+    if len(set(periods)) == 1:
+        want = np.einsum("ij,ij->i", labels, labels, dtype=np.int64)
+    else:
+        want = enumerate_torus_lattice_lexsort(periods, cutoff, 10**7)[2]
+    assert keys.dtype == np.int64 and np.array_equal(keys, want)
+
+
 def test_torus_enumeration_memory_bounded():
     # torus(2,1) at lambda = 300: 282,697 modes, one int64 packed-key array
     # beside the keys while they sort; peaks at about 15.8 MB

@@ -390,6 +390,34 @@ def test_cache_flipped_byte_rebuilds(tmp_path_factory, pair, at, flip):
     _damaged_rebuild(tmp_path_factory.mktemp("cache"), pair, damage)
 
 
+@pytest.mark.parametrize("pair", _CACHE_PAIRS)
+def test_cache_hit_arrays_are_aligned(tmp_path, pair):
+    # the header line is padded so the arrays start at a multiple of 8
+    load_or_build(pair, 7.0, str(tmp_path))
+    raw = next(tmp_path.iterdir()).read_bytes()
+    assert (raw.index(b"\n", len(b"kuzweyl rows\n")) + 1) % 8 == 0
+    hit = load_or_build(pair, 7.0, str(tmp_path))
+    for name in ("lam", "mu", "weight", "key"):
+        assert getattr(hit, name).flags.aligned
+
+
+def test_cache_unpadded_header_still_hits(tmp_path):
+    # a current-schema file written before the header padding loads as is
+    pair = torus_pair(2, 1)
+    fresh = load_or_build(pair, 7.0, str(tmp_path))
+    path = next(tmp_path.iterdir())
+    raw = path.read_bytes()
+    end = raw.index(b"\n", len(b"kuzweyl rows\n"))
+    assert raw[end - 1:end] == b" "
+    body = raw[:end].rstrip(b" ") + raw[end:-32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    mtime = path.stat().st_mtime_ns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_rows(load_or_build(pair, 7.0, str(tmp_path)), fresh)
+    assert path.stat().st_mtime_ns == mtime
+
+
 def test_cache_schema2_file_rebuilds_silently(tmp_path):
     # a per-mode table in the schema-2 npz layout, under the current key
     pair = torus_pair(2, 1)
