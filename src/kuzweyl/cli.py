@@ -164,8 +164,10 @@ def _cmd_sums(args) -> int:
     pair = _parse_pair(args.pair)
     grid = _parse_grid(args.lgrid)
     psi = _parse_psi(args.psi)
+    # a sharp sum reads only its band's rows: build and cache only those
+    band = (args.c, psi.a) if psi.kind == "sharp" else None
     table = load_or_build(pair, float(grid[-1]), _cache_dir(args.cache_dir),
-                          budget=args.budget)
+                          budget=args.budget, band=band)
     st = kuznecov_sum(table, args.c, psi, grid)
     out = args.out or os.path.join(_out_dir(), "sums.csv")
     st.write(out)
@@ -306,15 +308,19 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
     os.makedirs(out_base, exist_ok=True)
     t0 = time.time()
 
+    band = None
     if variant == "sharp":
         psi = make_test_function(
             "sharp", _cfg_get(cfg, "sums", "epsilon", float, required=True))
         jitter = _cfg_get(cfg, "sums", "jitter", float, default=0.0)
+        # the band of the largest eps the sums read: eps (1 + jitter) is
+        # the averaged sum's top sample
+        band = (c, psi.a * (1 + jitter) if jitter > 0 else psi.a)
     else:
         psi = _parse_psi(_cfg_get(cfg, "sums", "psi", required=True))
         jitter = 0.0
     table = load_or_build(pair, float(grid[-1]), _cache_dir(cache_dir),
-                          budget=budget)
+                          budget=budget, band=band)
     build_time = time.time() - t0
 
     if jitter > 0:
@@ -342,6 +348,8 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
         "verdict": verdict,
         "criterion": "growth-exponent",
         "artifacts": {"sums_csv": sums_csv},
+        "table": {"rows": table.entry_count,
+                  "band": list(table.band) if table.band else None},
         "runtime": {"table_build_s": round(build_time, 3),
                     "total_s": round(time.time() - t0, 3)},
     }

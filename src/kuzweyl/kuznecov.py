@@ -15,7 +15,10 @@ Windows are immutable values; `support` is psi_hat's compact support (the
 sharp kind has none and raises).  Sums evaluate the cached double sum
 exactly, over a RowTable's rows, one per eigenvalue pair (a per-mode
 CoefficientTable is a RowTable), and sharp sums only over the band
-|c lambda_j - mu_k| <= eps: every other row adds an exact 0.0.  The
+|c lambda_j - mu_k| <= eps: every other row adds an exact 0.0.  So a band
+table (build_table's band=(c, eps)) serves sharp sums at its c and any eps
+up to its own, bit for bit as the full table does; every other sum needs
+all rows (jumps and their kin whole eigenspaces) and refuses it.  The
 contribution beyond mu_k > c*lambda_j + 10a is reported as `tail_fraction`
 metadata.  No sum is truncated in mu: a restricted M-mode meets one H-mode,
 with mu_k <= lambda_j (so `tail_fraction` is 0 at c = 1), and a table up to
@@ -37,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import TailBoundWarning, TruncationRiskError, ValidationError
-from .restriction_coeffs import RowTable
+from .restriction_coeffs import RowTable, _band_rows
 from .special_functions import composite_gauss_legendre
 
 __all__ = [
@@ -230,14 +233,16 @@ class TestFunction:
         else:
             # (a/4pi) B(t), t = 2|s|/a: the integrand of B = bump * bump is
             # symmetric about v = t/2, so B = 2 int_{t/2}^{1} bump(v)
-            # bump(t - v) dv, by 12 Gauss-Legendre panels of order 16 per |s|
+            # bump(t - v) dv, by 12 Gauss-Legendre panels of order 16 per
+            # |s|, each row summed on its own (a matrix-vector product's
+            # sums would depend on how many rows one call holds)
             out = np.zeros_like(s)
             m = np.abs(s) < self.a
             x, w = composite_gauss_legendre(np.linspace(0.0, 1.0, 13), order=16)
             t, inv = np.unique(np.abs(2.0 * s[m] / self.a), return_inverse=True)
             v = 0.5 * t[:, None] + (1.0 - 0.5 * t[:, None]) * x
-            out[m] = ((self.a / (2.0 * pi)) * (1.0 - 0.5 * t)
-                      * ((_bump(v) * _bump(t[:, None] - v)) @ w))[inv]
+            rule = np.sum(_bump(v) * _bump(t[:, None] - v) * w, axis=1)
+            out[m] = ((self.a / (2.0 * pi)) * (1.0 - 0.5 * t) * rule)[inv]
         out = out * self.scale
         return float(out[0]) if scalar else out
 
@@ -311,9 +316,16 @@ class SumTable:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
 
 
-def _check_args(table: RowTable, c: float, grid):
+def _check_args(table: RowTable, c: float, grid, eps=None):
+    """The checked grid; eps is the sharp window's (None for a smooth one),
+    which a band table must hold at its own c."""
     if not 0.0 <= c <= 1.0:
         raise ValidationError("need 0 <= c <= 1")
+    if table.band is not None and (eps is None or c != table.band[0]
+                                   or eps > table.band[1]):
+        raise ValidationError(
+            f"a band table (c, eps) = {table.band} serves only sharp sums "
+            f"at that c and an eps no larger")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0 or np.any(np.diff(grid) <= 0):
         raise ValidationError("lambda grid must be strictly increasing")
@@ -336,7 +348,7 @@ def _cumulate(lam, w, grid):
 
 def _band(table: RowTable, c: float, eps: float):
     """lam, mu and weight of the band rows |c lambda_j - mu_k| <= eps."""
-    rows = np.flatnonzero(np.abs(c * table.lam - table.mu) <= eps)
+    rows = _band_rows(table.lam, table.mu, c, eps)
     return table.lam[rows], table.mu[rows], table.weight[rows]
 
 
@@ -349,15 +361,16 @@ def kuznecov_sum(table: RowTable, c: float, psi: TestFunction,
     is "sharp-sharp" for the sharp kind, else "smooth-sharp".  Tables hold
     mu_k <= lambda_j, so `tail_fraction` is 0 for every c = 1 sum.
     """
-    grid = _check_args(table, c, lambda_grid)
-    lam, mu, weight = (_band(table, c, psi.a) if psi.kind == "sharp" else
+    sharp = psi.kind == "sharp"
+    grid = _check_args(table, c, lambda_grid, psi.a if sharp else None)
+    lam, mu, weight = (_band(table, c, psi.a) if sharp else
                        (table.lam, table.mu, table.weight))
     w = psi.psi(c * lam - mu) * weight
     vals, total = _cumulate(lam, w, grid)
     tail_mask = mu > c * lam + 10.0 * psi.a
     tail = float(np.sum(np.abs(w[tail_mask])))
     meta = {"tail_fraction": tail / total if total > 0 else 0.0}
-    variant = "sharp-sharp" if psi.kind == "sharp" else "smooth-sharp"
+    variant = "sharp-sharp" if sharp else "smooth-sharp"
     return SumTable(pair=table.pair.to_dict(), c=c, test=psi.descriptor(),
                     rho=None, lambda_grid=grid, values=vals, variant=variant,
                     metadata=meta)
@@ -380,7 +393,7 @@ def averaged_sharp_sum(table: RowTable, c: float, eps: float,
     eps_vals = np.linspace(eps * (1 - jitter), eps * (1 + jitter), samples)
     if eps_vals.min() < 0:
         raise ValidationError("eps must be >= 0")
-    grid = _check_args(table, c, lambda_grid)
+    grid = _check_args(table, c, lambda_grid, eps_vals.max())
     lam, mu, weight = _band(table, c, eps_vals.max())
     dist = np.abs(c * lam - mu)
     acc = sum(_cumulate(lam, (dist <= e) * weight, grid)[0] for e in eps_vals)
@@ -399,8 +412,11 @@ def _eigenspaces(table: RowTable, psi: TestFunction):
 
     Rows run in eigenkey order, so each eigenspace is one run of equal
     keys.  Returns the eigenvalues (that of the run's first row) and the
-    summed weights.
+    summed weights.  A band table lacks rows of its eigenspaces: refused.
     """
+    if table.band is not None:
+        raise ValidationError("jumps, doubly smoothed sums and dual traces "
+                              "need every row; this is a band table")
     w = psi.psi(table.lam - table.mu) * table.weight
     keys = table.key
     new_key = np.ones(len(keys), dtype=bool)

@@ -25,9 +25,12 @@ mu_k <= lambda_j, so the M-modes up to lambda_max need no H-mode beyond it
 So the sums need only eigenvalue pairs and the coefficient mass on each:
 build_table and load_or_build return a RowTable, one (lam, mu, weight, key)
 row per torus shell pair or sphere (N, l) block, and the row builders are
-the only code that makes rows.  torus_coefficients and sphere_coefficients
-return a CoefficientTable, the RowTable of the slice's pair and cutoff that
-also keeps the per-mode entries of an enumerated SpectrumSlice.
+the only code that makes rows.  Given band=(c, eps) they keep only the
+rows |c lam - mu| <= eps that sharp sums read: the torus builder forms only
+the shell pairs near that band, the sphere builder filters its blocks.
+torus_coefficients and sphere_coefficients return a CoefficientTable, the
+RowTable of the slice's pair and cutoff that also keeps the per-mode
+entries of an enumerated SpectrumSlice.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lgamma, pi
 from typing import Optional
 
@@ -69,7 +72,7 @@ __all__ = [
     "load_or_build",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,12 @@ class RowTable:
     of the factor lattices, sphere rows the blocks (N, l).  `need` is the
     largest count the build checked against its budget (a coordinate's
     range, shell pairs or rows); a cache hit checks it again.
+
+    `band` is None for a full table.  A band table, band = (c, eps), holds
+    only the rows with |c lam - mu| <= eps, in the full table's order, and
+    serves only sharp sums at that c and an eps no larger (kuznecov checks
+    this).  With unequal periods its keys are clusters of its own rows:
+    they order the rows but name no eigenspace of the full table.
     """
 
     pair: ManifoldPair
@@ -93,6 +102,7 @@ class RowTable:
     weight: np.ndarray
     key: np.ndarray
     need: int
+    band: Optional[tuple] = field(default=None, kw_only=True)
 
     @property
     def entry_count(self) -> int:
@@ -225,12 +235,50 @@ def sphere_coefficients(slice_: SpectrumSlice) -> CoefficientTable:
 # row tables
 # --------------------------------------------------------------------------
 
-def _shell_pairs(a, b, cut2: float, budget: int):
-    """Index pairs (i, j), i major, of the shells a[i] + b[j] <= cut2 (b
-    ascending) and their count, guarded before they are allocated."""
-    per_a = np.searchsorted(b, cut2 - a, side="right")
+def _band_rows(lam, mu, c: float, eps: float) -> np.ndarray:
+    """Indices of the rows in the sharp window's band |c lam - mu| <= eps."""
+    return np.flatnonzero(np.abs(c * lam - mu) <= eps)
+
+
+def _check_band(band) -> Optional[tuple]:
+    """band as a (c, eps) pair of floats, 0 <= c <= 1 and finite eps >= 0,
+    or None."""
+    if band is None:
+        return None
+    c, eps = (float(v) for v in band)
+    if not (0.0 <= c <= 1.0 and 0.0 <= eps < math.inf):
+        raise ValidationError(f"band needs 0 <= c <= 1 and finite eps >= 0, "
+                              f"got {band}")
+    return c, eps
+
+
+def _shell_pairs(b, hi, budget: int, lo=None):
+    """Index pairs (i, j), i major, of the shells lo[i] <= b[j] <= hi[i]
+    (b ascending; lo None for no lower bound) and their count, guarded
+    before they are allocated."""
+    stop = np.searchsorted(b, hi, side="right")
+    start = 0 if lo is None else np.minimum(
+        np.searchsorted(b, lo, side="left"), stop)
+    per_a = stop - start
     count = _guard(int(per_a.sum()), budget, "shell pair count")
-    return np.repeat(np.arange(len(a)), per_a), _run_positions(per_a), count
+    j = _run_positions(per_a)
+    if lo is not None:
+        j = j + np.repeat(start, per_a)
+    return np.repeat(np.arange(len(hi)), per_a), j, count
+
+
+def _band_interval(a, hi, c: float, e: float, cut2: float):
+    """Per shell A, the B bounds (lo, hi) outside which every B <= hi has
+    |c sqrt(A + B) - sqrt(A)| > e.  They are widened, by 1e-12 cutoff in the
+    root and 1e-9 cutoff^2 in B, past any rounding of the predicate on the
+    rows' float lam and mu: the exact filter, not these bounds, decides."""
+    e = e + 1e-12 * (1.0 + math.sqrt(cut2))
+    tol = 1e-9 * (1.0 + cut2)
+    root = np.sqrt(a)
+    if c == 0.0:  # |0 - sqrt(A)| <= e: every B or none
+        return np.where(root <= e, -np.inf, np.inf), hi
+    lo = np.where(root > e, ((root - e) / c) ** 2 - a - tol, -np.inf)
+    return lo, np.minimum(hi, ((root + e) / c) ** 2 - a + tol)
 
 
 def _lattice_shells(scale, cutoff: float, budget: int):
@@ -245,21 +293,24 @@ def _lattice_shells(scale, cutoff: float, budget: int):
     for s in scale:
         top = _guard(int(cutoff / s + 1e-12) + 1, budget, "lattice range")
         sq = (s * np.arange(top)) ** 2
-        ia, im, count = _shell_pairs(q, sq, cut2, budget)
+        ia, im, count = _shell_pairs(sq, cut2 - q, budget)
         need = max(need, top, count)
         q, inv = np.unique(q[ia] + sq[im], return_inverse=True)
         r = np.bincount(inv, weights=r[ia] * ((im > 0) + 1)).astype(np.int64)
     return q, r, need
 
 
-def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
+def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int, band):
     """One row per shell pair (A, B) of the factor lattices Z^d x Z^(n-d)
-    with A + B <= lambda_max^2, weight r_H(A) r_T(B) / Vol(T^(n-d)).
+    with A + B <= lambda_max^2, weight r_H(A) r_T(B) / Vol(T^(n-d)); for a
+    band, only the pairs in it, found per A by one interval of B.
 
     Equal periods give integer keys A + B (as the mode enumeration's keys),
     and lam is a function of the key, so the rows take the stable key order
     of _key_order's packed sort.  Other periods give the enumeration's
     clustered squared-frequency keys, and the rows sort by key, then lam.
+    Either order is a stable sort by lam, so a band's rows keep the full
+    table's order.
     """
     d = pair.d
     scale = 2.0 * pi / np.array(pair.torus_periods)
@@ -271,8 +322,15 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
         _lattice_shells(part, cutoff, budget) for part in (factor[:d], factor[d:]))
     if uniform:  # unit scales: exact integer norms, and their sums the keys
         a, b = a.astype(np.int64), b.astype(np.int64)
-    ia, ib, pairs = _shell_pairs(a, b, cutoff * cutoff * (1 + 1e-15), budget)
+    cut2 = cutoff * cutoff * (1 + 1e-15)
+    lo, hi = None, cut2 - a
+    if band is not None:
+        lo, hi = _band_interval(a, hi, band[0], band[1] / unit, cut2)
+    ia, ib, pairs = _shell_pairs(b, hi, budget, lo)
     q = a[ia] + b[ib]
+    if band is not None:  # the exact predicate on the rows' own lam and mu
+        keep = _band_rows(unit * np.sqrt(q), unit * np.sqrt(a[ia]), *band)
+        ia, ib, q = ia[keep], ib[keep], q[keep]
     key = q if uniform else _float_eigenkeys(q)
     order = _key_order(q) if uniform else np.lexsort((np.sqrt(q), key))
     ia, ib, q = ia[order], ib[order], q[order]  # the rows formed in order
@@ -282,9 +340,10 @@ def _torus_rows(pair: ManifoldPair, lambda_max: float, budget: int):
             max(need_h, need_t, pairs))
 
 
-def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
+def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int, band):
     """One row per block (N, l), l <= N with N - l even, weight
-    dim H_l(S^d) |c(N, l)|^2."""
+    dim H_l(S^d) |c(N, l)|^2; for a band, every block is built, then
+    filtered."""
     n, d, norm = pair.n, pair.d, pair.normalization
     n_max = _sphere_degree_max(n, norm, lambda_max)
     # the blocks: N // 2 + 1 of each degree N <= n_max
@@ -292,50 +351,58 @@ def _sphere_rows(pair: ManifoldPair, lambda_max: float, budget: int):
     _, N, l, c = _sphere_blocks(n, d, n_max)
     keep = c > 1e-14  # the per-mode tables' exact-zero rule
     N, l = N[keep], l[keep]
-    weight = _harmonic_dims(d, n_max)[l] * c[keep]
-    return (_sphere_frequency(N, n, norm), _sphere_frequency(l, d, norm),
-            weight, N.astype(np.int64), need)
+    rows = (_sphere_frequency(N, n, norm), _sphere_frequency(l, d, norm),
+            _harmonic_dims(d, n_max)[l] * c[keep], N.astype(np.int64))
+    if band is not None:
+        kept = _band_rows(rows[0], rows[1], *band)
+        rows = tuple(r[kept] for r in rows)
+    return (*rows, need)
 
 
 def build_table(pair: ManifoldPair, lambda_max: float, *,
-                budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
-    """Row table of every M-mode up to lambda_max (complete in mu).
+                budget: int = MODE_BUDGET_DEFAULT, band=None) -> RowTable:
+    """Row table of every M-mode up to lambda_max (complete in mu), or with
+    band=(c, eps) only its rows |c lam - mu| <= eps, bit for bit and in
+    the same order.
 
     Raises ResourceGuardError, before allocating, when a coordinate's range,
     the shell pairs of a step or the rows would exceed the budget.
     """
     if not (math.isfinite(lambda_max) and lambda_max > 0):
         raise ValidationError("lambda_max must be finite and > 0")
-    lam_max = float(lambda_max)
+    lam_max, band = float(lambda_max), _check_band(band)
     rows = _torus_rows if pair.kind == "torus" else _sphere_rows
-    return RowTable(pair, lam_max, *rows(pair, lam_max, budget))
+    return RowTable(pair, lam_max, *rows(pair, lam_max, budget, band),
+                    band=band)
 
 
 # --------------------------------------------------------------------------
 # cache
 # --------------------------------------------------------------------------
 
-# A cache file is _MAGIC, a one-line JSON header (the key fields plus the
-# build's budget need, padded with spaces so that the arrays start at a
-# multiple of 8 bytes and load aligned), the four row arrays (lam, mu,
-# weight as little-endian float64, key as int64) and the sha256 of
-# everything before it, so any truncation or flipped byte is caught.
+# A cache file is _MAGIC, a one-line JSON header (the key fields, the band
+# among them, plus the build's budget need, padded with spaces so that the
+# arrays start at a multiple of 8 bytes and load aligned), the four row
+# arrays (lam, mu, weight as little-endian float64, key as int64) and the
+# sha256 of everything before it, so any truncation or flipped byte is
+# caught.
 _MAGIC = b"kuzweyl rows\n"
 _ROW_DTYPES = ("<f8", "<f8", "<f8", "<i8")
 
 
-def _header(pair: ManifoldPair, lambda_max: float) -> dict:
+def _header(pair: ManifoldPair, lambda_max: float, band) -> dict:
     return {"schema_version": SCHEMA_VERSION, "pair": pair.to_dict(),
-            "lambda_max": lambda_max}
+            "lambda_max": lambda_max, "band": list(band) if band else None}
 
 
-def _cache_key(pair: ManifoldPair, lambda_max: float) -> str:
-    key = json.dumps(_header(pair, lambda_max), sort_keys=True)
+def _cache_key(pair: ManifoldPair, lambda_max: float, band) -> str:
+    key = json.dumps(_header(pair, lambda_max, band), sort_keys=True)
     return hashlib.sha256(key.encode()).hexdigest()[:24]
 
 
 def _save_rows(table: RowTable, path: str) -> None:
-    header = dict(_header(table.pair, table.lambda_max), need=table.need)
+    header = dict(_header(table.pair, table.lambda_max, table.band),
+                  need=table.need)
     head = _MAGIC + json.dumps(header).encode()
     parts = [head + b" " * (-(len(head) + 1) % 8) + b"\n"] + [
         np.ascontiguousarray(arr, dtype=dt) for arr, dt in
@@ -355,7 +422,7 @@ def _save_rows(table: RowTable, path: str) -> None:
             os.unlink(tmp_path)
 
 
-def _load_rows(path: str, pair: ManifoldPair, lambda_max: float,
+def _load_rows(path: str, pair: ManifoldPair, lambda_max: float, band,
                budget: int) -> Optional[RowTable]:
     """The cached rows; None for a stale file (another schema or key),
     ValueError for a damaged one, ResourceGuardError when the build would
@@ -371,7 +438,7 @@ def _load_rows(path: str, pair: ManifoldPair, lambda_max: float,
     end = raw.index(b"\n", len(_MAGIC))
     header = json.loads(raw[len(_MAGIC):end])
     need = header.pop("need", None)
-    if header != _header(pair, lambda_max) or need is None:
+    if header != _header(pair, lambda_max, band) or need is None:
         return None
     _guard(need, budget, "the cached build's count")
     payload = body[end + 1:]
@@ -380,26 +447,28 @@ def _load_rows(path: str, pair: ManifoldPair, lambda_max: float,
         raise ValueError("row payload is not four whole arrays")
     arrays = [np.frombuffer(payload, dtype=dt, count=rows, offset=8 * rows * i)
               for i, dt in enumerate(_ROW_DTYPES)]
-    return RowTable(pair, lambda_max, *arrays, need)
+    return RowTable(pair, lambda_max, *arrays, need, band=band)
 
 
 def load_or_build(pair: ManifoldPair, lambda_max: float, cache_dir: str, *,
-                  budget: int = MODE_BUDGET_DEFAULT) -> RowTable:
-    """Cached build_table: returns the cached rows when the key matches,
-    rebuilds (and replaces the file) on a miss or a stale file, and warns
-    CacheCorruptionWarning before rebuilding over a damaged one.  A hit
-    raises ResourceGuardError exactly when the build would."""
-    lam_max = float(lambda_max)
-    path = os.path.join(cache_dir, f"rows-{_cache_key(pair, lam_max)}.bin")
+                  budget: int = MODE_BUDGET_DEFAULT, band=None) -> RowTable:
+    """Cached build_table: returns the cached rows when the key (band
+    included) matches, rebuilds (and replaces the file) on a miss or a
+    stale file, and warns CacheCorruptionWarning before rebuilding over a
+    damaged one.  A hit raises ResourceGuardError exactly when the build
+    would."""
+    lam_max, band = float(lambda_max), _check_band(band)
+    path = os.path.join(cache_dir,
+                        f"rows-{_cache_key(pair, lam_max, band)}.bin")
     if os.path.exists(path):
         try:
-            cached = _load_rows(path, pair, lam_max, budget)
+            cached = _load_rows(path, pair, lam_max, band, budget)
             if cached is not None:
                 return cached
         except (OSError, ValueError) as exc:
             warnings.warn(f"cache file {path} unusable ({exc}); rebuilding",
                           CacheCorruptionWarning)
-    table = build_table(pair, lam_max, budget=budget)
+    table = build_table(pair, lam_max, budget=budget, band=band)
     os.makedirs(cache_dir, exist_ok=True)
     _save_rows(table, path)
     return table

@@ -38,7 +38,8 @@ rule (about 3 panels per oscillation cycle), the Gamma closed form of
 the half-line transform, the rank of the full model-phase Hessian, the
 direct sphere plane-wave quadrature with its mpmath Bessel closed form,
 the full difference spectrum, the lattice shell counts r_k(B) by the
-sum over one coordinate, plain-CSV plot data, the brute tensor quadrature of
+sum over one coordinate, the torus(3, d) sharp counts by a Gauss-circle
+count over one coordinate, plain-CSV plot data, the brute tensor quadrature of
 an oscillatory integral with its stationary-phase error probe, the
 per-mode Parseval row sums of a coefficient table, and each row's
 window-weighted mass.
@@ -490,7 +491,7 @@ def entry_view(table):
     return SimpleNamespace(pair=table.pair, lambda_max=table.lambda_max,
                            lam=slc.m_freqs[table.j_idx],
                            mu=slc.h_freqs[table.k_idx], weight=table.values,
-                           key=slc.m_eigenkeys[table.j_idx])
+                           key=slc.m_eigenkeys[table.j_idx], band=None)
 
 
 def eigenvalue_jumps_argsort(table, window, lambda_min: float = 0.0,
@@ -641,6 +642,29 @@ def lattice_shell_counts(k: int, B_max: int) -> np.ndarray:
             nxt[m * m:] += 2 * r[:B_max + 1 - m * m]
         r = nxt
     return r
+
+
+def torus3_sharp_count(d: int, eps: float, lams) -> np.ndarray:
+    """The c = 1 sharp sum of torus(3, d) at each lambda in lams,
+    #{m in Z^3 : |m| <= lambda, |m| - |m'| <= eps} / (2 pi)^(3 - d) with m'
+    the first d coordinates, by a Gauss-circle count over the last one: for
+    each (m_1, m_2) the m_3 with m_3^2 <= top = min(floor(lambda^2),
+    floor((|m'| + eps)^2)) - m_1^2 - m_2^2 number 2 isqrt(top) + 1, in
+    int64 (|m| >= |m'|, so the window's other side always holds).  O(L^2)
+    in memory and time, with no shells."""
+    counts = []
+    for lam in lams:
+        m = np.arange(-int(lam) - 1, int(lam) + 2, dtype=np.int64)
+        m1, m2 = m[:, None], m[None, :]
+        p = m1 * m1 + m2 * m2
+        proj2 = m1 * m1 if d == 1 else p
+        edge = np.floor((np.sqrt(proj2) + eps) ** 2).astype(np.int64)
+        top = np.minimum(edge, math.floor(lam * lam)) - p
+        r = np.sqrt(np.maximum(top, 0)).astype(np.int64)
+        r -= r * r > top  # isqrt: the float root corrected by one either way
+        r += (r + 1) * (r + 1) <= top
+        counts.append(int(np.sum(np.where(top >= 0, 2 * r + 1, 0))))
+    return np.array(counts) / (2 * math.pi) ** (3 - d)
 
 
 # ------------------------------------------- sphere enumeration, block loop

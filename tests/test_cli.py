@@ -84,10 +84,11 @@ def test_sums_and_fit_commands(tmp_path, capsys):
 
 
 def test_commands_share_one_cache_file(tmp_path, capsys):
-    # tables are complete in mu: windows, c and commands that need the same
-    # lambda_max read the same rows
+    # tables are complete in mu: smooth windows, c and commands that need
+    # the same lambda_max read the same rows; a sharp sum reads only its
+    # band's rows, cached in a file of their own
     cache = str(tmp_path / "cache")
-    for psi, c in (("sharp:eps=0.5", "1.0"), ("fejer:a=1", "0.5")):
+    for psi, c in (("fejer:a=1", "1.0"), ("bumpsquare:a=1", "0.5")):
         assert main(["sums", "--pair", "torus:2,1", "--c", c, "--psi", psi,
                      "--lgrid", "10:60:10", "--cache-dir", cache,
                      "--out", str(tmp_path / "sums.csv")]) == 0
@@ -95,6 +96,13 @@ def test_commands_share_one_cache_file(tmp_path, capsys):
                  "--lmax", "60", "--cache-dir", cache,
                  "--out", str(tmp_path / "trace.csv")]) == 0
     assert len(os.listdir(cache)) == 1
+    full = os.path.getsize(os.path.join(cache, os.listdir(cache)[0]))
+    assert main(["sums", "--pair", "torus:2,1", "--c", "1.0", "--psi",
+                 "sharp:eps=0.5", "--lgrid", "10:60:10", "--cache-dir", cache,
+                 "--out", str(tmp_path / "sums.csv")]) == 0
+    sizes = sorted(os.path.getsize(os.path.join(cache, f))
+                   for f in os.listdir(cache))
+    assert len(sizes) == 2 and sizes[0] < sizes[1] == full
 
 
 def test_coefficient_command(capsys):
@@ -179,6 +187,24 @@ def test_run_experiment_passes(tmp_path):
     assert abs(report["fitted_exponent"] - 1.5) < 0.15
     assert os.path.exists(tmp_path / "out" / "smoke-sums.csv")
     assert os.path.exists(tmp_path / "out" / "smoke-report.json")
+
+
+def test_run_report_records_the_table(tmp_path):
+    # a sharp config reads a band table, fewer rows than the full table a
+    # smooth config reads on the same pair and lambda_max
+    smooth_cfg = CONFIG.replace("variant = sharp\nepsilon = 0.5",
+                                "variant = smooth\npsi = fejer:a=1")
+    reports = [run_experiment(_write_config(tmp_path, text, f"{i}.ini"),
+                              cache_dir=str(tmp_path / "cache"),
+                              out_dir=str(tmp_path / "out"))
+               for i, text in enumerate((CONFIG, smooth_cfg))]
+    sharp, smooth = (r["table"] for r in reports)
+    assert smooth == {"rows": build_table(torus_pair(2, 1), 90.0).entry_count,
+                      "band": None}
+    assert sharp["band"] == [1.0, 0.5]
+    assert 0 < sharp["rows"] < smooth["rows"]
+    report = json.loads((tmp_path / "out" / "smoke-report.json").read_text())
+    assert report["table"] == smooth
 
 
 def test_run_rejects_supercritical_c(tmp_path):

@@ -142,6 +142,9 @@ def test_bumpsquare_psi_hat_is_even_bit_for_bit():
         assert np.array_equal(both[:257], both[257:])
         assert np.array_equal(f.psi_hat(-s), f.psi_hat(s))
         assert all(f.psi_hat(-x) == f.psi_hat(x) for x in s[:9])
+        # each |s| summed on its own: one call of many points reads each
+        # point's value of a call of one
+        assert np.array_equal(f.psi_hat(s), [f.psi_hat(x) for x in s])
 
 
 @pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
@@ -307,9 +310,15 @@ def test_sharp_equals_kuznecov_with_indicator(torus21_table):
     assert np.array_equal(via_psi.values, via_eps.values)
 
 
+# unequal periods with two eigenvalues 2.9e-9 apart (relative) near 5.888,
+# which rounded squared-frequency keys once merged into one eigenspace
+_CLOSE_PERIODS = (5.0, 5.625, 7.179515810521716, 7.781053618753076,
+                  7.475515804227228)
+
 _BAND_PAIRS = [(torus_pair(2, 1), 30.0),
                (torus_pair(3, 2, (5.0, 6.5, 7.0)), 12.0),
-               (sphere_pair(3, 1, "degree"), 30.0)]
+               (sphere_pair(3, 1, "degree"), 30.0),
+               (torus_pair(5, 1, _CLOSE_PERIODS), 6.0)]
 
 
 @pytest.fixture(scope="module")
@@ -318,27 +327,77 @@ def band_tables(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("band"))
     tables = []
     for pair, lam in _BAND_PAIRS:
-        tables.append(build_table(pair, lam))
         load_or_build(pair, lam, cache)
-        tables.append(load_or_build(pair, lam, cache))
+        tables.append((build_table(pair, lam),
+                       load_or_build(pair, lam, cache)))
     return tables
 
 
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.5, 3.0])
-def test_band_sums_match_full_rows(band_tables, c, eps):
-    # the band rows alone give the full-row running sums bit for bit; the
-    # grid holds integers, which are eigenvalues of the equal-period torus
-    # and of the degree-normalized sphere
-    for table in band_tables:
-        lam = table.lambda_max
+def test_band_sums_match_full_rows(band_tables, tmp_path, c, eps):
+    # the band rows alone give the full-row running sums bit for bit, read
+    # from a full table or from a band table of the largest eps sample,
+    # built or read back from a cache; the grid holds integers, which are
+    # eigenvalues of the equal-period torus and of the degree-normalized
+    # sphere
+    band, cache = (c, eps * (1 + 0.1)), str(tmp_path)
+    for (pair, lam), full in zip(_BAND_PAIRS, band_tables):
+        load_or_build(pair, lam, cache, band=band)
+        tables = full + (build_table(pair, lam, band=band),
+                         load_or_build(pair, lam, cache, band=band))
         grid = np.union1d(np.linspace(0.5, lam, 12), np.arange(1.0, lam + 0.5))
-        assert np.array_equal(sharp_sum(table, c, eps, grid).values,
-                              sharp_sum_full_rows(table, c, eps, grid))
+        want = sharp_sum_full_rows(full[0], c, eps, grid)
+        for table in tables:
+            assert np.array_equal(sharp_sum(table, c, eps, grid).values, want)
         for samples in (1, 5):
-            got = averaged_sharp_sum(table, c, eps, grid, samples=samples)
-            assert np.array_equal(got.values, averaged_sharp_sum_full_rows(
-                table, c, eps, grid, samples=samples))
+            want = averaged_sharp_sum_full_rows(full[0], c, eps, grid,
+                                                samples=samples)
+            for table in tables:
+                got = averaged_sharp_sum(table, c, eps, grid, samples=samples)
+                assert np.array_equal(got.values, want)
+
+
+def test_band_table_rows_are_the_full_rows_in_band():
+    # the band builders keep exactly the full table's rows |c lam - mu| <=
+    # eps, in its order; unequal periods key clusters of their own rows
+    for pair, lam in _BAND_PAIRS:
+        full = build_table(pair, lam)
+        for c, eps in ((0.0, 0.5), (0.5, 0.3), (1.0, 0.0), (1.0, 0.55)):
+            table = build_table(pair, lam, band=(c, eps))
+            assert table.band == (c, eps) and full.band is None
+            rows = np.flatnonzero(np.abs(c * full.lam - full.mu) <= eps)
+            names = ["lam", "mu", "weight"]
+            if pair.kind == "sphere" or len(set(pair.torus_periods)) == 1:
+                names.append("key")
+            for name in names:
+                assert np.array_equal(getattr(table, name),
+                                      getattr(full, name)[rows])
+
+
+_FEJER = make_test_function("fejer", 1.0)
+_BAND_REFUSALS = {
+    "smooth-window": lambda t, g: kuznecov_sum(t, 1.0, _FEJER, g),
+    "other-c": lambda t, g: sharp_sum(t, 0.5, 0.5, g),
+    "wider-eps": lambda t, g: sharp_sum(t, 1.0, 0.56, g),
+    "averaged-wider-eps": lambda t, g: averaged_sharp_sum(t, 1.0, 0.51, g),
+    "jump": lambda t, g: jump(t, 0.5, 5.0),
+    "eigenvalue-jumps": lambda t, g: eigenvalue_jumps(t, 0.5),
+    "doubly-smoothed": lambda t, g: doubly_smoothed_sum(t, _FEJER, _FEJER, g),
+    "dual-trace": lambda t, g: dual_trace(t, _FEJER, g),
+}
+
+
+@pytest.mark.parametrize("call", _BAND_REFUSALS.values(), ids=_BAND_REFUSALS)
+def test_band_table_refuses_what_needs_other_rows(call):
+    # a band table serves sharp sums at its c and an eps within its own,
+    # the averaged sum's top sample included; everything else refuses it
+    table = build_table(torus_pair(2, 1), 20.0, band=(1.0, 0.55))
+    grid = np.linspace(2.0, 20.0, 7)
+    sharp_sum(table, 1.0, 0.55, grid)
+    averaged_sharp_sum(table, 1.0, 0.5, grid)
+    with pytest.raises(ValidationError, match="band table"):
+        call(table, grid)
 
 
 def test_sharp_count_oracle(torus21_table):
@@ -660,12 +719,6 @@ _c_eps = st.one_of(
     st.tuples(st.sampled_from([0.0, 1.0]), st.just(0.0)),
     st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95)),
               st.floats(0.05, 1.0)))
-
-
-# unequal periods with two eigenvalues 2.9e-9 apart (relative) near 5.888,
-# which rounded squared-frequency keys once merged into one eigenspace
-_CLOSE_PERIODS = (5.0, 5.625, 7.179515810521716, 7.781053618753076,
-                  7.475515804227228)
 
 
 @settings(max_examples=40, deadline=None)

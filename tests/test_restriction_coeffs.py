@@ -391,6 +391,39 @@ def test_cache_flipped_byte_rebuilds(tmp_path_factory, pair, at, flip):
 
 
 @pytest.mark.parametrize("pair", _CACHE_PAIRS)
+def test_cache_band_table_has_its_own_key(tmp_path, pair):
+    # the band is part of the key and the header: a band table and the
+    # full table of one pair and lambda_max are two files, and a band hit
+    # returns the band rows bit for bit
+    full = load_or_build(pair, 7.0, str(tmp_path))
+    band = load_or_build(pair, 7.0, str(tmp_path), band=(1.0, 1.5))
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 2
+    assert full.band is None and band.band == (1.0, 1.5)
+    assert 0 < band.entry_count < full.entry_count
+    _assert_same_rows(band, build_table(pair, 7.0, band=(1.0, 1.5)))
+    mtimes = [f.stat().st_mtime_ns for f in files]
+    hit = load_or_build(pair, 7.0, str(tmp_path), band=(1, 1.5))
+    _assert_same_rows(hit, band)
+    assert hit.band == band.band and hit.need == band.need
+    _assert_same_rows(load_or_build(pair, 7.0, str(tmp_path)), full)
+    assert [f.stat().st_mtime_ns for f in files] == mtimes
+    load_or_build(pair, 7.0, str(tmp_path), band=(1.0, 1.25))
+    assert len(list(tmp_path.iterdir())) == 3
+
+
+@pytest.mark.parametrize("band", [(1.5, 0.5), (-0.1, 0.5), (1.0, -0.5),
+                                  (1.0, math.inf), (math.nan, 0.5)])
+def test_build_table_rejects_bad_band(tmp_path, band):
+    for pair in (torus_pair(2, 1), sphere_pair(2, 1)):
+        with pytest.raises(ValidationError):
+            build_table(pair, 6.0, band=band)
+        with pytest.raises(ValidationError):
+            load_or_build(pair, 6.0, str(tmp_path / "cache"), band=band)
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("pair", _CACHE_PAIRS)
 def test_cache_hit_arrays_are_aligned(tmp_path, pair):
     # the header line is padded so the arrays start at a multiple of 8
     load_or_build(pair, 7.0, str(tmp_path))
@@ -444,13 +477,15 @@ def test_cache_schema3_file_rebuilds_silently(tmp_path):
     # when it is of schema 3 (mu_max in its header, no budget need) or of
     # schema 4 (its need counted lattice candidates, not shell pairs; here
     # one above the budget, which a stale file must not enforce) or of
-    # schema 5 (unequal periods keyed by rounded squared frequencies)
+    # schema 5 (unequal periods keyed by rounded squared frequencies) or of
+    # schema 6 (no band in its key)
     pair = torus_pair(2, 1)
     fresh = load_or_build(pair, 6.0, str(tmp_path))
     path = next(tmp_path.iterdir())
     for old_fields in ({"schema_version": 3, "mu_max": 6.0},
                        {"schema_version": 4, "need": 10**9},
-                       {"schema_version": 5, "need": fresh.need}):
+                       {"schema_version": 5, "need": fresh.need},
+                       {"schema_version": 6, "need": fresh.need}):
         header = json.dumps({"pair": pair.to_dict(), "lambda_max": 6.0,
                              **old_fields})
         body = b"".join(
@@ -463,7 +498,7 @@ def test_cache_schema3_file_rebuilds_silently(tmp_path):
             warnings.simplefilter("error")
             _assert_same_rows(load_or_build(pair, 6.0, str(tmp_path)), fresh)
         header = json.loads(path.read_bytes().split(b"\n")[1])
-        assert header["schema_version"] == SCHEMA_VERSION == 6
+        assert header["schema_version"] == SCHEMA_VERSION == 7
 
 
 @pytest.mark.parametrize("pair", [torus_pair(2, 1), sphere_pair(3, 1)])
@@ -501,21 +536,25 @@ def test_cache_hit_keeps_the_budget(tmp_path, pair):
     # a warm cache raises ResourceGuardError exactly when a cold build
     # does: the build's largest guarded count is kept in the cache header
     # (the rows here: torus(3,2) has 329, and the shell pairs of its 2-D
-    # factor lattice's steps are at most 90)
-    warm = str(tmp_path / "warm")
-    need = load_or_build(pair, 10.0, warm).need
-    outcomes = {}
-    for budget in range(need - 2, need + 3):
-        for state, cache in (("cold", str(tmp_path / f"cold{budget}")),
-                             ("warm", warm)):
-            try:
-                load_or_build(pair, 10.0, cache, budget=budget)
-                outcomes[state, budget] = True
-            except ResourceGuardError:
-                outcomes[state, budget] = False
-    assert outcomes == {(state, b): b >= need for state in ("cold", "warm")
-                        for b in range(need - 2, need + 3)}
-    assert len(os.listdir(warm)) == 1
+    # factor lattice's steps are at most 90; a band table's count is its
+    # shell pairs near the band, or for the sphere every block)
+    for band in (None, (1.0, 0.5)):
+        root = tmp_path / str(band)
+        warm = str(root / "warm")
+        need = load_or_build(pair, 10.0, warm, band=band).need
+        outcomes = {}
+        for budget in range(need - 2, need + 3):
+            for state, cache in (("cold", str(root / f"cold{budget}")),
+                                 ("warm", warm)):
+                try:
+                    load_or_build(pair, 10.0, cache, budget=budget, band=band)
+                    outcomes[state, budget] = True
+                except ResourceGuardError:
+                    outcomes[state, budget] = False
+        assert outcomes == {(state, b): b >= need
+                            for state in ("cold", "warm")
+                            for b in range(need - 2, need + 3)}
+        assert len(os.listdir(warm)) == 1
 
 
 def test_row_budget_edge():
