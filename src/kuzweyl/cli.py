@@ -160,15 +160,26 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _window_sum(pair, c, psi, grid, jitter, cache_dir, budget):
+    """The table a window's sum reads, the sum on the grid, and the seconds
+    the table took to build or load.  A sharp window reads only its band,
+    of eps (1 + jitter): the top sample when jitter > 0 averages the sum."""
+    sharp = psi.kind == "sharp"
+    t0 = time.time()
+    table = load_or_build(pair, float(grid[-1]), cache_dir, budget=budget,
+                          band=(c, psi.a * (1 + jitter)) if sharp else None)
+    build_s = time.time() - t0
+    if sharp and jitter > 0:
+        st = averaged_sharp_sum(table, c, psi.a, grid, jitter=jitter)
+    else:
+        st = kuznecov_sum(table, c, psi, grid)
+    return table, st, build_s
+
+
 def _cmd_sums(args) -> int:
-    pair = _parse_pair(args.pair)
-    grid = _parse_grid(args.lgrid)
-    psi = _parse_psi(args.psi)
-    # a sharp sum reads only its band's rows: build and cache only those
-    band = (args.c, psi.a) if psi.kind == "sharp" else None
-    table = load_or_build(pair, float(grid[-1]), _cache_dir(args.cache_dir),
-                          budget=args.budget, band=band)
-    st = kuznecov_sum(table, args.c, psi, grid)
+    _, st, _ = _window_sum(_parse_pair(args.pair), args.c,
+                           _parse_psi(args.psi), _parse_grid(args.lgrid), 0.0,
+                           _cache_dir(args.cache_dir), args.budget)
     out = args.out or os.path.join(_out_dir(), "sums.csv")
     st.write(out)
     print(f"wrote {out} ({st.variant}, c={args.c})")
@@ -198,10 +209,8 @@ def _cmd_coefficient(args) -> int:
         pred = sphere_leading_coefficient(args.n, args.d, psi)
     elif args.formula == "flat":
         pred = flat_leading_coefficient(args.n, args.d, psi)
-    elif args.formula == "subcritical":
+    else:  # argparse's choices leave "subcritical"
         pred = subcritical_coefficient(args.n, args.d, args.c, psi)
-    else:
-        raise ValidationError(f"unknown formula {args.formula!r}")
     print(json.dumps(pred.to_json(), indent=2))
     return 0
 
@@ -303,30 +312,22 @@ def run_experiment(config_path: str, cache_dir=None, out_dir=None) -> dict:
     window = _parse_window(window) if window else (grid[0], grid[-1])
     budget = _cfg_get(cfg, "spectrum", "budget", int,
                       default=MODE_BUDGET_DEFAULT)
-    variant = _cfg_get(cfg, "sums", "variant", default="smooth")
+    # the variant only says how the window is spelled
+    if _cfg_get(cfg, "sums", "variant", default="smooth") == "sharp":
+        psi = make_test_function(
+            "sharp", _cfg_get(cfg, "sums", "epsilon", float, required=True))
+    else:
+        psi = _parse_psi(_cfg_get(cfg, "sums", "psi", required=True))
+    jitter = _cfg_get(cfg, "sums", "jitter", float, default=0.0)
+    if not 0.0 <= jitter <= 1.0:  # eps (1 - jitter) is a sample: >= 0
+        raise ValidationError(f"jitter = {jitter} outside [0, 1]")
+    if jitter > 0 and psi.kind != "sharp":
+        raise ValidationError("jitter averages only a sharp window")
     out_base = _out_dir(out_dir)
     os.makedirs(out_base, exist_ok=True)
     t0 = time.time()
-
-    band = None
-    if variant == "sharp":
-        psi = make_test_function(
-            "sharp", _cfg_get(cfg, "sums", "epsilon", float, required=True))
-        jitter = _cfg_get(cfg, "sums", "jitter", float, default=0.0)
-        # the band of the largest eps the sums read: eps (1 + jitter) is
-        # the averaged sum's top sample
-        band = (c, psi.a * (1 + jitter) if jitter > 0 else psi.a)
-    else:
-        psi = _parse_psi(_cfg_get(cfg, "sums", "psi", required=True))
-        jitter = 0.0
-    table = load_or_build(pair, float(grid[-1]), _cache_dir(cache_dir),
-                          budget=budget, band=band)
-    build_time = time.time() - t0
-
-    if jitter > 0:
-        st = averaged_sharp_sum(table, c, psi.a, grid, jitter=jitter)
-    else:
-        st = kuznecov_sum(table, c, psi, grid)
+    table, st, build_time = _window_sum(pair, c, psi, grid, jitter,
+                                        _cache_dir(cache_dir), budget)
     sums_csv = os.path.join(out_base, f"{name}-sums.csv")
     st.write(sums_csv)
 

@@ -316,9 +316,10 @@ class SumTable:
             json.dump(self.sidecar(), fh, indent=2, sort_keys=True)
 
 
-def _check_args(table: RowTable, c: float, grid, eps=None):
-    """The checked grid; eps is the sharp window's (None for a smooth one),
-    which a band table must hold at its own c."""
+def _sum_rows(table: RowTable, c: float, grid, eps=None):
+    """The checked grid and the lam, mu and weight a sum reads: every row
+    for a smooth window (eps None), and for a sharp one the band rows
+    |c lambda_j - mu_k| <= eps, which a band table must hold at its own c."""
     if not 0.0 <= c <= 1.0:
         raise ValidationError("need 0 <= c <= 1")
     if table.band is not None and (eps is None or c != table.band[0]
@@ -334,7 +335,10 @@ def _check_args(table: RowTable, c: float, grid, eps=None):
     if grid[-1] > table.lambda_max * (1 + 1e-12):
         raise TruncationRiskError(
             f"grid max {grid[-1]} exceeds cached lambda_max {table.lambda_max}")
-    return grid
+    if eps is None:
+        return grid, table.lam, table.mu, table.weight
+    rows = _band_rows(table.lam, table.mu, c, eps)
+    return grid, table.lam[rows], table.mu[rows], table.weight[rows]
 
 
 def _cumulate(lam, w, grid):
@@ -344,12 +348,6 @@ def _cumulate(lam, w, grid):
     np.cumsum(w, out=csum[1:])
     idx = np.searchsorted(lam, grid * (1 + 1e-15), side="right")
     return csum[idx], float(csum[-1])
-
-
-def _band(table: RowTable, c: float, eps: float):
-    """lam, mu and weight of the band rows |c lambda_j - mu_k| <= eps."""
-    rows = _band_rows(table.lam, table.mu, c, eps)
-    return table.lam[rows], table.mu[rows], table.weight[rows]
 
 
 def kuznecov_sum(table: RowTable, c: float, psi: TestFunction,
@@ -362,9 +360,8 @@ def kuznecov_sum(table: RowTable, c: float, psi: TestFunction,
     mu_k <= lambda_j, so `tail_fraction` is 0 for every c = 1 sum.
     """
     sharp = psi.kind == "sharp"
-    grid = _check_args(table, c, lambda_grid, psi.a if sharp else None)
-    lam, mu, weight = (_band(table, c, psi.a) if sharp else
-                       (table.lam, table.mu, table.weight))
+    grid, lam, mu, weight = _sum_rows(table, c, lambda_grid,
+                                      psi.a if sharp else None)
     w = psi.psi(c * lam - mu) * weight
     vals, total = _cumulate(lam, w, grid)
     tail_mask = mu > c * lam + 10.0 * psi.a
@@ -393,8 +390,7 @@ def averaged_sharp_sum(table: RowTable, c: float, eps: float,
     eps_vals = np.linspace(eps * (1 - jitter), eps * (1 + jitter), samples)
     if eps_vals.min() < 0:
         raise ValidationError("eps must be >= 0")
-    grid = _check_args(table, c, lambda_grid, eps_vals.max())
-    lam, mu, weight = _band(table, c, eps_vals.max())
+    grid, lam, mu, weight = _sum_rows(table, c, lambda_grid, eps_vals.max())
     dist = np.abs(c * lam - mu)
     acc = sum(_cumulate(lam, (dist <= e) * weight, grid)[0] for e in eps_vals)
     # the indicator vanishes beyond mu_k > c lambda_j + eps: no tail

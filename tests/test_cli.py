@@ -207,6 +207,28 @@ def test_run_report_records_the_table(tmp_path):
     assert report["table"] == smooth
 
 
+def test_run_window_spellings_take_one_path(tmp_path):
+    # `variant = sharp` + `epsilon` and `psi = sharp:...` are one window:
+    # both read the band of eps (1 + jitter) and average the sum
+    base = CONFIG.replace("20:90:12", "40:320:24").replace("20:90", "40:320")
+    spelled = [base.replace("epsilon = 0.5", "epsilon = 0.5\njitter = 0.1"),
+               base.replace("variant = sharp\nepsilon = 0.5",
+                            "variant = smooth\npsi = sharp:eps=0.5\n"
+                            "jitter = 0.1")]
+    outs, tables = [], []
+    for i, text in enumerate(spelled):
+        out = tmp_path / f"out{i}"
+        report = run_experiment(_write_config(tmp_path, text, f"{i}.ini"),
+                                cache_dir=str(tmp_path / "cache"),
+                                out_dir=str(out))
+        outs.append([(out / f"smoke-sums.csv{ext}").read_bytes()
+                     for ext in ("", ".json")])
+        tables.append(report["table"])
+    assert outs[0] == outs[1]
+    assert b'"kind": "sharp-averaged"' in outs[0][1]
+    assert tables == [{"rows": 4160, "band": [1.0, 0.55]}] * 2
+
+
 def test_run_rejects_supercritical_c(tmp_path):
     cfg = _write_config(tmp_path, CONFIG.replace("c = 1.0", "c = 1.2"))
     rc = main(["run", "--config", cfg, "--cache-dir", str(tmp_path / "c"),
@@ -306,19 +328,26 @@ def test_pair_spec_validation():
     ["sums", "--psi", "fejer:a=1", "--lgrid", "1:2:3:log"],
     ["sums", "--psi", "fejer:a=1", "--lgrid", "1:2:3:lin:x"],
     ["spectrum", "--pair", "torus:2,1:degree", "--lmax", "3"],
+    ["run", "--config", "negative-jitter.ini"],
+    ["run", "--config", "nan-jitter.ini"],
+    ["run", "--config", "large-jitter.ini"],
+    ["run", "--config", "smooth-jitter.ini"],
 ], ids=["psi-number", "grid-count", "psi-key", "tgrid", "metric-dim",
         "metric-colons", "metric-float", "negative-points", "fit-window",
         "fit-window-colons", "fit-missing-csv", "fit-short-row", "run-window",
         "lmax-inf", "lmax-nan", "spectrum-lmax-nan", "grid-inf", "psi-nan",
         "psi-inf", "grid-linear", "grid-log", "grid-lin-extra",
-        "torus-normalization"])
+        "torus-normalization", "run-negative-jitter", "run-nan-jitter",
+        "run-large-jitter", "run-smooth-jitter"])
 def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
                                                capsys):
     # each once ended in a traceback (bad numbers, an unreadable CSV, a
     # non-finite lambda_max) or was silently replaced or ignored (an unknown
     # key by a = 1, a colon-free t grid by linspace(0, 8, 257), a NaN window
-    # by a CSV of NaN, an unknown grid or pair field); the fit inputs are
-    # sound apart from the one flaw
+    # by a CSV of NaN, an unknown grid or pair field, a negative or NaN
+    # jitter by the plain sharp sum, a jitter on a smooth window; a jitter
+    # above 1 cached a band table before its negative eps was refused); the
+    # fit inputs and configs are sound apart from the one flaw
     monkeypatch.chdir(tmp_path)
     grid = np.geomspace(20, 90, 12)
     SumTable(pair={}, c=1.0, test={}, rho=None, lambda_grid=grid,
@@ -326,6 +355,13 @@ def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
     (tmp_path / "short.csv").write_text("lambda,value\n20.0\n")
     _write_config(tmp_path, CONFIG.replace("window = 20:90", "window = abc"),
                   "bad-window.ini")
+    sharp = "variant = sharp\nepsilon = 0.5"
+    for name, window, jitter in (
+            ("negative", sharp, "-0.1"), ("nan", sharp, "nan"),
+            ("large", sharp, "1.5"),
+            ("smooth", "variant = smooth\npsi = fejer:a=1", "0.1")):
+        _write_config(tmp_path, CONFIG.replace(
+            sharp, f"{window}\njitter = {jitter}"), f"{name}-jitter.ini")
     table = ["--pair", "torus:2,1", "--cache-dir", "cache"]
     extra = {"sums": [*table, "--c", "1.0"], "trace": table, "coeffs": table,
              "hadamard": [], "run": ["--cache-dir", "cache", "--out-dir", "out"]}
@@ -339,6 +375,7 @@ def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
     assert not err.startswith("validation error: kuzweyl")
     assert not (tmp_path / "out.csv").exists()
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,8 +385,10 @@ def test_malformed_input_is_a_validation_error(argv, tmp_path, monkeypatch,
     ["fit", "--in", "x.csv", "--window", "1:2", "--bogus"],
     ["hadamard", "--metric", "sphere:3", "--jmax", "one"],
     ["nosuch"],
+    ["coefficient", "--formula", "bogus", "--n", "2", "--d", "1", "--psi",
+     "fejer:a=1"],
 ], ids=["no-command", "missing-flag", "spectrum-cache-dir", "unknown-flag",
-        "bad-int", "unknown-command"])
+        "bad-int", "unknown-command", "unknown-formula"])
 def test_usage_error_is_a_validation_error(argv, capsys):
     # argparse would exit 2, the code of a numerical-tolerance failure
     assert main(argv) == 1
